@@ -22,7 +22,7 @@ from .errors import (
     WorkCapExceeded,
 )
 from .fields import PrimeField, RATIONALS, Rationals, Scalar, format_scalar, parse_scalar
-from .matrices import Mat2, format_matrix, mat_inv, mat_mul, parse_matrix
+from .matrices import Mat2, format_matrix, parse_matrix
 from .groups import (
     DEFAULT_PRIME_CAP,
     FiniteGroup,

@@ -228,6 +228,8 @@ class InstanceIndex:
                 raise TriplePassError(f"group element {m} does not act bijectively")
             self.act_table.append(row)
         self.inverse = list(group.inverse_indices)
+        # inv_rows[g] moves a point by the inverse of group element g.
+        self.inv_rows = [self.act_table[j] for j in self.inverse]
 
         assert instance.secret_domain is not None and instance.t_domain is not None
         self.s_res = sorted(s.value for s in instance.secret_domain)
@@ -249,6 +251,26 @@ class InstanceIndex:
         self.secret_pair_of_point = {
             v: k for k, v in self.point_of_pair.items() if k[1] in s_set
         }
+
+    def unmaskings(
+        self, v1: int, v2: int, v3: int, pairs: Optional[dict] = None
+    ) -> list[tuple[int, tuple[int, int]]]:
+        """Alice's candidates: every (A, (s, t)) with v2.A^-1 == v3 and
+        v1.A^-1 encoding a pair of ``pairs`` (default ``pair_of_point``),
+        in group order."""
+        if pairs is None:
+            pairs = self.pair_of_point
+        out = []
+        for a_i, inv_row in enumerate(self.inv_rows):
+            if inv_row[v2] == v3:
+                pair = pairs.get(inv_row[v1])
+                if pair is not None:
+                    out.append((a_i, pair))
+        return out
+
+    def replies(self, v1: int, v2: int) -> list[int]:
+        """Every B with v1.B == v2, in group order: Bob's candidate masks."""
+        return [b_i for b_i, row in enumerate(self.act_table) if row[v1] == v2]
 
     def point_from_index(self, i: int) -> Point:
         fp = self.instance.field
@@ -340,13 +362,14 @@ def build_instance(
         group = subgroup_closure(gens)
 
     if kind == "borel-embedded":
-        if secret_domain is not None or t_domain is not None:
-            raise ValueError("borel-embedded instances fix their own secret domain")
         # The commutators fix exactly the line x = 0; the zero vector is
         # excluded as an embedding target, so k^2 pairs need k^2 <= p - 1.
         k = math.isqrt(p - 1)
         secrets = _sorted_scalars(fp, range(1, k + 1))
         t_values = secrets
+        for given in (secret_domain, t_domain):
+            if given is not None and _sorted_scalars(fp, given) != secrets:
+                raise ValueError("borel-embedded instances fix their own secret domain")
         embedding = {}
         targets = iter(range(1, p))
         for s in secrets:
@@ -589,35 +612,28 @@ def check_transcript_equivalence(
         raise WorkCapExceeded(CONDITION_TRANSCRIPT, estimate, cap)
 
     table = idx.act_table
-    inverse = idx.inverse
     work = 0
     covered_cache: dict[tuple[int, int, int], frozenset[int]] = {}
 
     for s in idx.s_res:
         for t in idx.s_res:
             v = idx.point_of_pair[(s, t)]
-            for a_i in range(n_g):
+            for a_i, inv_row in enumerate(idx.inv_rows):
                 v1 = table[a_i][v]
-                inv_rows: Optional[list[int]] = None
-                for b_i in range(n_g):
-                    v2 = table[b_i][v1]
-                    v3 = table[inverse[a_i]][v2]
+                for b_i, row in enumerate(table):
+                    v2 = row[v1]
+                    v3 = inv_row[v2]
                     key = (v1, v2, v3)
                     covered = covered_cache.get(key)
                     if covered is None:
                         # A candidate A' must unmask v2 onto v3 and pull v1
                         # back into the secret square; B' then always exists
                         # because B itself reproduces v1 -> v2.
-                        got = set()
-                        for ap in range(n_g):
-                            work += 1
-                            ap_inv_row = table[inverse[ap]]
-                            if ap_inv_row[v2] != v3:
-                                continue
-                            pair = idx.secret_pair_of_point.get(ap_inv_row[v1])
-                            if pair is not None:
-                                got.add(pair[0])
-                        covered = frozenset(got)
+                        work += n_g
+                        covered = frozenset(
+                            pair[0]
+                            for _, pair in idx.unmaskings(v1, v2, v3, idx.secret_pair_of_point)
+                        )
                         covered_cache[key] = covered
                     for s_prime in idx.s_res:
                         work += 1
@@ -690,14 +706,26 @@ def recheck_counterexample(instance: ActionInstance, report: ConditionReport) ->
     raise ValueError(f"cannot recheck condition {report.condition!r}")
 
 
+def _embedding_json(instance: ActionInstance) -> Optional[list]:
+    if instance.embedding is None:
+        return None
+    return [
+        [[s.value, t.value], [pt.x.value, pt.y.value]]
+        for (s, t), pt in sorted(
+            instance.embedding.items(), key=lambda kv: (kv[0][0].value, kv[0][1].value)
+        )
+    ]
+
+
 def instance_to_descriptor(instance: ActionInstance) -> dict:
     """JSON-ready descriptor from which the instance can be rebuilt."""
     if not instance.is_finite:
         return {"name": instance.name, "kind": "rational-demo", "p": "Q"}
     assert isinstance(instance.field, PrimeField)
+    # Named kinds are rebuilt from their kind, so they list no generators.
     group = instance.group
-    gens = group.generators if group.generators else group.elements
-    desc: dict = {
+    gens = (group.generators or group.elements) if instance.kind == "custom" else ()
+    return {
         "name": instance.name,
         "kind": instance.kind,
         "p": instance.field.p,
@@ -705,48 +733,22 @@ def instance_to_descriptor(instance: ActionInstance) -> dict:
         "secret_domain": [s.value for s in instance.secret_domain or ()],
         "t_domain": [t.value for t in instance.t_domain or ()],
         "multiplicative": instance.multiplicative,
+        "embedding": _embedding_json(instance),
     }
-    if instance.embedding is not None:
-        desc["embedding"] = [
-            [[s.value, t.value], [pt.x.value, pt.y.value]]
-            for (s, t), pt in sorted(
-                instance.embedding.items(), key=lambda kv: (kv[0][0].value, kv[0][1].value)
-            )
-        ]
-    else:
-        desc["embedding"] = None
-    return desc
 
 
 def instance_from_descriptor(desc: dict) -> ActionInstance:
-    """Rebuild a finite instance from its descriptor."""
+    """Rebuild a finite instance from its descriptor.
+
+    Named kinds ignore any listed generators, and an embedding they list
+    must be their own; custom kinds close their generators.
+    """
     kind = desc["kind"]
     if kind == "rational-demo":
         return rational_demo_instance(desc.get("name", "rational-gl2"))
     p = desc["p"]
-    fp = PrimeField(p)
-    if desc.get("embedding") is not None:
-        gens = [parse_matrix(g) for g in desc["generators"]]
-        group = subgroup_closure(gens)
-        scalars = fp.elements()
-        embedding = {}
-        for (s, t), (x, y) in desc["embedding"]:
-            embedding[(scalars[s], scalars[t])] = Point(scalars[x], scalars[y])
-        secrets = tuple(scalars[s] for s in sorted(desc["secret_domain"]))
-        instance = ActionInstance(
-            name=desc["name"],
-            field=fp,
-            group=group,
-            secret_domain=secrets,
-            t_domain=tuple(scalars[t] for t in sorted(desc["t_domain"])),
-            embedding=embedding,
-            multiplicative=desc.get("multiplicative", True),
-            kind=kind,
-        )
-        instance_index(instance)
-        return instance
-    if kind in INSTANCE_KINDS and kind != "custom" and kind != "borel-embedded":
-        return build_instance(
+    if kind != "custom":
+        instance = build_instance(
             kind,
             p,
             secret_domain=desc.get("secret_domain"),
@@ -754,17 +756,36 @@ def instance_from_descriptor(desc: dict) -> ActionInstance:
             multiplicative=desc.get("multiplicative"),
             name=desc.get("name"),
         )
-    if kind == "borel-embedded":
-        return build_instance(kind, p, name=desc.get("name"))
-    return build_instance(
-        "custom",
-        p,
-        generators=desc["generators"],
-        secret_domain=desc.get("secret_domain"),
-        t_domain=desc.get("t_domain"),
-        multiplicative=desc.get("multiplicative"),
-        name=desc.get("name"),
+        if "embedding" in desc and desc["embedding"] != _embedding_json(instance):
+            raise ValueError(f"descriptor embedding differs from the {kind} instance's own")
+        return instance
+    if desc.get("embedding") is None:
+        return build_instance(
+            "custom",
+            p,
+            generators=desc["generators"],
+            secret_domain=desc.get("secret_domain"),
+            t_domain=desc.get("t_domain"),
+            multiplicative=desc.get("multiplicative"),
+            name=desc.get("name"),
+        )
+    fp = PrimeField(p)
+    scalars = fp.elements()
+    instance = ActionInstance(
+        name=desc["name"],
+        field=fp,
+        group=subgroup_closure(parse_matrix(g) for g in desc["generators"]),
+        secret_domain=_sorted_scalars(fp, desc["secret_domain"]),
+        t_domain=_sorted_scalars(fp, desc["t_domain"]),
+        embedding={
+            (scalars[s], scalars[t]): Point(scalars[x], scalars[y])
+            for (s, t), (x, y) in desc["embedding"]
+        },
+        multiplicative=desc.get("multiplicative", True),
+        kind=kind,
     )
+    instance_index(instance)
+    return instance
 
 
 def load_instance_file(path: str) -> ActionInstance:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -128,21 +127,11 @@ def enumerate_consistent(
     v1, v2, v3 = _transcript_indices(idx, transcript)
 
     table = idx.act_table
-    inverse = idx.inverse
-    a_cands: list[tuple[int, tuple[int, int]]] = []
-    for a_i in range(idx.n_group):
-        inv_row = table[inverse[a_i]]
-        if inv_row[v2] != v3:
-            continue
-        pair = idx.pair_of_point.get(inv_row[v1])
-        if pair is not None:
-            a_cands.append((a_i, pair))
-    b_cands = [b_i for b_i in range(idx.n_group) if table[b_i][v1] == v2]
-
+    b_cands = idx.replies(v1, v2)
     group = idx.group
     witnesses = []
     counts: dict[Scalar, int] = {}
-    for a_i, (s_res, t_res) in a_cands:
+    for a_i, (s_res, t_res) in idx.unmaskings(v1, v2, v3):
         s = idx.scalar(s_res)
         t = idx.scalar(t_res)
         start = idx.point_of_pair[(s_res, t_res)]
@@ -150,7 +139,7 @@ def enumerate_consistent(
             # Soundness stays on: re-derive all three messages directly.
             m1 = table[a_i][start]
             m2 = table[b_i][m1]
-            m3 = table[inverse[a_i]][m2]
+            m3 = idx.inv_rows[a_i][m2]
             if (m1, m2, m3) != (v1, v2, v3):
                 raise AssertionError("factored witness failed direct re-validation")
             witnesses.append((s, t, group.elements[a_i], group.elements[b_i]))
@@ -159,7 +148,11 @@ def enumerate_consistent(
     truth = transcript.ground_truth
     if truth is not None and witnesses:
         member = (truth.s, truth.t, truth.mask_a, truth.mask_b)
-        assert member in witnesses, "ground truth is not among the witnesses"
+        if member not in witnesses:
+            raise InconsistentTranscriptError(
+                "inconsistent transcript: its recorded ground truth is not among the witnesses"
+                f" (session {transcript.session_id})"
+            )
     return WitnessSet(transcript, tuple(witnesses), counts)
 
 
@@ -172,25 +165,13 @@ def find_witness(
         raise TriplePassError("witness search requires finite group")
     idx = instance_index(instance)
     v1, v2, v3 = _transcript_indices(idx, transcript)
-    table = idx.act_table
-    inverse = idx.inverse
-    target = s_prime.value
-
-    for a_i in range(idx.n_group):
-        inv_row = table[inverse[a_i]]
-        if inv_row[v2] != v3:
-            continue
-        pair = idx.pair_of_point.get(inv_row[v1])
-        if pair is None or pair[0] != target:
-            continue
-        for b_i in range(idx.n_group):
-            if table[b_i][v1] == v2:
-                return (
-                    idx.scalar(pair[1]),
-                    idx.group.elements[a_i],
-                    idx.group.elements[b_i],
-                )
-    return None
+    a_cands = [(a_i, t) for a_i, (s, t) in idx.unmaskings(v1, v2, v3) if s == s_prime.value]
+    # Bob's candidates do not depend on A, so any reply completes any A.
+    b_cands = idx.replies(v1, v2)
+    if not a_cands or not b_cands:
+        return None
+    a_i, t_res = a_cands[0]
+    return idx.scalar(t_res), idx.group.elements[a_i], idx.group.elements[b_cands[0]]
 
 
 @dataclass(frozen=True)
@@ -316,9 +297,9 @@ def exact_mutual_information(
 
     The blinding value and both masks are uniform; the secret follows
     the prior. Transcripts are enumerated through the protocol itself,
-    over the outer (point, first mask) grid, so only realizable
-    transcripts carry weight. Sharding over that grid merges by exact
-    count addition: the result is identical for any worker count.
+    so only realizable transcripts carry weight. ``workers`` is accepted
+    for compatibility and has no effect: the scan is pure Python, which
+    threads cannot speed up.
     """
     if not instance.is_finite:
         raise TriplePassError("leakage analysis requires finite group")
@@ -332,37 +313,21 @@ def exact_mutual_information(
     if estimate > cap:
         raise WorkCapExceeded("leakage-analysis", estimate, cap)
 
-    outer = [
-        (idx.point_of_pair[(s.value, t_res)], s.value, a_i)
-        for s in support
-        for t_res in idx.t_res
-        for a_i in range(idx.n_group)
-    ]
     table = idx.act_table
-    inverse = idx.inverse
-    n_group = idx.n_group
-
-    def shard(start: int) -> Counter:
-        counts: Counter = Counter()
-        for v, s_res, a_i in outer[start::workers]:
-            v1 = table[a_i][v]
-            inv_row = table[inverse[a_i]]
-            for b_i in range(n_group):
-                v2 = table[b_i][v1]
-                counts[((v1, v2, inv_row[v2]), s_res)] += 1
-        return counts
-
-    if workers == 1:
-        merged = shard(0)
-    else:
-        merged = Counter()
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(shard, range(workers)):
-                merged.update(part)
+    counts: Counter = Counter()
+    for s in support:
+        s_res = s.value
+        for t_res in idx.t_res:
+            v = idx.point_of_pair[(s_res, t_res)]
+            for row, inv_row in zip(table, idx.inv_rows):
+                v1 = row[v]
+                for b_row in table:
+                    v2 = b_row[v1]
+                    counts[((v1, v2, inv_row[v2]), s_res)] += 1
 
     prior_by_res = {s.value: prior[s] for s in support}
-    completions = len(idx.t_res) * n_group**2
-    bits, zero_leakage, examined = mutual_information_bits(merged, prior_by_res, completions)
+    completions = len(idx.t_res) * idx.n_group**2
+    bits, zero_leakage, examined = mutual_information_bits(counts, prior_by_res, completions)
     return LeakageReport(
         instance=instance.name,
         mutual_information_bits=bits,

@@ -306,12 +306,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     instance = _resolve_instance(args)
     rng = random.Random(args.seed)
-    fixed_secret = None
-    if args.secret is not None:
-        if instance.is_finite:
-            fixed_secret = parse_scalar(args.secret, instance.field)
-        else:
-            fixed_secret = parse_scalar(args.secret, instance.field)
+    fixed_secret = None if args.secret is None else parse_scalar(args.secret, instance.field)
 
     outcomes = []
     for i in range(args.sessions):
@@ -377,6 +372,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             transcript_dicts, descriptor = data, None
         else:
             transcript_dicts, descriptor = [data], None
+        if not isinstance(transcript_dicts, list):
+            raise UsageError("the transcripts field of a transcript file must be a list")
         if args.instance is not None:
             instance = _resolve_instance(args)
         elif descriptor is not None:
@@ -414,7 +411,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     instance = _resolve_instance(args)
     prior = _load_prior(args.prior, instance)
-    report = exact_mutual_information(instance, prior, cap=cap, workers=args.workers)
+    report = exact_mutual_information(instance, prior, cap=cap)
     config = _config(
         args,
         "analyze",
@@ -495,7 +492,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--format", choices=("json", "csv", "human"), default="json", help="output format"
     )
-    parser.add_argument("--workers", type=int, default=1, help="analysis shard count")
+    parser.add_argument(
+        "--workers", type=int, default=1, help="accepted for compatibility; has no effect"
+    )
 
 
 def _add_instance_flags(parser: argparse.ArgumentParser) -> None:
@@ -567,6 +566,10 @@ def main(argv: Optional[list[str]] = None) -> int:
             args.cap = _default_cap()
         if args.cap <= 0:
             raise UsageError("work cap must be positive")
+        if args.workers < 1:
+            raise UsageError("--workers must be at least 1")
+        if getattr(args, "sessions", 0) < 0:
+            raise UsageError("--sessions must not be negative")
         if args.format == "csv" and args.command != "run":
             raise UsageError("csv output is only available for per-session run tables")
         return args.func(args)

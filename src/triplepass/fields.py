@@ -220,6 +220,8 @@ def scalar_to_json(s: Scalar) -> Union[int, str]:
 
 
 def scalar_from_json(domain: Domain, value: Union[int, str]) -> Scalar:
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(f"expected an integer or a string scalar, got {value!r}")
     if isinstance(domain, PrimeField):
         if not isinstance(value, int):
             raise ValueError(f"expected integer residue, got {value!r}")

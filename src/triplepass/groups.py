@@ -153,7 +153,8 @@ def enumerate_gl2(p: int, cap: int = DEFAULT_PRIME_CAP) -> FiniteGroup:
         if (a * d - b * c) % p != 0
     ]
     group = FiniteGroup.from_elements(mats)
-    assert len(group) == gl2_order(p)
+    if len(group) != gl2_order(p):
+        raise AssertionError(f"found {len(group)} invertible matrices, not {gl2_order(p)}")
     return group
 
 
@@ -190,7 +191,8 @@ def subgroup_closure(generators: Iterable[Mat2]) -> FiniteGroup:
                     seen[y] = None
                     grown.append(y)
         frontier = grown
-        assert len(seen) <= bound
+        if len(seen) > bound:
+            raise AssertionError(f"closure outgrew |GL2(F{domain.p})| = {bound}")
     unique_gens = tuple(sorted({g: None for g in gens}, key=Mat2.residues))
     return FiniteGroup.from_elements(seen, generators=unique_gens)
 

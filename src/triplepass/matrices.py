@@ -21,8 +21,6 @@ from .fields import (
 
 __all__ = [
     "Mat2",
-    "mat_mul",
-    "mat_inv",
     "format_matrix",
     "parse_matrix",
 ]
@@ -93,16 +91,6 @@ class Mat2:
         return format_matrix(self)
 
 
-def mat_mul(a: Mat2, b: Mat2) -> Mat2:
-    """Exact matrix product; errors on domain mismatch."""
-    return a @ b
-
-
-def mat_inv(a: Mat2) -> Mat2:
-    """Exact inverse; raises SingularMatrixError when det = 0."""
-    return a.inverse()
-
-
 _ENTRY = r"[+-]?\d+(?:/\d+)?"
 _MATRIX_RE = re.compile(
     r"^\[\[(%s),(%s)\],\[(%s),(%s)\]\]@(F\d+|Q)$" % (_ENTRY, _ENTRY, _ENTRY, _ENTRY)
@@ -116,6 +104,8 @@ def format_matrix(m: Mat2) -> str:
 
 
 def parse_matrix(text: str) -> Mat2:
+    if not isinstance(text, str):
+        raise ValueError(f"invalid matrix literal {text!r}")
     match = _MATRIX_RE.match(text.replace(" ", ""))
     if not match:
         raise ValueError(f"invalid matrix literal {text!r}")

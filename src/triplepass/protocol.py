@@ -236,7 +236,8 @@ def run_session_with(
     commutator_applied = ((mask_a @ mask_b) @ mask_a.inverse()) @ mask_b.inverse()
     # The four passes compose to exactly this element; kept as an always-on
     # consistency check because everything downstream relies on it.
-    assert v4 == act(commutator_applied, encoding.v)
+    if v4 != act(commutator_applied, encoding.v):
+        raise AssertionError("the four passes do not compose to the mask commutator")
 
     transcript = Transcript(
         instance=instance.name,
@@ -297,16 +298,14 @@ def exhaustive_roundtrip(
         raise WorkCapExceeded("roundtrip", total, cap)
 
     table = idx.act_table
-    inverse = idx.inverse
     failures = 0
     first: Optional[tuple[Point, Mat2, Mat2]] = None
     for v in starts:
-        for a_i in range(idx.n_group):
+        for a_i, inv_a in enumerate(idx.inv_rows):
             v1 = table[a_i][v]
-            inv_a = table[inverse[a_i]]
-            for b_i in range(idx.n_group):
+            for b_i, inv_b in enumerate(idx.inv_rows):
                 v3 = inv_a[table[b_i][v1]]
-                if table[inverse[b_i]][v3] != v:
+                if inv_b[v3] != v:
                     failures += 1
                     if first is None:
                         first = (
@@ -389,17 +388,33 @@ def transcript_to_dict(transcript: Transcript, *, lab_view: bool = False) -> dic
 
 
 def transcript_from_dict(d: dict, session_id: int = 0) -> Transcript:
-    domain = RATIONALS if d["p"] == "Q" else PrimeField(d["p"])
+    """Parse the wire form, rejecting malformed input with ValueError."""
+    if not isinstance(d, dict) or not {"instance", "p", "v1", "v2", "v3"} <= d.keys():
+        raise ValueError("a transcript must be an object with instance, p, v1, v2 and v3")
+    p = d["p"]
+    if p != "Q" and type(p) is not int:
+        raise ValueError(f"transcript p must be a prime or \"Q\", got {p!r}")
+    domain = RATIONALS if p == "Q" else PrimeField(p)
+
+    def scalar(value) -> Scalar:
+        # Wire residues are canonical; anything outside [0, p) is corrupt.
+        if isinstance(domain, PrimeField) and isinstance(value, int) and not 0 <= value < p:
+            raise ValueError(f"residue {value!r} is outside [0, {p})")
+        return scalar_from_json(domain, value)
 
     def point(values: list) -> Point:
-        return Point(scalar_from_json(domain, values[0]), scalar_from_json(domain, values[1]))
+        if not isinstance(values, list) or len(values) != 2:
+            raise ValueError(f"a point must be a two-element list, got {values!r}")
+        return Point(scalar(values[0]), scalar(values[1]))
 
     truth = None
     if "truth" in d:
         t = d["truth"]
+        if not isinstance(t, dict) or not {"s", "t", "A", "B"} <= t.keys():
+            raise ValueError("a transcript truth must be an object with s, t, A and B")
         truth = GroundTruth(
-            scalar_from_json(domain, t["s"]),
-            scalar_from_json(domain, t["t"]),
+            scalar(t["s"]),
+            scalar(t["t"]),
             parse_matrix(t["A"]),
             parse_matrix(t["B"]),
         )

@@ -25,7 +25,7 @@ from triplepass.actions import (
 )
 from triplepass.errors import SingularMatrixError, TriplePassError, WorkCapExceeded
 from triplepass.fields import PrimeField
-from triplepass.matrices import Mat2
+from triplepass.matrices import Mat2, format_matrix
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -287,6 +287,25 @@ class TestTranscriptEquivalence:
             check_transcript_equivalence(gl2f3, cap=1000)
 
 
+@pytest.mark.parametrize(
+    "kind, p, masking_work, transcript_work",
+    [
+        ("diagonal", 5, 256, 18),
+        ("rotation", 7, 290, 10),
+        ("borel-embedded", 7, 1008, 254),
+        ("general-linear", 3, 192, 50),
+        ("scalar", 5, 64, 6),
+        ("trivial", 5, 1, 2),
+    ],
+)
+def test_checker_work_is_pinned(kind, p, masking_work, transcript_work):
+    # Work is part of every report and calibrates the cap estimates, so a
+    # rewrite of the scans behind the checkers must leave it unchanged.
+    inst = trivial_instance(p) if kind == "trivial" else build_instance(kind, p)
+    assert check_masking_coverage(inst).work == masking_work
+    assert check_transcript_equivalence(inst).work == transcript_work
+
+
 class TestDescriptors:
     def test_round_trip_standard_kinds(self, diag5, rot7, borel3_embedded, trivial5):
         for inst in (diag5, rot7, borel3_embedded, trivial5):
@@ -297,6 +316,37 @@ class TestDescriptors:
             assert rebuilt.secret_domain == inst.secret_domain
             assert rebuilt.t_domain == inst.t_domain
             assert rebuilt.embedding == inst.embedding
+
+    def test_named_kinds_list_no_generators(self, gl2f3, borel3_embedded, diag5):
+        for inst in (gl2f3, borel3_embedded, diag5):
+            assert instance_to_descriptor(inst)["generators"] == []
+
+    def test_old_descriptor_with_every_element_still_loads(self):
+        # Earlier descriptors of named kinds listed every group element.
+        inst = build_instance("borel-embedded", 7)
+        desc = instance_to_descriptor(inst)
+        desc["generators"] = [format_matrix(m) for m in inst.group.elements]
+        rebuilt = instance_from_descriptor(json.loads(json.dumps(desc)))
+        assert rebuilt.kind == inst.kind
+        assert rebuilt.name == inst.name
+        assert rebuilt.group.elements == inst.group.elements
+        assert rebuilt.secret_domain == inst.secret_domain
+        assert rebuilt.t_domain == inst.t_domain
+        assert rebuilt.embedding == inst.embedding
+        assert rebuilt.multiplicative == inst.multiplicative
+
+    def test_named_kind_with_a_foreign_embedding_is_rejected(self, borel5_embedded, diag5):
+        desc = instance_to_descriptor(borel5_embedded)
+        (first, a), (second, b) = desc["embedding"][:2]
+        desc["embedding"][:2] = [[first, b], [second, a]]
+        with pytest.raises(ValueError, match="embedding"):
+            instance_from_descriptor(desc)
+
+        desc = instance_to_descriptor(diag5)
+        desc["embedding"] = [[[s, t], [0, 2 * s + t - 2]] for s in (1, 2) for t in (1, 2)]
+        desc["secret_domain"] = desc["t_domain"] = [1, 2]
+        with pytest.raises(ValueError, match="embedding"):
+            instance_from_descriptor(desc)
 
     def test_custom_round_trip(self, borel3_plane):
         desc = instance_to_descriptor(borel3_plane)

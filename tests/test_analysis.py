@@ -147,6 +147,37 @@ class TestFindWitness:
                             expected = candidate in ws.counts_by_secret
                             assert (found is not None) == expected
 
+    def test_every_witness_re_derives_the_transcript_on_gl2_f3(self, gl2f3):
+        # Independent of the enumeration engine: each answer is replayed
+        # through the plain-integer oracle, and a None must mean that the
+        # four-deep oracle scan finds no witness for that secret.
+        fp = gl2f3.field
+        p = fp.p
+        elems = oracles.gl2(p)
+        taus = {
+            oracles.session(p, (s, t), a, b)[:3]
+            for s in (1, 2)
+            for t in range(p)
+            for a in elems
+            for b in elems
+        }
+        nones = 0
+        for v1, v2, v3 in sorted(taus):
+            tr = Transcript(gl2f3.name, *(pt(fp, *v) for v in (v1, v2, v3)))
+            oracle_secrets = {w[0] for w in oracle_witnesses(gl2f3, tr)}
+            for candidate in gl2f3.secret_domain:
+                found = find_witness(tr, gl2f3, candidate)
+                if found is None:
+                    nones += 1
+                    assert candidate.value not in oracle_secrets
+                    continue
+                t_prime, a_prime, b_prime = found
+                a_res, b_res = a_prime.residues(), b_prime.residues()
+                assert oracles.act(p, (candidate.value, t_prime.value), a_res) == v1
+                assert oracles.act(p, v1, b_res) == v2
+                assert oracles.act(p, v2, oracles.minv(p, a_res)) == v3
+        assert len(taus) > 1 and nones > 0
+
 
 class TestPosterior:
     def test_diagonal_is_a_point_mass(self, diag5):

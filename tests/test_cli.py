@@ -1,6 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import triplepass
 from triplepass.cli import main
+
+
+# s=2, t=3, A=diag(2,1), B=diag(3,4)
+GENUINE_DIAGONAL_F5 = {"instance": "diagonal-f5", "p": 5, "v1": [4, 3], "v2": [2, 2], "v3": [1, 2]}
 
 
 def run_cli(capsys, *argv):
@@ -141,6 +152,69 @@ class TestAnalyze:
         assert code == 2
         assert "inconsistent transcript" in err
 
+    def _swapped_truth_file(self, capsys, tmp_path):
+        run_file = tmp_path / "run.json"
+        run_cli(capsys, "run", "--instance", "diagonal", "--p", "5", "--sessions", "2",
+                "--seed", "0", "--lab-view", "--out", str(run_file))
+        artifact = json.loads(run_file.read_text())
+        first, second = artifact["transcripts"]
+        assert first["truth"] != second["truth"]
+        first["truth"], second["truth"] = second["truth"], first["truth"]
+        run_file.write_text(json.dumps(artifact))
+        return run_file
+
+    def test_swapped_ground_truth_is_an_input_error(self, capsys, tmp_path):
+        run_file = self._swapped_truth_file(capsys, tmp_path)
+        code, _, err = run_cli(capsys, "analyze", "--transcripts", str(run_file))
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "ground truth" in err
+
+    def test_swapped_ground_truth_is_caught_under_optimize(self, capsys, tmp_path):
+        # The soundness check must not be an assert, which -O strips.
+        run_file = self._swapped_truth_file(capsys, tmp_path)
+        src = str(Path(triplepass.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "triplepass", "analyze", "--transcripts", str(run_file)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "ground truth" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"v3": None},
+            {"v1": [4]},
+            {"p": "5"},
+            {"v1": [14, 3]},
+            {"v3": [True, 2]},
+            {"truth": {"s": 2, "t": 3, "A": "[[2,0],[0,1]]@F5"}},
+        ],
+        ids=["missing-v3", "short-point", "string-p", "residue-out-of-range", "bool-residue",
+             "truth-missing-B"],
+    )
+    def test_malformed_transcript_exits_two_without_traceback(self, capsys, tmp_path, change):
+        transcript = dict(GENUINE_DIAGONAL_F5, **change)
+        transcript = {k: v for k, v in transcript.items() if v is not None}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps([transcript]))
+        code, _, err = run_cli(capsys, "analyze", "--transcripts", str(bad),
+                               "--instance", "diagonal", "--p", "5")
+        assert code == 2
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_transcripts_field_must_be_a_list(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"transcripts": GENUINE_DIAGONAL_F5}))
+        code, _, err = run_cli(capsys, "analyze", "--transcripts", str(bad),
+                               "--instance", "diagonal", "--p", "5")
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_worker_counts_give_identical_bytes(self, capsys, tmp_path):
         files = {}
         for workers in (1, 4):
@@ -161,6 +235,31 @@ class TestAnalyze:
         assert artifact["report"]["prior"]["1"] == "1/2"
         # Total break: MI equals the prior entropy, not two full bits.
         assert 0 < artifact["report"]["mutual_information_bits"] < 2.0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--instance", "diagonal", "--p", "5", "--sessions", "-3"],
+        ["demo", "--rational", "--sessions", "-3"],
+        ["demo", "--workers", "0"],
+        ["run", "--instance", "diagonal", "--p", "5", "--workers", "0"],
+        ["analyze", "--instance", "diagonal", "--p", "5", "--workers", "0"],
+        ["analyze", "--transcripts", "runs.json", "--instance", "diagonal", "--p", "5",
+         "--workers", "0"],
+        ["check", "--instance", "trivial", "--workers", "0"],
+        ["search", "--p", "2", "--workers", "0"],
+    ],
+    ids=" ".join,
+)
+def test_negative_sessions_and_nonpositive_workers_are_usage_errors(
+    capsys, tmp_path, monkeypatch, argv
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "runs.json").write_text(json.dumps([GENUINE_DIAGONAL_F5]))
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ")
 
 
 class TestCheck:
