@@ -33,6 +33,7 @@ from .groups import (
     commutator_subgroup,
     distinct_commutators,
     enumerate_gl2,
+    gl2_order,
     subgroup_closure,
 )
 from .matrices import Mat2, format_matrix, parse_matrix
@@ -299,6 +300,20 @@ def _sorted_scalars(fp: PrimeField, values) -> tuple[Scalar, ...]:
     return tuple(fp.scalar(r) for r in res)
 
 
+def _named_group_order(kind: str, p: int) -> int:
+    """|G| of a named kind in closed form, known before enumerating it."""
+    if kind == "general-linear":
+        return gl2_order(p)
+    if kind == "diagonal":
+        return (p - 1) ** 2
+    if kind == "rotation":
+        # c^2 + s^2 = 1 has p - 1 solutions if p = 1 mod 4, else p + 1 (2 at p = 2).
+        return 2 if p == 2 else p - 1 if p % 4 == 1 else p + 1
+    if kind == "scalar":
+        return p - 1
+    return p * (p - 1) ** 2  # borel-embedded
+
+
 def build_instance(
     kind: str,
     p: int,
@@ -309,6 +324,8 @@ def build_instance(
     t_domain: Optional[Sequence[Union[Scalar, int]]] = None,
     multiplicative: Optional[bool] = None,
     name: Optional[str] = None,
+    embedding: Optional[Sequence] = None,
+    work_cap: Optional[int] = None,
 ) -> ActionInstance:
     """Construct and validate a named finite instance.
 
@@ -317,40 +334,47 @@ def build_instance(
     (nonzero multiples of the identity), ``borel-embedded`` (invertible
     upper-triangulars with the secret square injected into the line
     x = 0 that their commutators fix), and ``custom`` (explicit
-    generators, closed into a group).
+    generators, closed into a group, with an optional ``embedding`` of
+    residue pairs ``[[s, t], [x, y]]``).
+
+    ``cap`` bounds the prime of ``general-linear``; an instance whose
+    action table of |G| * p^2 entries exceeds ``work_cap`` is refused
+    with ``WorkCapExceeded`` before anything is enumerated, or, for
+    custom groups, as soon as their closure grows too large.
     """
     if kind not in INSTANCE_KINDS:
         raise ValueError(f"unknown instance kind {kind!r}")
+    work_cap = DEFAULT_WORK_CAP if work_cap is None else work_cap
     fp = PrimeField(p)
+    # The action table holds |G| * p^2 entries; a custom group has at least one.
+    estimate = (1 if kind == "custom" else _named_group_order(kind, p)) * p * p
+    if estimate > work_cap:
+        raise WorkCapExceeded("instance-construction", estimate, work_cap)
+    if embedding is not None and kind != "custom":
+        raise ValueError(f"{kind} instances fix their own embedding")
     scalars = fp.elements()
-    ident = Mat2.identity(fp)
-    embedding = None
 
     if kind == "general-linear":
         group = enumerate_gl2(p, cap)
     elif kind == "diagonal":
-        group = FiniteGroup.from_elements(
-            Mat2(scalars[a], fp.zero, fp.zero, scalars[d])
-            for a in range(1, p)
-            for d in range(1, p)
+        group = FiniteGroup.from_residues(
+            fp, ((a, 0, 0, d) for a in range(1, p) for d in range(1, p))
         )
     elif kind == "rotation":
-        group = FiniteGroup.from_elements(
-            Mat2(scalars[c], scalars[s], scalars[(-s) % p], scalars[c])
-            for c in range(p)
-            for s in range(p)
-            if (c * c + s * s) % p == 1
+        group = FiniteGroup.from_residues(
+            fp,
+            (
+                (c, s, (-s) % p, c)
+                for c in range(p)
+                for s in range(p)
+                if (c * c + s * s) % p == 1
+            ),
         )
     elif kind == "scalar":
-        group = FiniteGroup.from_elements(
-            Mat2(scalars[c], fp.zero, fp.zero, scalars[c]) for c in range(1, p)
-        )
+        group = FiniteGroup.from_residues(fp, ((c, 0, 0, c) for c in range(1, p)))
     elif kind == "borel-embedded":
-        group = FiniteGroup.from_elements(
-            Mat2(scalars[a], scalars[b], fp.zero, scalars[d])
-            for a in range(1, p)
-            for b in range(p)
-            for d in range(1, p)
+        group = FiniteGroup.from_residues(
+            fp, ((a, b, 0, d) for a in range(1, p) for b in range(p) for d in range(1, p))
         )
     else:  # custom
         if not generators:
@@ -359,7 +383,10 @@ def build_instance(
         for g in gens:
             if g.domain != fp:
                 raise ValueError(f"generator {g} is not over F{p}")
-        group = subgroup_closure(gens)
+        try:
+            group = subgroup_closure(gens, max_order=work_cap // (p * p))
+        except WorkCapExceeded as exc:
+            raise WorkCapExceeded("instance-construction", exc.estimate * p * p, work_cap) from None
 
     if kind == "borel-embedded":
         # The commutators fix exactly the line x = 0; the zero vector is
@@ -370,14 +397,19 @@ def build_instance(
         for given in (secret_domain, t_domain):
             if given is not None and _sorted_scalars(fp, given) != secrets:
                 raise ValueError("borel-embedded instances fix their own secret domain")
-        embedding = {}
         targets = iter(range(1, p))
-        for s in secrets:
-            for t in secrets:
-                embedding[(s, t)] = Point(fp.zero, scalars[next(targets)])
+        pairs = {
+            (s, t): Point(fp.zero, scalars[next(targets)]) for s in secrets for t in secrets
+        }
     else:
         secrets = _sorted_scalars(fp, secret_domain) if secret_domain is not None else fp.nonzero_elements()
         t_values = _sorted_scalars(fp, t_domain) if t_domain is not None else fp.elements()
+        pairs = None
+        if embedding is not None:
+            pairs = {
+                (scalars[s], scalars[t]): Point(scalars[x], scalars[y])
+                for (s, t), (x, y) in embedding
+            }
 
     if multiplicative is None:
         multiplicative = all(not s.is_zero for s in secrets)
@@ -388,7 +420,7 @@ def build_instance(
         group=group,
         secret_domain=secrets,
         t_domain=t_values,
-        embedding=embedding,
+        embedding=pairs,
         multiplicative=multiplicative,
         kind=kind,
     )
@@ -396,7 +428,9 @@ def build_instance(
     return instance
 
 
-def trivial_instance(p: int = 5, name: Optional[str] = None) -> ActionInstance:
+def trivial_instance(
+    p: int = 5, name: Optional[str] = None, *, work_cap: Optional[int] = None
+) -> ActionInstance:
     """One secret, identity-only group: the smallest valid instance."""
     fp = PrimeField(p)
     return build_instance(
@@ -405,6 +439,7 @@ def trivial_instance(p: int = 5, name: Optional[str] = None) -> ActionInstance:
         generators=[Mat2.identity(fp)],
         secret_domain=[1],
         name=name or f"trivial-f{p}",
+        work_cap=work_cap,
     )
 
 
@@ -737,57 +772,77 @@ def instance_to_descriptor(instance: ActionInstance) -> dict:
     }
 
 
-def instance_from_descriptor(desc: dict) -> ActionInstance:
+def _descriptor_list(desc: dict, key: str, item_type: type, what: str) -> Optional[list]:
+    """An optional descriptor field that must be a list of ``item_type``."""
+    value = desc.get(key)
+    if value is None:
+        return None
+    if not isinstance(value, list) or any(
+        isinstance(v, bool) or not isinstance(v, item_type) for v in value
+    ):
+        raise ValueError(f"descriptor field {key!r} must be a list of {what}, got {value!r}")
+    return value
+
+
+def _descriptor_embedding(desc: dict, p: int) -> Optional[list]:
+    """The embedding as a list of [[s, t], [x, y]] residue pairs, or None."""
+    value = desc.get("embedding")
+    if value is None:
+        return None
+    if not isinstance(value, list):
+        raise ValueError(f"descriptor embedding must be a list, got {value!r}")
+    for entry in value:
+        if not (
+            isinstance(entry, list)
+            and len(entry) == 2
+            and all(isinstance(pair, list) and len(pair) == 2 for pair in entry)
+        ):
+            raise ValueError(f"embedding entries must be [[s, t], [x, y]], got {entry!r}")
+        for r in entry[0] + entry[1]:
+            if isinstance(r, bool) or not isinstance(r, int) or not 0 <= r < p:
+                raise ValueError(f"embedding residue {r!r} is not an integer in [0, {p})")
+    return value
+
+
+def instance_from_descriptor(desc: dict, *, work_cap: Optional[int] = None) -> ActionInstance:
     """Rebuild a finite instance from its descriptor.
 
     Named kinds ignore any listed generators, and an embedding they list
-    must be their own; custom kinds close their generators.
+    must be their own; custom kinds close their generators. A malformed
+    descriptor raises ``ValueError``.
     """
-    kind = desc["kind"]
+    if not isinstance(desc, dict):
+        raise ValueError("an instance descriptor must be a JSON object")
+    kind = desc.get("kind")
+    if not isinstance(kind, str):
+        raise ValueError(f"descriptor kind must be a string, got {kind!r}")
+    if "name" in desc and not isinstance(desc["name"], str):
+        raise ValueError(f"descriptor name must be a string, got {desc['name']!r}")
     if kind == "rational-demo":
         return rational_demo_instance(desc.get("name", "rational-gl2"))
-    p = desc["p"]
+    p = desc.get("p")
+    if isinstance(p, bool) or not isinstance(p, int):
+        raise ValueError(f"descriptor p must be an integer prime, got {p!r}")
+    multiplicative = desc.get("multiplicative")
+    if multiplicative is not None and not isinstance(multiplicative, bool):
+        raise ValueError(f"descriptor multiplicative must be true or false, got {multiplicative!r}")
+    generators = _descriptor_list(desc, "generators", str, "matrix literals")
+    embedding = _descriptor_embedding(desc, p)
+    fields = dict(
+        secret_domain=_descriptor_list(desc, "secret_domain", int, "residues"),
+        t_domain=_descriptor_list(desc, "t_domain", int, "residues"),
+        multiplicative=multiplicative,
+        name=desc.get("name"),
+        work_cap=work_cap,
+    )
     if kind != "custom":
-        instance = build_instance(
-            kind,
-            p,
-            secret_domain=desc.get("secret_domain"),
-            t_domain=desc.get("t_domain"),
-            multiplicative=desc.get("multiplicative"),
-            name=desc.get("name"),
-        )
-        if "embedding" in desc and desc["embedding"] != _embedding_json(instance):
+        instance = build_instance(kind, p, **fields)
+        if "embedding" in desc and embedding != _embedding_json(instance):
             raise ValueError(f"descriptor embedding differs from the {kind} instance's own")
         return instance
-    if desc.get("embedding") is None:
-        return build_instance(
-            "custom",
-            p,
-            generators=desc["generators"],
-            secret_domain=desc.get("secret_domain"),
-            t_domain=desc.get("t_domain"),
-            multiplicative=desc.get("multiplicative"),
-            name=desc.get("name"),
-        )
-    fp = PrimeField(p)
-    scalars = fp.elements()
-    instance = ActionInstance(
-        name=desc["name"],
-        field=fp,
-        group=subgroup_closure(parse_matrix(g) for g in desc["generators"]),
-        secret_domain=_sorted_scalars(fp, desc["secret_domain"]),
-        t_domain=_sorted_scalars(fp, desc["t_domain"]),
-        embedding={
-            (scalars[s], scalars[t]): Point(scalars[x], scalars[y])
-            for (s, t), (x, y) in desc["embedding"]
-        },
-        multiplicative=desc.get("multiplicative", True),
-        kind=kind,
-    )
-    instance_index(instance)
-    return instance
+    return build_instance("custom", p, generators=generators, embedding=embedding, **fields)
 
 
-def load_instance_file(path: str) -> ActionInstance:
+def load_instance_file(path: str, *, work_cap: Optional[int] = None) -> ActionInstance:
     with open(path, "r", encoding="utf-8") as fh:
-        return instance_from_descriptor(json.load(fh))
+        return instance_from_descriptor(json.load(fh), work_cap=work_cap)

@@ -42,7 +42,13 @@ from .errors import (
     WorkCapExceeded,
 )
 from .fields import Scalar
-from .groups import FiniteGroup, commutator_subgroup, enumerate_gl2, subgroup_closure
+from .groups import (
+    FiniteGroup,
+    commutator_subgroup,
+    enumerate_gl2,
+    residue_closure,
+    subgroup_closure,
+)
 from .matrices import Mat2
 from .protocol import Transcript
 
@@ -423,7 +429,7 @@ def _entry_for_instance(
 def _revalidate_entry(entry: SearchEntry, cap: int) -> None:
     """Rebuild the instance from its descriptor and re-run every check;
     any verdict drift is an internal error."""
-    instance = instance_from_descriptor(entry.descriptor)
+    instance = instance_from_descriptor(entry.descriptor, work_cap=cap)
     fresh = _entry_for_instance(instance, cap, entry.leakage is not None or bool(entry.skipped))
     old = [(r.condition, r.passed, r.counterexample) for r in entry.reports]
     new = [(r.condition, r.passed, r.counterexample) for r in fresh.reports]
@@ -461,6 +467,7 @@ def search_instances(
     ambient = enumerate_gl2(p)
     fp = ambient.domain
     elements = ambient.elements
+    residues = ambient.residues
 
     budget = cap
     complete = True
@@ -473,15 +480,11 @@ def search_instances(
             if budget < 0:
                 complete = False
                 break
-            gens = [elements[i] for i in combo]
-            group = subgroup_closure(gens)
-            key = frozenset(m.residues() for m in group)
+            key = frozenset(residue_closure(fp.p, [residues[i] for i in combo]))
             if key not in seen:
-                seen[key] = group
+                seen[key] = subgroup_closure(elements[i] for i in combo)
 
-    subgroups = sorted(
-        seen.values(), key=lambda g: (len(g), tuple(m.residues() for m in g.elements))
-    )
+    subgroups = sorted(seen.values(), key=lambda g: (len(g), g.residues))
 
     entries: list[SearchEntry] = []
     for seq, group in enumerate(subgroups):

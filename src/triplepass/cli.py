@@ -5,7 +5,7 @@ Subcommands: demo | run | analyze | check | search. Every artifact embeds
 the schema version, tool version, effective config, and seed; a fixed
 seed reproduces outputs byte for byte, independent of worker count.
 Exit codes: 0 success/pass, 1 checked-property fail, 2 usage error,
-3 resource cap.
+3 resource cap, 4 internal error (an invariant of the program failed).
 """
 
 from __future__ import annotations
@@ -66,6 +66,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
+EXIT_INTERNAL = 4
 
 _CLI_KINDS = tuple(k for k in INSTANCE_KINDS if k != "custom") + ("trivial", "rational")
 
@@ -89,9 +90,9 @@ def _resolve_instance(args: argparse.Namespace) -> ActionInstance:
     if selector is None:
         raise UsageError("an instance is required (--instance KIND or a descriptor file)")
     if selector.endswith(".json") or "/" in selector:
-        return load_instance_file(selector)
+        return load_instance_file(selector, work_cap=args.cap)
     if selector == "trivial":
-        return trivial_instance(args.p or 5)
+        return trivial_instance(args.p or 5, work_cap=args.cap)
     if selector == "rational":
         return rational_demo_instance()
     if selector == "custom" or getattr(args, "generators", None):
@@ -104,9 +105,10 @@ def _resolve_instance(args: argparse.Namespace) -> ActionInstance:
             secret_domain=_csv_ints(getattr(args, "secret_domain", None)),
             t_domain=_csv_ints(getattr(args, "t_domain", None)),
             name=getattr(args, "name", None),
+            work_cap=args.cap,
         )
     if selector in INSTANCE_KINDS:
-        return build_instance(selector, args.p or 5)
+        return build_instance(selector, args.p or 5, work_cap=args.cap)
     raise UsageError(f"unknown instance kind {selector!r} (expected one of {', '.join(_CLI_KINDS)})")
 
 
@@ -179,6 +181,11 @@ def _load_prior(path: Optional[str], instance: ActionInstance):
         return None
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise UsageError("a prior file must hold a JSON object mapping secrets to masses")
+    for mass in raw.values():
+        if isinstance(mass, bool) or not isinstance(mass, (str, int)):
+            raise UsageError(f"prior mass {mass!r} is not an integer or a fraction string")
     field = instance.field
     return {field.scalar(int(res)): Fraction(mass) for res, mass in raw.items()}
 
@@ -377,7 +384,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         if args.instance is not None:
             instance = _resolve_instance(args)
         elif descriptor is not None:
-            instance = instance_from_descriptor(descriptor)
+            instance = instance_from_descriptor(descriptor, work_cap=cap)
         else:
             raise UsageError("transcript file carries no instance descriptor; pass --instance")
         prior = _load_prior(args.prior, instance)
@@ -585,6 +592,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ValueError, OSError, json.JSONDecodeError, TriplePassError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except AssertionError as exc:
+        print(f"internal error: {exc or 'an internal invariant failed'}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

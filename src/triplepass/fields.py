@@ -20,6 +20,7 @@ __all__ = [
     "RATIONALS",
     "Scalar",
     "Domain",
+    "PRIMALITY_BOUND",
     "is_prime",
     "domain_from_label",
     "format_scalar",
@@ -29,19 +30,37 @@ __all__ = [
 ]
 
 
+# Miller-Rabin with the prime bases 2..41 decides primality exactly for
+# every n below this bound, the least strong pseudoprime to all of them
+# (OEIS A014233). Bases 2..37 alone are fooled by 318665857834031151167461.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIMALITY_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
-    """Trial-division primality check, adequate for the small moduli used here."""
+    """Deterministic Miller-Rabin primality test; exact below
+    ``PRIMALITY_BOUND`` and a ``ValueError`` at or above it."""
+    if n >= PRIMALITY_BOUND:
+        raise ValueError(f"primality of {n} is only decided below {PRIMALITY_BOUND}")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -52,6 +71,8 @@ class PrimeField:
     p: int
 
     def __post_init__(self) -> None:
+        if isinstance(self.p, bool) or not isinstance(self.p, int):
+            raise ValueError(f"modulus {self.p!r} is not an integer")
         if not is_prime(self.p):
             raise ValueError(f"modulus {self.p} is not prime")
 

@@ -1,6 +1,9 @@
 """Finite matrix groups: full general-linear enumeration, closure of a
 generating set, and the subgroup generated by commutators.
 
+Every group operation here runs on residue 4-tuples ``(a, b, c, d)``
+with integer arithmetic mod p. ``Mat2`` objects are built once per
+element, for ``FiniteGroup.elements``, which is the public boundary.
 Groups store their elements in one canonical order (lexicographic on the
 residue 4-tuple) so every report and enumeration is deterministic and
 trivially partitionable.
@@ -11,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Optional
 
-from .errors import SingularMatrixError
+from .errors import SingularMatrixError, WorkCapExceeded
 from .fields import PrimeField, is_prime
 from .matrices import Mat2
 
@@ -23,6 +26,7 @@ __all__ = [
     "gl2_order",
     "enumerate_gl2",
     "subgroup_closure",
+    "residue_closure",
     "commutator",
     "commutator_subgroup",
     "distinct_commutators",
@@ -31,10 +35,53 @@ __all__ = [
 # |GL2(F7)| = 2016 keeps every exhaustive job in this package tractable.
 DEFAULT_PRIME_CAP = 7
 
+Residues = tuple[int, int, int, int]
+
 
 def gl2_order(p: int) -> int:
     """Number of invertible 2x2 matrices over F_p."""
     return (p * p - 1) * (p * p - p)
+
+
+def _mul(p: int, x: Residues, y: Residues) -> Residues:
+    """Product x * y of residue matrices."""
+    a, b, c, d = x
+    e, f, g, h = y
+    return ((a * e + b * g) % p, (a * f + b * h) % p, (c * e + d * g) % p, (c * f + d * h) % p)
+
+
+def _inv(p: int, x: Residues) -> Residues:
+    """Inverse of an invertible residue matrix."""
+    a, b, c, d = x
+    di = pow((a * d - b * c) % p, -1, p)
+    return (d * di % p, -b * di % p, -c * di % p, a * di % p)
+
+
+def residue_closure(
+    p: int, gens: list[Residues], max_order: Optional[int] = None
+) -> dict[Residues, None]:
+    """Breadth-first orbit of the identity under right multiplication by
+    ``gens``, which must be invertible; in a finite group this already
+    contains every inverse. A closure that outgrows ``max_order``
+    elements is refused with ``WorkCapExceeded``."""
+    ident = (1, 0, 0, 1)
+    seen = {ident: None}
+    frontier = [ident]
+    bound = gl2_order(p)
+    while frontier:
+        grown = []
+        for a, b, c, d in frontier:
+            for e, f, g, h in gens:
+                y = ((a * e + b * g) % p, (a * f + b * h) % p, (c * e + d * g) % p, (c * f + d * h) % p)
+                if y not in seen:
+                    seen[y] = None
+                    grown.append(y)
+        frontier = grown
+        if len(seen) > bound:
+            raise AssertionError(f"closure outgrew |GL2(F{p})| = {bound}")
+        if max_order is not None and len(seen) > max_order:
+            raise WorkCapExceeded("subgroup-closure", len(seen), max_order)
+    return seen
 
 
 @dataclass(frozen=True)
@@ -52,7 +99,7 @@ class FiniteGroup:
 
     @staticmethod
     def from_elements(mats: Iterable[Mat2], generators: tuple[Mat2, ...] = ()) -> "FiniteGroup":
-        unique = {m: None for m in mats}
+        unique = list({m: None for m in mats})
         if not unique:
             raise ValueError("a group needs at least one element")
         domains = {m.domain for m in unique}
@@ -61,25 +108,63 @@ class FiniteGroup:
         domain = domains.pop()
         if not isinstance(domain, PrimeField):
             raise ValueError("finite groups are supported over prime fields only")
-        ordered = tuple(sorted(unique, key=Mat2.residues))
-        index = {m: i for i, m in enumerate(ordered)}
-        ident = Mat2.identity(domain)
-        if ident not in index:
+        return FiniteGroup.from_residues(domain, (m.residues() for m in unique), generators)
+
+    @staticmethod
+    def from_residues(
+        field: PrimeField, residues: Iterable[Residues], generators: tuple[Mat2, ...] = ()
+    ) -> "FiniteGroup":
+        """Validate residue 4-tuples as a group over ``field``: residues
+        in [0, p), the identity, nonzero determinants and closure under
+        inversion are checked here, closure under products only by
+        ``validate_closure``."""
+        p = field.p
+        ordered = sorted(set(residues))
+        if not ordered:
+            raise ValueError("a group needs at least one element")
+        if not all(0 <= v < p for r in ordered for v in r):
+            raise ValueError(f"group element residues must lie in [0, {p})")
+        scalars = field.elements()
+
+        def mat(r: Residues) -> Mat2:
+            return Mat2(*(scalars[v] for v in r))
+
+        index = {r: i for i, r in enumerate(ordered)}
+        if (1, 0, 0, 1) not in index:
             raise ValueError("group must contain the identity matrix")
-        for m in ordered:
-            if not m.is_invertible:
-                raise SingularMatrixError(f"group element {m} is singular")
-            if m.inverse() not in index:
-                raise ValueError(f"group is not closed under inversion at {m}")
-        return FiniteGroup(ordered, index[ident], generators)
+        for r in ordered:
+            a, b, c, d = r
+            if (a * d - b * c) % p == 0:
+                raise SingularMatrixError(f"group element {mat(r)} is singular")
+            if _inv(p, r) not in index:
+                raise ValueError(f"group is not closed under inversion at {mat(r)}")
+        group = FiniteGroup(tuple(mat(r) for r in ordered), index[(1, 0, 0, 1)], generators)
+        # Seed the cached properties that would otherwise be re-derived
+        # from the Mat2 elements.
+        group.__dict__["residues"] = tuple(ordered)
+        group.__dict__["_residue_index"] = index
+        return group
 
     @property
     def domain(self) -> PrimeField:
         return self.elements[0].domain
 
     @property
+    def p(self) -> int:
+        return self.domain.p
+
+    @property
     def identity(self) -> Mat2:
         return self.elements[self.identity_index]
+
+    @cached_property
+    def residues(self) -> tuple[Residues, ...]:
+        """The elements as residue 4-tuples, in element order."""
+        return tuple(m.residues() for m in self.elements)
+
+    @cached_property
+    def _residue_index(self) -> dict[Residues, int]:
+        return {r: i for i, r in enumerate(self.residues)}
 
     @cached_property
     def _index_map(self) -> dict[Mat2, int]:
@@ -87,14 +172,15 @@ class FiniteGroup:
 
     @cached_property
     def inverse_indices(self) -> tuple[int, ...]:
-        return tuple(self._index_map[m.inverse()] for m in self.elements)
+        p, index = self.p, self._residue_index
+        return tuple(index[_inv(p, r)] for r in self.residues)
 
     @cached_property
     def is_abelian(self) -> bool:
-        elems = self.elements
-        for i, g in enumerate(elems):
-            for h in elems[i + 1 :]:
-                if g @ h != h @ g:
+        p, res = self.p, self.residues
+        for i, g in enumerate(res):
+            for h in res[i + 1 :]:
+                if _mul(p, g, h) != _mul(p, h, g):
                     return False
         return True
 
@@ -118,18 +204,19 @@ class FiniteGroup:
         """Index table for g*h; quadratic, so only built for small groups."""
         if len(self) ** 2 > 1_000_000:
             raise RuntimeError(f"multiplication table too large for order {len(self)}")
-        index = self._index_map
-        return tuple(
-            tuple(index[g @ h] for h in self.elements) for g in self.elements
-        )
+        p, res, index = self.p, self.residues, self._residue_index
+        return tuple(tuple(index[_mul(p, g, h)] for h in res) for g in res)
 
     def validate_closure(self) -> None:
         """Full quadratic closure check; used by tests on small groups."""
-        index = self._index_map
-        for g in self.elements:
-            for h in self.elements:
-                if g @ h not in index:
-                    raise ValueError(f"not closed: {g} * {h} escapes the element set")
+        p, res, index = self.p, self.residues, self._residue_index
+        for g in res:
+            for h in res:
+                if _mul(p, g, h) not in index:
+                    raise ValueError(
+                        f"not closed: {self.elements[index[g]]} * {self.elements[index[h]]}"
+                        " escapes the element set"
+                    )
 
 
 def enumerate_gl2(p: int, cap: int = DEFAULT_PRIME_CAP) -> FiniteGroup:
@@ -145,25 +232,25 @@ def enumerate_gl2(p: int, cap: int = DEFAULT_PRIME_CAP) -> FiniteGroup:
             f"prime {p} exceeds enumeration cap {cap}"
             f" (|GL2(F{p})| = {gl2_order(p)})"
         )
-    fp = PrimeField(p)
-    scalars = fp.elements()
-    mats = [
-        Mat2(scalars[a], scalars[b], scalars[c], scalars[d])
-        for a, b, c, d in product(range(p), repeat=4)
-        if (a * d - b * c) % p != 0
-    ]
-    group = FiniteGroup.from_elements(mats)
+    group = FiniteGroup.from_residues(
+        PrimeField(p),
+        (m for m in product(range(p), repeat=4) if (m[0] * m[3] - m[1] * m[2]) % p != 0),
+    )
     if len(group) != gl2_order(p):
         raise AssertionError(f"found {len(group)} invertible matrices, not {gl2_order(p)}")
     return group
 
 
-def subgroup_closure(generators: Iterable[Mat2]) -> FiniteGroup:
+def subgroup_closure(
+    generators: Iterable[Mat2], *, max_order: Optional[int] = None
+) -> FiniteGroup:
     """Smallest subgroup containing the generators.
 
     Breadth-first orbit of the identity under right multiplication by the
     generators; in a finite setting this already contains all inverses,
-    which ``from_elements`` re-verifies.
+    which ``from_residues`` re-verifies. With ``max_order``, a closure
+    that grows past that many elements is refused with
+    ``WorkCapExceeded`` while it runs.
     """
     gens = list(generators)
     if not gens:
@@ -177,24 +264,9 @@ def subgroup_closure(generators: Iterable[Mat2]) -> FiniteGroup:
     for g in gens:
         if not g.is_invertible:
             raise SingularMatrixError(f"generator {g} is singular")
-
-    ident = Mat2.identity(domain)
-    seen: dict[Mat2, None] = {ident: None}
-    frontier = [ident]
-    bound = gl2_order(domain.p)
-    while frontier:
-        grown = []
-        for x in frontier:
-            for g in gens:
-                y = x @ g
-                if y not in seen:
-                    seen[y] = None
-                    grown.append(y)
-        frontier = grown
-        if len(seen) > bound:
-            raise AssertionError(f"closure outgrew |GL2(F{domain.p})| = {bound}")
     unique_gens = tuple(sorted({g: None for g in gens}, key=Mat2.residues))
-    return FiniteGroup.from_elements(seen, generators=unique_gens)
+    seen = residue_closure(domain.p, [g.residues() for g in unique_gens], max_order)
+    return FiniteGroup.from_residues(domain, seen, generators=unique_gens)
 
 
 def commutator(g: Mat2, h: Mat2) -> Mat2:
@@ -202,15 +274,38 @@ def commutator(g: Mat2, h: Mat2) -> Mat2:
     return ((h.inverse() @ g.inverse()) @ h) @ g
 
 
+def _commutator_residues(group: FiniteGroup) -> list[Residues]:
+    """Sorted distinct h^-1 g^-1 h g over all ordered element pairs."""
+    p, res = group.p, group.residues
+    pairs = list(zip(res, (res[j] for j in group.inverse_indices)))
+    out = set()
+    for (g0, g1, g2, g3), (j0, j1, j2, j3) in pairs:  # g and g^-1
+        for (h0, h1, h2, h3), (k0, k1, k2, k3) in pairs:  # h and h^-1
+            # x = h^-1 g^-1, then y = x h, then y g.
+            x0 = (k0 * j0 + k1 * j2) % p
+            x1 = (k0 * j1 + k1 * j3) % p
+            x2 = (k2 * j0 + k3 * j2) % p
+            x3 = (k2 * j1 + k3 * j3) % p
+            y0 = (x0 * h0 + x1 * h2) % p
+            y1 = (x0 * h1 + x1 * h3) % p
+            y2 = (x2 * h0 + x3 * h2) % p
+            y3 = (x2 * h1 + x3 * h3) % p
+            out.add(
+                (
+                    (y0 * g0 + y1 * g2) % p,
+                    (y0 * g1 + y1 * g3) % p,
+                    (y2 * g0 + y3 * g2) % p,
+                    (y2 * g1 + y3 * g3) % p,
+                )
+            )
+    return sorted(out)
+
+
 @lru_cache(maxsize=None)
 def distinct_commutators(group: FiniteGroup) -> tuple[Mat2, ...]:
     """Deduplicated commutators over all ordered element pairs, sorted."""
-    inv = {g: g.inverse() for g in group}
-    out: dict[Mat2, None] = {}
-    for g in group:
-        for h in group:
-            out[((inv[h] @ inv[g]) @ h) @ g] = None
-    return tuple(sorted(out, key=Mat2.residues))
+    scalars = group.domain.elements()
+    return tuple(Mat2(*(scalars[v] for v in r)) for r in _commutator_residues(group))
 
 
 @lru_cache(maxsize=None)
@@ -222,10 +317,11 @@ def commutator_subgroup(group: FiniteGroup) -> FiniteGroup:
     implementation itself.
     """
     sub = subgroup_closure(distinct_commutators(group))
-    for x in group:
-        x_inv = x.inverse()
-        for c in sub:
-            if (x_inv @ c) @ x not in sub:
+    p, members = group.p, sub._residue_index
+    for x, xi in zip(group.residues, group.inverse_indices):
+        x_inv = group.residues[xi]
+        for c in sub.residues:
+            if _mul(p, _mul(p, x_inv, c), x) not in members:
                 raise AssertionError(
                     "commutator closure failed its normality check; closure is buggy"
                 )

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -27,7 +28,7 @@ from triplepass.errors import (
     WorkCapExceeded,
 )
 from triplepass.fields import PrimeField
-from triplepass.matrices import Mat2
+from triplepass.matrices import Mat2, parse_matrix
 from triplepass.protocol import SecretEncoding, Transcript, run_session, run_session_with
 
 F2 = PrimeField(2)
@@ -459,3 +460,25 @@ class TestSearch:
     def test_cap_produces_incomplete_report(self):
         report = search_instances(3, cap=500)
         assert not report.complete
+
+
+def test_p3_census_subgroups_match_oracle_closures():
+    """Every subgroup of the p=3 census is the oracle closure of its
+    recorded generators, and the census finds exactly the distinct
+    closures of all one- and two-element generator sets."""
+    report = search_instances(3, with_leakage=False)
+    element_sets = set()
+    for entry in report.entries:
+        desc = entry.descriptor
+        if desc["name"].endswith("-embedded"):
+            continue
+        gens = [parse_matrix(g).residues() for g in desc["generators"]]
+        expected = oracles.closure(3, gens)
+        group = instance_from_descriptor(desc).group
+        assert {m.residues() for m in group} == expected
+        assert entry.group_order == len(expected)
+        element_sets.add(expected)
+    assert len(element_sets) == report.subgroups_examined == 55
+    gl2 = oracles.gl2(3)
+    combos = [[g] for g in gl2] + [list(pair) for pair in combinations(gl2, 2)]
+    assert element_sets == {oracles.closure(3, combo) for combo in combos}

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -260,6 +261,79 @@ def test_negative_sessions_and_nonpositive_workers_are_usage_errors(
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert err.startswith("error: ")
+
+
+CUSTOM_F5 = {
+    "kind": "custom", "name": "c", "p": 5, "generators": ["[[1,0],[0,1]]@F5"],
+    "secret_domain": [1], "t_domain": [1], "multiplicative": True,
+}
+
+
+@pytest.mark.parametrize(
+    "descriptor, prior",
+    [
+        ({"kind": "diagonal", "name": "x"}, None),
+        (dict(CUSTOM_F5, embedding=[[[1, 1], [9, 9]]]), None),
+        (dict(CUSTOM_F5, embedding=[[1, 1, 0, 1]]), None),
+        (dict(CUSTOM_F5, generators="[[1,0],[0,1]]@F5"), None),
+        (dict(CUSTOM_F5, secret_domain=["1"]), None),
+        (dict(CUSTOM_F5, p="5"), None),
+        (dict(CUSTOM_F5, multiplicative="yes"), None),
+        ({"p": 5}, None),
+        ([CUSTOM_F5], None),
+        (None, [["1", "1/2"]]),
+        (None, {"1": [1]}),
+        (None, {"1": 0.5, "2": 0.5}),
+    ],
+    ids=["no-p", "embedding-out-of-range", "embedding-shape", "generators-not-a-list",
+         "string-domain", "string-p", "string-multiplicative", "no-kind", "list-descriptor",
+         "list-prior", "list-mass", "float-mass"],
+)
+def test_malformed_descriptor_or_prior_exits_two_without_traceback(
+    capsys, tmp_path, descriptor, prior
+):
+    if descriptor is not None:
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(descriptor))
+        argv = ["check", "--instance", str(path)]
+    else:
+        path = tmp_path / "prior.json"
+        path.write_text(json.dumps(prior))
+        argv = ["analyze", "--instance", "diagonal", "--p", "5", "--prior", str(path)]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("kind", ["diagonal", "rotation", "scalar", "borel-embedded", "trivial"])
+def test_instance_construction_is_capped(capsys, kind):
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "check", "--instance", kind, "--p", "1000000000000037")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert err.startswith("error: instance-construction:") and err.count("\n") == 1
+
+
+def test_custom_closure_is_capped_while_it_runs(capsys):
+    # <[[11,0],[0,1]], [[1,1],[1,0]]> is a large subgroup of GL2(F1009).
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "check", "--instance", "custom", "--p", "1009",
+                           "--generators", "[[11,0],[0,1]]@F1009",
+                           "--generators", "[[1,1],[1,0]]@F1009")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert err.startswith("error: instance-construction:") and err.count("\n") == 1
+
+
+def test_internal_invariant_failure_exits_four(capsys, monkeypatch):
+    import triplepass.groups
+
+    monkeypatch.setattr(triplepass.groups, "gl2_order", lambda p: -1)
+    code, _, err = run_cli(capsys, "check", "--instance", "general-linear", "--p", "2")
+    assert code == 4
+    assert "Traceback" not in err
+    assert err.startswith("internal error: ") and err.count("\n") == 1
 
 
 class TestCheck:

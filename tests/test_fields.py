@@ -10,6 +10,7 @@ from triplepass.fields import (
     Scalar,
     domain_from_label,
     format_scalar,
+    PRIMALITY_BOUND,
     is_prime,
     parse_scalar,
     scalar_from_json,
@@ -24,6 +25,21 @@ def test_is_prime():
     assert [n for n in range(2, 20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
     assert not is_prime(1)
     assert not is_prime(0)
+    # Carmichael numbers, prime squares, and the least strong pseudoprime
+    # to every prime base up to 37.
+    for composite in (561, 41041, 49, 1_000_003**2, 318_665_857_834_031_151_167_461):
+        assert not is_prime(composite)
+    assert is_prime(1_000_000_000_000_037)
+    assert is_prime(2**61 - 1)
+
+
+def test_primality_is_only_decided_below_the_bound():
+    with pytest.raises(ValueError, match="only decided below"):
+        is_prime(PRIMALITY_BOUND)
+    with pytest.raises(ValueError):
+        PrimeField(10**25)
+    with pytest.raises(ValueError, match="not an integer"):
+        PrimeField("5")
 
 
 def test_prime_field_rejects_composite():

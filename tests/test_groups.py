@@ -204,3 +204,57 @@ class TestFiniteGroupValidation:
         assert not enumerate_gl2(2).is_abelian
         diag = subgroup_closure([Mat2.from_values(F5, 2, 0, 0, 1), Mat2.from_values(F5, 1, 0, 0, 2)])
         assert diag.is_abelian
+
+
+def oracle_group(p, raw):
+    return FiniteGroup.from_elements(Mat2.from_values(PrimeField(p), *m) for m in raw)
+
+
+NON_ABELIAN = [
+    pytest.param(3, oracles.gl2, id="gl2-f3"),
+    pytest.param(7, oracles.upper_triangular_elements, id="borel-f7"),
+]
+
+
+class TestResidueKernelAgainstOracles:
+    """The residue-tuple kernel against the plain-integer oracles, on
+    groups larger than GL2(F2)."""
+
+    @pytest.mark.parametrize("p, elements", NON_ABELIAN)
+    def test_distinct_commutators(self, p, elements):
+        raw = elements(p)
+        got = [m.residues() for m in distinct_commutators(oracle_group(p, raw))]
+        assert got == sorted(oracles.commutators(p, raw))
+
+    @pytest.mark.parametrize("p, elements", NON_ABELIAN)
+    def test_commutator_subgroup(self, p, elements):
+        raw = elements(p)
+        sub = commutator_subgroup(oracle_group(p, raw))
+        assert residue_set(sub) == oracles.comm_subgroup(p, raw)
+
+    def test_multiplication_table_and_inverses_on_gl2_f3(self):
+        group = enumerate_gl2(3)
+        res = [m.residues() for m in group.elements]
+        table = group.multiplication_table
+        for i, g in enumerate(res):
+            assert res[group.inverse_indices[i]] == oracles.minv(3, g)
+            for j, h in enumerate(res):
+                assert res[table[i][j]] == oracles.mmul(3, g, h)
+
+    @pytest.mark.parametrize(
+        "p, raw",
+        [
+            (3, oracles.gl2(3)),
+            (3, oracles.upper_triangular_elements(3)),
+            (5, oracles.diagonal_elements(5)),
+            (7, oracles.rotation_elements(7)),
+        ],
+        ids=["gl2-f3", "borel-f3", "diagonal-f5", "rotation-f7"],
+    )
+    def test_is_abelian(self, p, raw):
+        expected = all(oracles.mmul(p, g, h) == oracles.mmul(p, h, g) for g in raw for h in raw)
+        assert oracle_group(p, raw).is_abelian == expected
+
+    def test_from_residues_rejects_out_of_range_residues(self):
+        with pytest.raises(ValueError, match=r"\[0, 5\)"):
+            FiniteGroup.from_residues(F5, [(1, 0, 0, 1), (6, 0, 0, 1)])
