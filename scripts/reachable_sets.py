@@ -36,7 +36,8 @@ def main() -> int:
             image = {row[v] for row in idx.act_table}
             sizes.setdefault(len(image), 0)
             sizes[len(image)] += 1
-            assert zero_index not in image or v == zero_index
+            if zero_index in image and v != zero_index:
+                raise AssertionError(f"the orbit of v=({s},{t}) reaches the zero vector")
             print(
                 f"  v=({s},{t}): image size {len(image)} of {carrier},"
                 f" contains zero: {zero_index in image}"

@@ -6,13 +6,16 @@ invertible group, deduplicates them, and runs all condition checks and
 the exact leakage analysis on each resulting instance; the interesting
 empirical question is whether any instance with more than one secret
 passes everything and leaks nothing.
+
+This is ``triplepass search --format human``: it exits 0 when the census
+is complete and 3 when the work cap cut it short.
 """
 
 from __future__ import annotations
 
 import argparse
 
-from triplepass import search_instances
+from triplepass import cli
 
 
 def main() -> int:
@@ -22,25 +25,10 @@ def main() -> int:
     parser.add_argument("--cap", type=int, default=None, help="work cap")
     args = parser.parse_args()
 
-    report = search_instances(args.p, args.max_generators, cap=args.cap)
-    print(
-        f"p={report.p}, generator bound {report.max_generators}:"
-        f" {report.subgroups_examined} distinct subgroups,"
-        f" {len(report.entries)} instances, complete={report.complete}"
-    )
-    for entry in report.entries:
-        verdicts = "  ".join(f"{r.condition}={r.verdict}" for r in entry.reports)
-        mi = f"{entry.leakage.mutual_information_bits:.4f}" if entry.leakage else "capped"
-        secrets = len(entry.descriptor["secret_domain"])
-        print(
-            f"  {entry.descriptor['name']:<28} order={entry.group_order:<3}"
-            f" |S|={secrets} abelian={str(entry.abelian):<5} MI={mi:>8}  {verdicts}"
-        )
-    if report.candidates:
-        print(f"candidates passing everything with |S| > 1: {list(report.candidates)}")
-    else:
-        print("no instance with more than one secret passed every check with zero leakage")
-    return 0 if report.complete else 3
+    argv = ["search", "--p", str(args.p), "--max-generators", str(args.max_generators)]
+    if args.cap is not None:
+        argv += ["--cap", str(args.cap)]
+    return cli.main(argv + ["--format", "human"])
 
 
 if __name__ == "__main__":

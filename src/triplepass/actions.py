@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Literal, Optional, Sequence, Union
+from typing import Iterable, Iterator, Literal, Optional, Sequence, Union
 
 from .errors import SingularMatrixError, TriplePassError, WorkCapExceeded
 from .fields import (
@@ -246,12 +246,25 @@ class InstanceIndex:
         if len(set(self.point_of_pair.values())) != len(self.point_of_pair):
             raise TriplePassError("secret pairs do not map to distinct carrier points")
         self.pair_of_point = {v: k for k, v in self.point_of_pair.items()}
-        # Restriction used by the condition checkers, whose candidate
-        # blinding values range over the secret domain itself.
-        s_set = set(self.s_res)
-        self.secret_pair_of_point = {
-            v: k for k, v in self.point_of_pair.items() if k[1] in s_set
-        }
+        # The secret square S x S in lexicographic pair order: the start
+        # points of the condition checkers, whose candidate blinding
+        # values range over the secret domain itself.
+        self.square: dict[tuple[int, int], int] = {}
+        for s in self.s_res:
+            for t in self.s_res:
+                pt = instance.secret_pair_point(scalars[s], scalars[t])
+                self.square[(s, t)] = pt.x.value * p + pt.y.value
+        self.secret_pair_of_point = {v: k for k, v in self.square.items()}
+
+    def exchanges(self, v: int) -> Iterator[tuple[int, int, int]]:
+        """The wire messages (v1, v2, v3) of every session from point v;
+        the k-th item has masks (A, B) = divmod(k, n_group)."""
+        table = self.act_table
+        for row, inv_row in zip(table, self.inv_rows):
+            v1 = row[v]
+            for b_row in table:
+                v2 = b_row[v1]
+                yield v1, v2, inv_row[v2]
 
     def unmaskings(
         self, v1: int, v2: int, v3: int, pairs: Optional[dict] = None
@@ -587,16 +600,10 @@ def check_masking_coverage(
     if estimate > cap:
         raise WorkCapExceeded(CONDITION_MASKING, estimate, cap)
 
-    work = 0
-    reach: dict[int, frozenset[int]] = {}
-    for s in idx.s_res:
-        pts = set()
-        for t in idx.s_res:
-            start = idx.point_of_pair[(s, t)]
-            for row in idx.act_table:
-                pts.add(row[start])
-                work += 1
-        reach[s] = frozenset(pts)
+    reach: dict[int, set[int]] = {s: set() for s in idx.s_res}
+    for (s, _t), start in idx.square.items():
+        reach[s].update(row[start] for row in idx.act_table)
+    work = len(idx.square) * n_g
 
     first = reach[idx.s_res[0]]
     if all(reach[s] == first for s in idx.s_res):
@@ -604,26 +611,24 @@ def check_masking_coverage(
 
     # Reach sets differ, so a violation exists; scan in lexicographic
     # order to report the smallest one.
-    for s in idx.s_res:
-        for t in idx.s_res:
-            start = idx.point_of_pair[(s, t)]
-            for g, row in enumerate(idx.act_table):
-                w = row[start]
-                for s_prime in idx.s_res:
-                    work += 1
-                    if w not in reach[s_prime]:
-                        return ConditionReport(
-                            instance.name,
-                            CONDITION_MASKING,
-                            False,
-                            {
-                                "s": format_scalar(idx.scalar(s)),
-                                "t": format_scalar(idx.scalar(t)),
-                                "g": format_matrix(group.elements[g]),
-                                "s_prime": format_scalar(idx.scalar(s_prime)),
-                            },
-                            work,
-                        )
+    for (s, t), start in idx.square.items():
+        for g, row in enumerate(idx.act_table):
+            w = row[start]
+            for s_prime in idx.s_res:
+                work += 1
+                if w not in reach[s_prime]:
+                    return ConditionReport(
+                        instance.name,
+                        CONDITION_MASKING,
+                        False,
+                        {
+                            "s": format_scalar(idx.scalar(s)),
+                            "t": format_scalar(idx.scalar(t)),
+                            "g": format_matrix(group.elements[g]),
+                            "s_prime": format_scalar(idx.scalar(s_prime)),
+                        },
+                        work,
+                    )
     raise AssertionError("reach sets differ but no violation was found")
 
 
@@ -646,46 +651,37 @@ def check_transcript_equivalence(
     if estimate > cap:
         raise WorkCapExceeded(CONDITION_TRANSCRIPT, estimate, cap)
 
-    table = idx.act_table
     work = 0
     covered_cache: dict[tuple[int, int, int], frozenset[int]] = {}
-
-    for s in idx.s_res:
-        for t in idx.s_res:
-            v = idx.point_of_pair[(s, t)]
-            for a_i, inv_row in enumerate(idx.inv_rows):
-                v1 = table[a_i][v]
-                for b_i, row in enumerate(table):
-                    v2 = row[v1]
-                    v3 = inv_row[v2]
-                    key = (v1, v2, v3)
-                    covered = covered_cache.get(key)
-                    if covered is None:
-                        # A candidate A' must unmask v2 onto v3 and pull v1
-                        # back into the secret square; B' then always exists
-                        # because B itself reproduces v1 -> v2.
-                        work += n_g
-                        covered = frozenset(
-                            pair[0]
-                            for _, pair in idx.unmaskings(v1, v2, v3, idx.secret_pair_of_point)
-                        )
-                        covered_cache[key] = covered
-                    for s_prime in idx.s_res:
-                        work += 1
-                        if s_prime not in covered:
-                            return ConditionReport(
-                                instance.name,
-                                CONDITION_TRANSCRIPT,
-                                False,
-                                {
-                                    "s": format_scalar(idx.scalar(s)),
-                                    "t": format_scalar(idx.scalar(t)),
-                                    "A": format_matrix(group.elements[a_i]),
-                                    "B": format_matrix(group.elements[b_i]),
-                                    "s_prime": format_scalar(idx.scalar(s_prime)),
-                                },
-                                work,
-                            )
+    for (s, t), v in idx.square.items():
+        for k, key in enumerate(idx.exchanges(v)):
+            covered = covered_cache.get(key)
+            if covered is None:
+                # A candidate A' must unmask v2 onto v3 and pull v1 back
+                # into the secret square; B' then always exists because
+                # B itself reproduces v1 -> v2.
+                work += n_g
+                covered = frozenset(
+                    pair[0] for _, pair in idx.unmaskings(*key, idx.secret_pair_of_point)
+                )
+                covered_cache[key] = covered
+            for s_prime in idx.s_res:
+                work += 1
+                if s_prime not in covered:
+                    a_i, b_i = divmod(k, n_g)
+                    return ConditionReport(
+                        instance.name,
+                        CONDITION_TRANSCRIPT,
+                        False,
+                        {
+                            "s": format_scalar(idx.scalar(s)),
+                            "t": format_scalar(idx.scalar(t)),
+                            "A": format_matrix(group.elements[a_i]),
+                            "B": format_matrix(group.elements[b_i]),
+                            "s_prime": format_scalar(idx.scalar(s_prime)),
+                        },
+                        work,
+                    )
     return ConditionReport(instance.name, CONDITION_TRANSCRIPT, True, None, work)
 
 

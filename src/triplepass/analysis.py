@@ -319,17 +319,13 @@ def exact_mutual_information(
     if estimate > cap:
         raise WorkCapExceeded("leakage-analysis", estimate, cap)
 
-    table = idx.act_table
-    counts: Counter = Counter()
+    counts: dict[tuple, int] = {}
     for s in support:
-        s_res = s.value
+        per_secret: Counter = Counter()
         for t_res in idx.t_res:
-            v = idx.point_of_pair[(s_res, t_res)]
-            for row, inv_row in zip(table, idx.inv_rows):
-                v1 = row[v]
-                for b_row in table:
-                    v2 = b_row[v1]
-                    counts[((v1, v2, inv_row[v2]), s_res)] += 1
+            per_secret.update(idx.exchanges(idx.point_of_pair[(s.value, t_res)]))
+        for key, count in per_secret.items():
+            counts[(key, s.value)] = count
 
     prior_by_res = {s.value: prior[s] for s in support}
     completions = len(idx.t_res) * idx.n_group**2

@@ -374,7 +374,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             data = json.load(fh)
         if isinstance(data, dict) and "transcripts" in data:
             transcript_dicts = data["transcripts"]
-            descriptor = data.get("config", {}).get("descriptor")
+            config = data.get("config", {})
+            if not isinstance(config, dict):
+                raise UsageError("the config field of a transcript file must be an object")
+            descriptor = config.get("descriptor")
         elif isinstance(data, list):
             transcript_dicts, descriptor = data, None
         else:

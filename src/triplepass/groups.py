@@ -167,10 +167,6 @@ class FiniteGroup:
         return {r: i for i, r in enumerate(self.residues)}
 
     @cached_property
-    def _index_map(self) -> dict[Mat2, int]:
-        return {m: i for i, m in enumerate(self.elements)}
-
-    @cached_property
     def inverse_indices(self) -> tuple[int, ...]:
         p, index = self.p, self._residue_index
         return tuple(index[_inv(p, r)] for r in self.residues)
@@ -184,20 +180,11 @@ class FiniteGroup:
                     return False
         return True
 
-    def index(self, m: Mat2) -> int:
-        try:
-            return self._index_map[m]
-        except KeyError:
-            raise ValueError(f"{m} is not an element of this group") from None
-
     def __len__(self) -> int:
         return len(self.elements)
 
     def __iter__(self) -> Iterator[Mat2]:
         return iter(self.elements)
-
-    def __contains__(self, m: object) -> bool:
-        return m in self._index_map
 
     @cached_property
     def multiplication_table(self) -> tuple[tuple[int, ...], ...]:

@@ -288,7 +288,7 @@ def exhaustive_roundtrip(
     cap = DEFAULT_WORK_CAP if cap is None else cap
     idx = instance_index(instance)
     if over == "secret-square":
-        starts = [idx.point_index(pt) for pt in secret_square_points(instance)]
+        starts = list(idx.square.values())
     elif over == "carrier":
         starts = list(range(idx.n_points))
     else:
@@ -297,22 +297,16 @@ def exhaustive_roundtrip(
     if total > cap:
         raise WorkCapExceeded("roundtrip", total, cap)
 
-    table = idx.act_table
+    n_g, inv_rows = idx.n_group, idx.inv_rows
     failures = 0
     first: Optional[tuple[Point, Mat2, Mat2]] = None
     for v in starts:
-        for a_i, inv_a in enumerate(idx.inv_rows):
-            v1 = table[a_i][v]
-            for b_i, inv_b in enumerate(idx.inv_rows):
-                v3 = inv_a[table[b_i][v1]]
-                if inv_b[v3] != v:
-                    failures += 1
-                    if first is None:
-                        first = (
-                            idx.point_from_index(v),
-                            group.elements[a_i],
-                            group.elements[b_i],
-                        )
+        for k, (_, _, v3) in enumerate(idx.exchanges(v)):
+            if inv_rows[k % n_g][v3] != v:
+                failures += 1
+                if first is None:
+                    a_i, b_i = divmod(k, n_g)
+                    first = (idx.point_from_index(v), group.elements[a_i], group.elements[b_i])
     return failures, total, first
 
 

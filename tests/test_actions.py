@@ -172,6 +172,34 @@ def test_action_axioms_exhaustive_on_standard_instances(
                     assert composed[x] == idx.act_table[j][idx.act_table[i][x]]
 
 
+@pytest.mark.parametrize("fixture", ["gl2f3", "borel3_plane", "rot7"])
+def test_exchanges_match_the_session_oracle(request, fixture):
+    inst = request.getfixturevalue(fixture)
+    idx = instance_index(inst)
+    p = idx.p
+    masks = [m.residues() for m in inst.group.elements]
+    for v in range(idx.n_points):
+        items = list(idx.exchanges(v))
+        assert len(items) == len(masks) ** 2
+        for k, messages in enumerate(items):
+            a, b = divmod(k, len(masks))
+            expected = oracles.session(p, divmod(v, p), masks[a], masks[b])[:3]
+            assert messages == tuple(x * p + y for x, y in expected)
+
+
+def test_square_is_the_secret_square_in_pair_order(borel3_embedded, diag5):
+    # S = {1, 2} is disjoint from T = {0}: the square still covers S x S.
+    outside_t = build_instance(
+        "custom", 5, generators=["[[2,0],[0,1]]@F5"], secret_domain=[1, 2], t_domain=[0]
+    )
+    for inst in (borel3_embedded, diag5, outside_t):
+        idx = instance_index(inst)
+        assert list(idx.square) == [(s, t) for s in idx.s_res for t in idx.s_res]
+        points = [idx.point_from_index(v) for v in idx.square.values()]
+        assert points == list(secret_square_points(inst))
+        assert idx.secret_pair_of_point == {v: k for k, v in idx.square.items()}
+
+
 class TestCommutatorFixed:
     def test_abelian_group_fixes_everything(self, diag5):
         for x in range(5):

@@ -326,6 +326,29 @@ def test_custom_closure_is_capped_while_it_runs(capsys):
     assert err.startswith("error: instance-construction:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("t_domain", ["0", "1"])
+def test_check_with_secrets_outside_the_blinding_domain(capsys, tmp_path, t_domain):
+    # The checkers draw candidate blinding values from the secret domain,
+    # so they must not need S inside T.
+    from triplepass.actions import ConditionReport, instance_from_descriptor, recheck_counterexample
+
+    out_file = tmp_path / "check.json"
+    code, _, err = run_cli(capsys, "check", "--instance", "custom", "--p", "5",
+                           "--generators", "[[2,0],[0,1]]@F5", "--secret-domain", "1,2",
+                           "--t-domain", t_domain, "--out", str(out_file))
+    assert code in (0, 1)
+    assert "Traceback" not in err
+    artifact = json.loads(out_file.read_text())
+    instance = instance_from_descriptor(artifact["config"]["descriptor"])
+    failing = [r for r in artifact["reports"] if r["verdict"] == "fail"]
+    assert (code == 1) == bool(failing)
+    for r in failing:
+        report = ConditionReport(
+            r["instance"], r["condition"], False, r["counterexample"], r["work"], r["detail"]
+        )
+        assert recheck_counterexample(instance, report)
+
+
 def test_internal_invariant_failure_exits_four(capsys, monkeypatch):
     import triplepass.groups
 
