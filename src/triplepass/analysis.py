@@ -2,11 +2,11 @@
 
 Given a transcript and a known instance, the witness enumerator lists
 every (secret, blinding, mask, mask) assignment that reproduces the
-three wire messages exactly. Posteriors and mutual information are
-computed from those exact counts: probabilities stay rational all the
-way through and a zero-leakage verdict is an exact comparison of
-posterior against prior, never a float test. Logarithms enter only at
-presentation, grouped by exact probability ratio, so an instance that
+three wire messages exactly. Posteriors are exact Fractions; mutual
+information is reduced from integer-scaled counts, with one Fraction per
+distinct probability ratio. A zero-leakage verdict is an exact
+comparison of posterior against prior, never a float test. Logarithms
+enter only at presentation, grouped by exact ratio, so an instance that
 leaks nothing reports exactly 0.0 bits and a total break on a uniform
 prior over 2^k secrets reports exactly k bits.
 """
@@ -252,44 +252,59 @@ def mutual_information_bits(
     per distinct ratio, so zero leakage yields exactly 0.0 and a total
     break on a uniform prior over 2^k secrets yields exactly k.
 
-    Returns (bits, zero_leakage, transcripts_examined).
+    Prior masses are scaled to integers n_s over their common
+    denominator D. With T = sum of n_s * c_s at a transcript, a cell with
+    count c has ratio c*D / T and weight n_s*c / (D * completions).
+
+    Returns (bits, zero_leakage, transcripts_examined). Raises
+    ValueError on a count that is not a nonnegative int, a prior that is
+    not a distribution, or a secret whose counts do not total
+    ``completions_per_secret``.
     """
-    denom = completions_per_secret
-    by_transcript: dict[tuple, dict[object, int]] = {}
+    masses = {s: Fraction(m) for s, m in prior.items()}
+    if any(m < 0 for m in masses.values()) or sum(masses.values()) != 1:
+        raise ValueError("prior masses must be nonnegative and sum to exactly 1")
+    denom = math.lcm(*(m.denominator for m in masses.values()))
+    scaled = {s: m.numerator * (denom // m.denominator) for s, m in masses.items()}
+
+    totals = dict.fromkeys(scaled, 0)
+    t_mass: dict[tuple, int] = {}
     for (t_key, s_key), count in joint_counts.items():
-        by_transcript.setdefault(t_key, {})[s_key] = count
+        if type(count) is not int or count < 0:
+            raise ValueError(f"joint count {count!r} is not a nonnegative int")
+        if s_key not in totals:
+            raise ValueError(f"joint counts name secret {s_key!r}, which has no prior mass")
+        totals[s_key] += count
+        t_mass[t_key] = t_mass.get(t_key, 0) + scaled[s_key] * count
+    if any(total != completions_per_secret for total in totals.values()):
+        raise ValueError(f"each secret's counts must total {completions_per_secret}")
 
-    zero_leakage = True
-    ratio_weights: dict[Fraction, Fraction] = {}
-    for t_key in sorted(by_transcript):
-        counts = by_transcript[t_key]
-        p_t = sum(
-            (prior[s] * Fraction(c, denom) for s, c in counts.items()), Fraction(0)
-        )
-        for s_key, count in counts.items():
-            p_s = prior[s_key]
-            if p_s == 0:
-                continue
-            joint = p_s * Fraction(count, denom)
-            if joint / p_t != p_s:
-                zero_leakage = False
-            if joint == 0:
-                continue  # zero-probability cell: contributes nothing
-            ratio = joint / (p_s * p_t)
-            ratio_weights[ratio] = ratio_weights.get(ratio, Fraction(0)) + joint
-        # Secrets with zero posterior mass at this transcript still break
-        # posterior-equals-prior exactness.
-        if zero_leakage:
-            for s_key, p_s in prior.items():
-                if p_s > 0 and s_key not in counts:
-                    zero_leakage = False
-                    break
+    # A positive-mass secret with no completion at a transcript has
+    # posterior 0 there. When T > 0 the per-cell test c*D == T catches
+    # it: cells that all pass carry all of T, so their masses sum to D
+    # and no positive mass is left for a missing secret. T == 0 means no
+    # positive-mass completion at all.
+    zero_leakage = all(t_mass.values())
+    ratio_weights: dict[tuple[int, int], int] = {}
+    for (t_key, s_key), count in joint_counts.items():
+        n_s = scaled[s_key]
+        if n_s == 0:
+            continue
+        num, den = count * denom, t_mass[t_key]
+        if num != den:
+            zero_leakage = False
+        if count == 0:
+            continue  # zero-probability cell: contributes nothing
+        g = math.gcd(num, den)
+        ratio = (num // g, den // g)
+        ratio_weights[ratio] = ratio_weights.get(ratio, 0) + n_s * count
 
+    scale = denom * completions_per_secret
     bits = 0.0
-    for ratio in sorted(ratio_weights):
-        weight = ratio_weights[ratio]
-        bits += float(weight) * (math.log2(ratio.numerator) - math.log2(ratio.denominator))
-    return bits, zero_leakage, len(by_transcript)
+    for num, den in sorted(ratio_weights, key=lambda r: Fraction(*r)):
+        weight = Fraction(ratio_weights[(num, den)], scale)
+        bits += float(weight) * (math.log2(num) - math.log2(den))
+    return bits, zero_leakage, len(t_mass)
 
 
 def exact_mutual_information(

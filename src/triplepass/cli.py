@@ -50,7 +50,7 @@ from .errors import (
     TriplePassError,
     WorkCapExceeded,
 )
-from .fields import parse_scalar
+from .fields import PrimeField, parse_scalar
 from .matrices import Mat2, format_matrix
 from .protocol import (
     SecretEncoding,
@@ -187,7 +187,18 @@ def _load_prior(path: Optional[str], instance: ActionInstance):
         if isinstance(mass, bool) or not isinstance(mass, (str, int)):
             raise UsageError(f"prior mass {mass!r} is not an integer or a fraction string")
     field = instance.field
-    return {field.scalar(int(res)): Fraction(mass) for res, mass in raw.items()}
+    if not isinstance(field, PrimeField):
+        raise UsageError("a prior needs an instance over a prime field")
+    prior = {}
+    for res, mass in raw.items():
+        # Only canonical residues, as on the wire: "7", "-3" or " 1" would alias a secret.
+        if not (res.isascii() and res.isdigit() and str(int(res)) == res and int(res) < field.p):
+            raise UsageError(f"prior key {res!r} is not a residue in [0, {field.p})")
+        try:
+            prior[field.scalar(int(res))] = Fraction(mass)
+        except ZeroDivisionError:
+            raise UsageError(f"prior mass {mass!r} has a zero denominator") from None
+    return prior
 
 
 def _leakage_dict(report: LeakageReport) -> dict:

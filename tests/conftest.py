@@ -40,6 +40,13 @@ def gl2f3():
 
 
 @pytest.fixture(scope="session")
+def identity3():
+    return build_instance(
+        "custom", 3, generators=[Mat2.identity(PrimeField(3))], name="identity-f3"
+    )
+
+
+@pytest.fixture(scope="session")
 def trivial5():
     return trivial_instance(5)
 

@@ -2,11 +2,15 @@
 
 Everything here works on raw residue tuples mod p and is deliberately
 written without importing the package under test: matrices are 4-tuples
-(a, b, c, d) read row-major, points are residue pairs.
+(a, b, c, d) read row-major, points are residue pairs. The one exception
+to plain integers is ``mutual_information``, which reduces exact joint
+counts with ``Fraction`` arithmetic throughout.
 """
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from itertools import product
 
 
@@ -118,3 +122,43 @@ def first_message_secrets(p: int, secrets, t_values, elems, v1) -> set[int]:
         for t in t_values
         if any(act(p, (s, t), a) == v1 for a in elems)
     }
+
+
+def mutual_information(joint, prior, completions):
+    """(bits, zero_leakage, transcripts) from exact joint counts, in Fractions.
+
+    ``joint`` maps (transcript, secret) to a completion count; each
+    secret's counts total ``completions``. Every probability is a
+    ``Fraction``, terms are grouped by the exact ratio p(s,v)/(p(s)p(v))
+    and summed in ascending ratio order, with one log per ratio.
+    """
+    by_transcript: dict = {}
+    for (t_key, s_key), count in joint.items():
+        by_transcript.setdefault(t_key, {})[s_key] = count
+
+    zero_leakage = True
+    ratio_weights: dict = {}
+    for t_key in sorted(by_transcript):
+        counts = by_transcript[t_key]
+        p_t = sum((prior[s] * Fraction(c, completions) for s, c in counts.items()), Fraction(0))
+        for s_key, count in counts.items():
+            p_s = prior[s_key]
+            if p_s == 0:
+                continue
+            p_joint = p_s * Fraction(count, completions)
+            if p_joint / p_t != p_s:
+                zero_leakage = False
+            if p_joint == 0:
+                continue
+            ratio = p_joint / (p_s * p_t)
+            ratio_weights[ratio] = ratio_weights.get(ratio, Fraction(0)) + p_joint
+        # A secret that cannot produce this transcript has posterior 0 here.
+        if any(p_s > 0 and s_key not in counts for s_key, p_s in prior.items()):
+            zero_leakage = False
+
+    bits = 0.0
+    for ratio in sorted(ratio_weights):
+        bits += float(ratio_weights[ratio]) * (
+            math.log2(ratio.numerator) - math.log2(ratio.denominator)
+        )
+    return bits, zero_leakage, len(by_transcript)

@@ -4,8 +4,11 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 import oracles
+from triplepass import analysis
 from triplepass.actions import (
     Point,
     build_instance,
@@ -352,12 +355,133 @@ class TestMutualInformationHelper:
         bits, _, _ = mutual_information_bits(product, prior, 16)
         assert abs(bits - (bits1 + bits2)) < 1e-9
 
+    @pytest.mark.parametrize(
+        "joint, prior",
+        [
+            ({("t0", "a"): 5, ("t1", "a"): -1, ("t0", "b"): 4}, None),
+            ({("t0", "a"): 4.0, ("t0", "b"): 4}, None),
+            ({("t0", "a"): True, ("t1", "a"): 3, ("t0", "b"): 4}, None),
+            ({("t0", "a"): 3, ("t1", "a"): 2, ("t0", "b"): 4}, None),
+            ({("t0", "a"): 4}, None),
+            ({("t0", "a"): 4, ("t0", "c"): 4}, None),
+            (None, {"a": Fraction(3, 2), "b": Fraction(-1, 2)}),
+            (None, {"a": Fraction(1, 2), "b": Fraction(1, 4)}),
+        ],
+        ids=["negative-count", "float-count", "bool-count", "short-total", "missing-secret",
+             "secret-without-prior", "negative-mass", "masses-sum-below-one"],
+    )
+    def test_rejects_malformed_input(self, joint, prior):
+        joint = joint or {("t0", "a"): 4, ("t0", "b"): 4}
+        prior = prior or {"a": Fraction(1, 2), "b": Fraction(1, 2)}
+        with pytest.raises(ValueError):
+            mutual_information_bits(joint, prior, 4)
+
+    def test_explicit_zero_cell_reads_like_an_absent_one(self):
+        # t1 is reached only by the zero-mass secret b, so its mass T is 0.
+        prior = {"a": Fraction(1), "b": Fraction(0)}
+        absent = {("t0", "a"): 4, ("t1", "b"): 4}
+        explicit = {**absent, ("t1", "a"): 0}
+        assert mutual_information_bits(explicit, prior, 4) == (0.0, False, 2)
+        assert mutual_information_bits(absent, prior, 4) == (0.0, False, 2)
+
     def test_flat_joint_is_exactly_zero(self):
         joint = {(t, s): 2 for t in ("t0", "t1") for s in ("a", "b")}
         prior = {"a": Fraction(1, 2), "b": Fraction(1, 2)}
         bits, zero, _ = mutual_information_bits(joint, prior, 4)
         assert bits == 0.0
         assert zero
+
+
+def _captured_reduction(monkeypatch, instance, prior=None):
+    """The report of exact_mutual_information and the one
+    (joint, prior, completions) call it made to mutual_information_bits."""
+    calls = []
+    reduce = analysis.mutual_information_bits
+
+    def spy(*args):
+        calls.append(args)
+        return reduce(*args)
+
+    monkeypatch.setattr(analysis, "mutual_information_bits", spy)
+    report = exact_mutual_information(instance, prior)
+    monkeypatch.undo()
+    assert len(calls) == 1
+    return report, calls[0]
+
+
+def _test_priors(secrets):
+    """Uniform, skewed (mass proportional to 1, 2, ..., n) and, with two
+    or more secrets, one that puts zero mass on the first secret."""
+    n = len(secrets)
+    priors = [
+        {s: Fraction(1, n) for s in secrets},
+        {s: Fraction(2 * (i + 1), n * (n + 1)) for i, s in enumerate(secrets)},
+    ]
+    if n > 1:
+        rest = n * (n - 1) // 2
+        priors.append({s: Fraction(i, rest) for i, s in enumerate(secrets)})
+    return priors
+
+
+@st.composite
+def _random_joints(draw):
+    """A small joint in which each secret's counts total the completions,
+    with some explicit zero cells, under a prior that may hold zero masses."""
+    n_secrets = draw(st.integers(1, 4))
+    n_transcripts = draw(st.integers(1, 5))
+    completions = draw(st.integers(1, 12))
+    joint = {}
+    for s in range(n_secrets):
+        cuts = sorted(draw(st.lists(
+            st.integers(0, completions), min_size=n_transcripts - 1, max_size=n_transcripts - 1
+        )))
+        for t, (lo, hi) in enumerate(zip([0] + cuts, cuts + [completions])):
+            if hi > lo or draw(st.booleans()):
+                joint[(t, s)] = hi - lo
+    weights = draw(st.lists(st.integers(0, 6), min_size=n_secrets, max_size=n_secrets).filter(any))
+    prior = {s: Fraction(w, sum(weights)) for s, w in enumerate(weights)}
+    return joint, prior, completions
+
+
+class TestMutualInformationOracle:
+    """The reduction against the Fraction reference in tests/oracles.py,
+    compared under == on bits, the zero-leakage verdict and the count."""
+
+    @pytest.mark.parametrize(
+        "name", ["diag5", "rot7", "gl2f3", "borel5_embedded", "identity3", "trivial5"]
+    )
+    def test_instance_joints_match_the_reference(self, request, monkeypatch, name):
+        instance = request.getfixturevalue(name)
+        report, (joint, prior, completions) = _captured_reduction(monkeypatch, instance)
+        expected = oracles.mutual_information(joint, prior, completions)
+        assert (
+            report.mutual_information_bits, report.zero_leakage, report.transcripts_examined
+        ) == expected
+        for other in _test_priors(sorted(prior)):
+            assert mutual_information_bits(joint, other, completions) == (
+                oracles.mutual_information(joint, other, completions)
+            )
+
+    @pytest.mark.parametrize("name", ["diag5", "rot7", "borel5_embedded"])
+    def test_nonuniform_priors_through_the_instance_path(self, request, monkeypatch, name):
+        instance = request.getfixturevalue(name)
+        for prior in _test_priors(sorted(instance.secret_domain, key=lambda s: s.value))[1:]:
+            report, args = _captured_reduction(monkeypatch, instance, prior)
+            assert (
+                report.mutual_information_bits, report.zero_leakage, report.transcripts_examined
+            ) == oracles.mutual_information(*args)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_random_joints())
+    def test_random_joints_match_the_reference(self, case):
+        joint, prior, completions = case
+        try:
+            expected = oracles.mutual_information(joint, prior, completions)
+        except ZeroDivisionError:
+            # A zero cell at a transcript only zero-mass secrets produce
+            # has no defined posterior; the reference divides by zero there.
+            reject()
+        assert mutual_information_bits(joint, prior, completions) == expected
 
 
 class TestQuotientAttack:

@@ -284,10 +284,15 @@ CUSTOM_F5 = {
         (None, [["1", "1/2"]]),
         (None, {"1": [1]}),
         (None, {"1": 0.5, "2": 0.5}),
+        (None, {"1": "1/0", "2": "1"}),
+        (None, {"1": "1/2", "7": "1/2"}),
+        (None, {"1": "1/2", "-3": "1/2"}),
+        (None, {" 1": "1/2", "2": "1/2"}),
     ],
     ids=["no-p", "embedding-out-of-range", "embedding-shape", "generators-not-a-list",
          "string-domain", "string-p", "string-multiplicative", "no-kind", "list-descriptor",
-         "list-prior", "list-mass", "float-mass"],
+         "list-prior", "list-mass", "float-mass", "zero-denominator-mass",
+         "key-above-p", "negative-key", "padded-key"],
 )
 def test_malformed_descriptor_or_prior_exits_two_without_traceback(
     capsys, tmp_path, descriptor, prior
