@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Literal, Optional, Sequence, Union
+from typing import Iterator, Literal, Optional, Sequence, Union
 
 from .errors import SingularMatrixError, TriplePassError, WorkCapExceeded
 from .fields import (
@@ -28,8 +28,8 @@ from .fields import (
     parse_scalar,
 )
 from .groups import (
-    DEFAULT_PRIME_CAP,
     FiniteGroup,
+    Residues,
     commutator_subgroup,
     distinct_commutators,
     enumerate_gl2,
@@ -216,8 +216,7 @@ class InstanceIndex:
         self.n_group = len(group)
 
         self.act_table: list[list[int]] = []
-        for m in group.elements:
-            a, b, c, d = m.residues()
+        for g, (a, b, c, d) in enumerate(group.residues):
             row = [0] * self.n_points
             for x in range(p):
                 xa = x * a
@@ -226,7 +225,7 @@ class InstanceIndex:
                 for y in range(p):
                     row[base + y] = ((xa + y * c) % p) * p + ((xb + y * d) % p)
             if len(set(row)) != self.n_points:
-                raise TriplePassError(f"group element {m} does not act bijectively")
+                raise TriplePassError(f"group element {group.elements[g]} does not act bijectively")
             self.act_table.append(row)
         self.inverse = list(group.inverse_indices)
         # inv_rows[g] moves a point by the inverse of group element g.
@@ -309,8 +308,18 @@ def instance_index(instance: ActionInstance) -> InstanceIndex:
 
 
 def _sorted_scalars(fp: PrimeField, values) -> tuple[Scalar, ...]:
-    res = sorted({(v if isinstance(v, Scalar) else fp.scalar(v)).value for v in values})
-    return tuple(fp.scalar(r) for r in res)
+    """Deduplicated, sorted scalars of ``fp`` from canonical residues or
+    scalars of ``fp``; anything else would alias a value."""
+    res = set()
+    for v in values:
+        if isinstance(v, Scalar):
+            if v.domain != fp:
+                raise ValueError(f"scalar {v} is not over {fp.label}")
+            v = v.value
+        if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < fp.p:
+            raise ValueError(f"domain value {v!r} is not a residue in [0, {fp.p})")
+        res.add(v)
+    return tuple(fp.scalar(r) for r in sorted(res))
 
 
 def _named_group_order(kind: str, p: int) -> int:
@@ -331,7 +340,6 @@ def build_instance(
     kind: str,
     p: int,
     *,
-    cap: int = DEFAULT_PRIME_CAP,
     generators: Optional[Sequence[Union[Mat2, str]]] = None,
     secret_domain: Optional[Sequence[Union[Scalar, int]]] = None,
     t_domain: Optional[Sequence[Union[Scalar, int]]] = None,
@@ -350,10 +358,11 @@ def build_instance(
     generators, closed into a group, with an optional ``embedding`` of
     residue pairs ``[[s, t], [x, y]]``).
 
-    ``cap`` bounds the prime of ``general-linear``; an instance whose
-    action table of |G| * p^2 entries exceeds ``work_cap`` is refused
-    with ``WorkCapExceeded`` before anything is enumerated, or, for
-    custom groups, as soon as their closure grows too large.
+    ``general-linear`` is refused above p = 7 (``enumerate_gl2``); an
+    instance whose action table of |G| * p^2 entries exceeds
+    ``work_cap`` is refused with ``WorkCapExceeded`` before anything is
+    enumerated, or, for custom groups, as soon as their closure grows
+    too large.
     """
     if kind not in INSTANCE_KINDS:
         raise ValueError(f"unknown instance kind {kind!r}")
@@ -368,7 +377,7 @@ def build_instance(
     scalars = fp.elements()
 
     if kind == "general-linear":
-        group = enumerate_gl2(p, cap)
+        group = enumerate_gl2(p)
     elif kind == "diagonal":
         group = FiniteGroup.from_residues(
             fp, ((a, 0, 0, d) for a in range(1, p) for d in range(1, p))
@@ -404,25 +413,22 @@ def build_instance(
     if kind == "borel-embedded":
         # The commutators fix exactly the line x = 0; the zero vector is
         # excluded as an embedding target, so k^2 pairs need k^2 <= p - 1.
-        k = math.isqrt(p - 1)
-        secrets = _sorted_scalars(fp, range(1, k + 1))
-        t_values = secrets
+        own = range(1, math.isqrt(p - 1) + 1)
         for given in (secret_domain, t_domain):
-            if given is not None and _sorted_scalars(fp, given) != secrets:
+            if given is not None and _sorted_scalars(fp, given) != _sorted_scalars(fp, own):
                 raise ValueError("borel-embedded instances fix their own secret domain")
+        secret_domain = t_domain = own
         targets = iter(range(1, p))
+        embedding = [((s, t), (0, next(targets))) for s in own for t in own]
+
+    secrets = _sorted_scalars(fp, secret_domain) if secret_domain is not None else fp.nonzero_elements()
+    t_values = _sorted_scalars(fp, t_domain) if t_domain is not None else fp.elements()
+    pairs = None
+    if embedding is not None:
         pairs = {
-            (s, t): Point(fp.zero, scalars[next(targets)]) for s in secrets for t in secrets
+            (scalars[s], scalars[t]): Point(scalars[x], scalars[y])
+            for (s, t), (x, y) in embedding
         }
-    else:
-        secrets = _sorted_scalars(fp, secret_domain) if secret_domain is not None else fp.nonzero_elements()
-        t_values = _sorted_scalars(fp, t_domain) if t_domain is not None else fp.elements()
-        pairs = None
-        if embedding is not None:
-            pairs = {
-                (scalars[s], scalars[t]): Point(scalars[x], scalars[y])
-                for (s, t), (x, y) in embedding
-            }
 
     if multiplicative is None:
         multiplicative = all(not s.is_zero for s in secrets)
@@ -502,6 +508,18 @@ class ConditionReport:
         }
 
 
+def _first_mover(group: FiniteGroup, movers: Sequence[Residues], pt: Point) -> Optional[int]:
+    """Index of the first residue matrix in ``movers`` that moves ``pt``,
+    or None when all of them fix it."""
+    if pt.domain != group.domain:
+        raise TriplePassError("matrix and point domains differ")
+    p, x, y = group.p, pt.x.value, pt.y.value
+    for i, (a, b, c, d) in enumerate(movers):
+        if (x * a + y * c) % p != x or (x * b + y * d) % p != y:
+            return i
+    return None
+
+
 def is_commutator_fixed_point(
     x: Point,
     group: FiniteGroup,
@@ -517,12 +535,12 @@ def is_commutator_fixed_point(
     if not isinstance(group, FiniteGroup):
         raise TriplePassError("commutator-fixed checks require finite group")
     if mode == "subgroup":
-        elements: Iterable[Mat2] = commutator_subgroup(group)
+        movers = commutator_subgroup(group).residues
     elif mode == "pairwise":
-        elements = distinct_commutators(group)
+        movers = [c.residues() for c in distinct_commutators(group)]
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return all(act(c, x) == x for c in elements)
+    return _first_mover(group, movers, x) is None
 
 
 def is_commutator_fixed_set(
@@ -536,19 +554,19 @@ def is_commutator_fixed_set(
     sub = commutator_subgroup(group)
     work = 0
     for pt in points:
-        for c in sub:
-            work += 1
-            if act(c, pt) != pt:
-                return ConditionReport(
-                    instance=instance_name,
-                    condition=CONDITION_COMM_FIXED,
-                    passed=False,
-                    counterexample={
-                        "point": format_point(pt),
-                        "element": format_matrix(c),
-                    },
-                    work=work,
-                )
+        i = _first_mover(group, sub.residues, pt)
+        if i is not None:
+            return ConditionReport(
+                instance=instance_name,
+                condition=CONDITION_COMM_FIXED,
+                passed=False,
+                counterexample={
+                    "point": format_point(pt),
+                    "element": format_matrix(sub.elements[i]),
+                },
+                work=work + i + 1,
+            )
+        work += len(sub)
     return ConditionReport(
         instance=instance_name,
         condition=CONDITION_COMM_FIXED,
@@ -562,14 +580,9 @@ def commutator_fixed_carrier_points(group: FiniteGroup) -> tuple[Point, ...]:
     """All carrier points fixed by the group's commutator subgroup, in
     lexicographic order."""
     fp = group.domain
-    sub = commutator_subgroup(group)
-    out = []
-    for xr in range(fp.p):
-        for yr in range(fp.p):
-            pt = Point(fp.scalar(xr), fp.scalar(yr))
-            if all(act(c, pt) == pt for c in sub):
-                out.append(pt)
-    return tuple(out)
+    movers = commutator_subgroup(group).residues
+    plane = (Point(fp.scalar(x), fp.scalar(y)) for x in range(fp.p) for y in range(fp.p))
+    return tuple(pt for pt in plane if _first_mover(group, movers, pt) is None)
 
 
 def secret_square_points(instance: ActionInstance) -> tuple[Point, ...]:

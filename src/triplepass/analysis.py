@@ -26,6 +26,7 @@ from .actions import (
     DEFAULT_WORK_CAP,
     InstanceIndex,
     Point,
+    build_instance,
     check_masking_coverage,
     check_transcript_equivalence,
     commutator_fixed_carrier_points,
@@ -47,7 +48,6 @@ from .groups import (
     commutator_subgroup,
     enumerate_gl2,
     residue_closure,
-    subgroup_closure,
 )
 from .matrices import Mat2
 from .protocol import Transcript
@@ -476,65 +476,49 @@ def search_instances(
     """
     cap = DEFAULT_WORK_CAP if cap is None else cap
     ambient = enumerate_gl2(p)
-    fp = ambient.domain
-    elements = ambient.elements
     residues = ambient.residues
 
     budget = cap
     complete = True
-    seen: dict[frozenset, FiniteGroup] = {}
+    # Element set -> the first generator combination that closes to it.
+    seen: dict[frozenset, tuple[int, ...]] = {}
     for size in range(1, max_generators + 1):
         if not complete:
             break
-        for combo in combinations(range(len(elements)), size):
-            budget -= len(elements) * size
+        for combo in combinations(range(len(residues)), size):
+            budget -= len(residues) * size
             if budget < 0:
                 complete = False
                 break
-            key = frozenset(residue_closure(fp.p, [residues[i] for i in combo]))
-            if key not in seen:
-                seen[key] = subgroup_closure(elements[i] for i in combo)
+            seen.setdefault(frozenset(residue_closure(p, [residues[i] for i in combo])), combo)
 
-    subgroups = sorted(seen.values(), key=lambda g: (len(g), g.residues))
-
+    order = sorted(seen, key=lambda key: (len(key), sorted(key)))
     entries: list[SearchEntry] = []
-    for seq, group in enumerate(subgroups):
-        base_name = f"subgroup-f{p}-o{len(group)}-{seq}"
-        full_plane = ActionInstance(
-            name=base_name,
-            field=fp,
-            group=group,
-            secret_domain=fp.nonzero_elements(),
-            t_domain=fp.elements(),
-            embedding=None,
-            multiplicative=True,
-            kind="custom",
-        )
-        instance_index(full_plane)
+    for seq, key in enumerate(order):
+        generators = [ambient.elements[i] for i in seen[key]]
+        name = f"subgroup-f{p}-o{len(key)}-{seq}"
+        full_plane = build_instance("custom", p, generators=generators, name=name)
         variants = [full_plane]
 
+        group = full_plane.group
         if len(commutator_subgroup(group)) > 1:
             fixed = [pt for pt in commutator_fixed_carrier_points(group) if not pt.is_zero]
             k = math.isqrt(len(fixed))
             if k >= 2:
-                secrets = tuple(fp.scalar(v) for v in range(1, k + 1))
-                embedding = {}
-                targets = iter(fixed)
-                for s in secrets:
-                    for t in secrets:
-                        embedding[(s, t)] = next(targets)
-                embedded = ActionInstance(
-                    name=base_name + "-embedded",
-                    field=fp,
-                    group=group,
-                    secret_domain=secrets,
-                    t_domain=secrets,
-                    embedding=embedding,
-                    multiplicative=True,
-                    kind="custom",
+                secrets = range(1, k + 1)
+                square = [(s, t) for s in secrets for t in secrets]
+                embedding = [(pair, (pt.x.value, pt.y.value)) for pair, pt in zip(square, fixed)]
+                variants.append(
+                    build_instance(
+                        "custom",
+                        p,
+                        generators=generators,
+                        secret_domain=secrets,
+                        t_domain=secrets,
+                        embedding=embedding,
+                        name=name + "-embedded",
+                    )
                 )
-                instance_index(embedded)
-                variants.append(embedded)
 
         for instance in variants:
             entries.append(_entry_for_instance(instance, cap, with_leakage))
@@ -550,5 +534,5 @@ def search_instances(
         entries=tuple(entries),
         candidates=candidates,
         complete=complete,
-        subgroups_examined=len(subgroups),
+        subgroups_examined=len(order),
     )

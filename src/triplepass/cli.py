@@ -15,7 +15,6 @@ import json
 import os
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
@@ -50,7 +49,7 @@ from .errors import (
     TriplePassError,
     WorkCapExceeded,
 )
-from .fields import PrimeField, parse_scalar
+from .fields import PrimeField, Scalar, parse_scalar
 from .matrices import Mat2, format_matrix
 from .protocol import (
     SecretEncoding,
@@ -118,46 +117,21 @@ def _csv_ints(text: Optional[str]) -> Optional[list[int]]:
     return [int(part) for part in text.split(",") if part.strip() != ""]
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Effective invocation settings, echoed into every artifact.
-
-    The worker count and output path are deliberately excluded: neither
-    may influence the artifact bytes.
-    """
-
-    command: str
-    seed: int
-    cap: int
-    format: str
-    extras: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "seed": self.seed,
-            "cap": self.cap,
-            "format": self.format,
-            **self.extras,
-        }
-
-
-def _config(args: argparse.Namespace, command: str, **extras) -> ExperimentConfig:
-    return ExperimentConfig(
-        command=command,
-        seed=getattr(args, "seed", 0),
-        cap=args.cap,
-        format=args.format,
-        extras=extras,
-    )
-
-
-def _artifact(schema: str, args: argparse.Namespace, config: ExperimentConfig) -> dict:
+def _artifact(schema: str, args: argparse.Namespace, command: str, **extras) -> dict:
+    # The worker count and output path are left out of the config on
+    # purpose: neither may influence the artifact bytes.
+    seed = getattr(args, "seed", 0)
     return {
         "schema": schema,
         "tool": {"name": "triplepass", "version": __version__},
-        "seed": getattr(args, "seed", 0),
-        "config": config.to_dict(),
+        "seed": seed,
+        "config": {
+            "command": command,
+            "seed": seed,
+            "cap": args.cap,
+            "format": args.format,
+            **extras,
+        },
     }
 
 
@@ -176,6 +150,13 @@ def _prior_json(prior: dict) -> dict:
     return {str(s.value): str(mass) for s, mass in sorted(prior.items(), key=lambda kv: kv[0].value)}
 
 
+def _residue(text: str, field: PrimeField, what: str) -> Scalar:
+    # Only canonical residues, as on the wire: "7", "-3" or " 1" would alias a secret.
+    if not (text.isascii() and text.isdigit() and str(int(text)) == text and int(text) < field.p):
+        raise UsageError(f"{what} {text!r} is not a residue in [0, {field.p})")
+    return field.scalar(int(text))
+
+
 def _load_prior(path: Optional[str], instance: ActionInstance):
     if path is None:
         return None
@@ -191,11 +172,9 @@ def _load_prior(path: Optional[str], instance: ActionInstance):
         raise UsageError("a prior needs an instance over a prime field")
     prior = {}
     for res, mass in raw.items():
-        # Only canonical residues, as on the wire: "7", "-3" or " 1" would alias a secret.
-        if not (res.isascii() and res.isdigit() and str(int(res)) == res and int(res) < field.p):
-            raise UsageError(f"prior key {res!r} is not a residue in [0, {field.p})")
+        key = _residue(res, field, "prior key")
         try:
-            prior[field.scalar(int(res))] = Fraction(mass)
+            prior[key] = Fraction(mass)
         except ZeroDivisionError:
             raise UsageError(f"prior mass {mass!r} has a zero denominator") from None
     return prior
@@ -324,7 +303,12 @@ def cmd_demo(args: argparse.Namespace) -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     instance = _resolve_instance(args)
     rng = random.Random(args.seed)
-    fixed_secret = None if args.secret is None else parse_scalar(args.secret, instance.field)
+    if args.secret is None:
+        fixed_secret = None
+    elif isinstance(instance.field, PrimeField):
+        fixed_secret = _residue(args.secret, instance.field, "secret")
+    else:
+        fixed_secret = parse_scalar(args.secret, instance.field)
 
     outcomes = []
     for i in range(args.sessions):
@@ -335,15 +319,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         else:
             s = sample_rational_scalar(rng, nonzero=True)
         outcomes.append(run_session(instance, s, rng, session_id=i))
-
-    config = _config(
-        args,
-        "run",
-        instance=instance.name,
-        descriptor=instance_to_descriptor(instance),
-        sessions=args.sessions,
-        lab_view=bool(args.lab_view),
-    )
 
     if args.format == "csv":
         lines = [
@@ -368,7 +343,15 @@ def cmd_run(args: argparse.Namespace) -> int:
         _emit(buf.getvalue(), args.out)
         return EXIT_OK
 
-    artifact = _artifact("triplepass/run/v1", args, config)
+    artifact = _artifact(
+        "triplepass/run/v1",
+        args,
+        "run",
+        instance=instance.name,
+        descriptor=instance_to_descriptor(instance),
+        sessions=args.sessions,
+        lab_view=bool(args.lab_view),
+    )
     artifact["transcripts"] = [
         transcript_to_dict(o.transcript, lab_view=bool(args.lab_view)) for o in outcomes
     ]
@@ -408,14 +391,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             transcript = transcript_from_dict(d, session_id=i)
             reports.append(posterior_from_transcript(transcript, instance, prior, cap=cap))
 
-        config = _config(
+        artifact = _artifact(
+            "triplepass/posterior/v1",
             args,
             "analyze",
             instance=instance.name,
             descriptor=instance_to_descriptor(instance),
             transcripts=args.transcripts,
         )
-        artifact = _artifact("triplepass/posterior/v1", args, config)
         artifact["reports"] = [_posterior_dict(r) for r in reports]
         if args.format == "human":
             lines = []
@@ -433,13 +416,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     instance = _resolve_instance(args)
     prior = _load_prior(args.prior, instance)
     report = exact_mutual_information(instance, prior, cap=cap)
-    config = _config(
+    artifact = _artifact(
+        "triplepass/leakage/v1",
         args,
         "analyze",
         instance=instance.name,
         descriptor=instance_to_descriptor(instance),
     )
-    artifact = _artifact("triplepass/leakage/v1", args, config)
     artifact["report"] = _leakage_dict(report)
     if args.format == "human":
         _emit(
@@ -463,13 +446,13 @@ def cmd_check(args: argparse.Namespace) -> int:
         check_masking_coverage(instance, cap=args.cap),
         check_transcript_equivalence(instance, cap=args.cap),
     ]
-    config = _config(
+    artifact = _artifact(
+        "triplepass/check/v1",
         args,
         "check",
         instance=instance.name,
         descriptor=instance_to_descriptor(instance),
     )
-    artifact = _artifact("triplepass/check/v1", args, config)
     artifact["reports"] = [r.to_json_dict() for r in reports]
     if args.format == "human":
         lines = [f"{r.condition}: {r.verdict} (work {r.work})" for r in reports]
@@ -485,8 +468,9 @@ def cmd_search(args: argparse.Namespace) -> int:
     report = search_instances(
         args.p, args.max_generators, cap=args.cap, with_leakage=not args.no_leakage
     )
-    config = _config(args, "search", p=args.p, max_generators=args.max_generators)
-    artifact = _artifact("triplepass/search/v1", args, config)
+    artifact = _artifact(
+        "triplepass/search/v1", args, "search", p=args.p, max_generators=args.max_generators
+    )
     artifact["report"] = _search_dict(report)
     if args.format == "human":
         lines = [

@@ -2,8 +2,9 @@
 generating set, and the subgroup generated by commutators.
 
 Every group operation here runs on residue 4-tuples ``(a, b, c, d)``
-with integer arithmetic mod p. ``Mat2`` objects are built once per
-element, for ``FiniteGroup.elements``, which is the public boundary.
+with integer arithmetic mod p. A group holds residue tuples; its
+``Mat2`` elements, the public boundary, are built the first time
+``FiniteGroup.elements`` is read.
 Groups store their elements in one canonical order (lexicographic on the
 residue 4-tuple) so every report and enumeration is deterministic and
 trivially partitionable.
@@ -88,13 +89,15 @@ def residue_closure(
 class FiniteGroup:
     """An explicit finite group of invertible prime-field matrices.
 
-    ``elements`` is deduplicated and sorted by residue 4-tuple; the
+    ``residues`` holds the elements as residue 4-tuples, deduplicated and
+    sorted; ``elements`` is their ``Mat2`` view, built on first use. The
     recorded generators are provenance only (empty means the group was
-    enumerated as a whole family).
+    enumerated as a whole family). Build groups with ``from_residues`` or
+    ``from_elements``, which validate them.
     """
 
-    elements: tuple[Mat2, ...]
-    identity_index: int
+    domain: PrimeField
+    residues: tuple[Residues, ...]
     generators: tuple[Mat2, ...] = ()
 
     @staticmethod
@@ -119,48 +122,41 @@ class FiniteGroup:
         inversion are checked here, closure under products only by
         ``validate_closure``."""
         p = field.p
-        ordered = sorted(set(residues))
+        ordered = tuple(sorted(set(residues)))
         if not ordered:
             raise ValueError("a group needs at least one element")
         if not all(0 <= v < p for r in ordered for v in r):
             raise ValueError(f"group element residues must lie in [0, {p})")
-        scalars = field.elements()
-
-        def mat(r: Residues) -> Mat2:
-            return Mat2(*(scalars[v] for v in r))
-
-        index = {r: i for i, r in enumerate(ordered)}
-        if (1, 0, 0, 1) not in index:
+        members = set(ordered)
+        if (1, 0, 0, 1) not in members:
             raise ValueError("group must contain the identity matrix")
         for r in ordered:
             a, b, c, d = r
             if (a * d - b * c) % p == 0:
-                raise SingularMatrixError(f"group element {mat(r)} is singular")
-            if _inv(p, r) not in index:
-                raise ValueError(f"group is not closed under inversion at {mat(r)}")
-        group = FiniteGroup(tuple(mat(r) for r in ordered), index[(1, 0, 0, 1)], generators)
-        # Seed the cached properties that would otherwise be re-derived
-        # from the Mat2 elements.
-        group.__dict__["residues"] = tuple(ordered)
-        group.__dict__["_residue_index"] = index
-        return group
+                raise SingularMatrixError(f"group element {Mat2.from_values(field, *r)} is singular")
+            if _inv(p, r) not in members:
+                raise ValueError(
+                    f"group is not closed under inversion at {Mat2.from_values(field, *r)}"
+                )
+        return FiniteGroup(field, ordered, generators)
 
-    @property
-    def domain(self) -> PrimeField:
-        return self.elements[0].domain
+    @cached_property
+    def elements(self) -> tuple[Mat2, ...]:
+        """The elements as ``Mat2``, in residue order."""
+        scalars = self.domain.elements()
+        return tuple(Mat2(*(scalars[v] for v in r)) for r in self.residues)
 
     @property
     def p(self) -> int:
         return self.domain.p
 
     @property
+    def identity_index(self) -> int:
+        return self._residue_index[(1, 0, 0, 1)]
+
+    @property
     def identity(self) -> Mat2:
         return self.elements[self.identity_index]
-
-    @cached_property
-    def residues(self) -> tuple[Residues, ...]:
-        """The elements as residue 4-tuples, in element order."""
-        return tuple(m.residues() for m in self.elements)
 
     @cached_property
     def _residue_index(self) -> dict[Residues, int]:
@@ -181,7 +177,7 @@ class FiniteGroup:
         return True
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.residues)
 
     def __iter__(self) -> Iterator[Mat2]:
         return iter(self.elements)

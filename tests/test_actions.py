@@ -25,6 +25,7 @@ from triplepass.actions import (
 )
 from triplepass.errors import SingularMatrixError, TriplePassError, WorkCapExceeded
 from triplepass.fields import PrimeField
+from triplepass.groups import FiniteGroup
 from triplepass.matrices import Mat2, format_matrix
 
 F2 = PrimeField(2)
@@ -248,6 +249,59 @@ class TestCommutatorFixed:
     def test_fixed_carrier_points_of_borel(self, borel3_plane):
         fixed = commutator_fixed_carrier_points(borel3_plane.group)
         assert [(q.x.value, q.y.value) for q in fixed] == [(0, 0), (0, 1), (0, 2)]
+
+
+def _p3_census_element_sets() -> list[frozenset]:
+    gl2 = oracles.gl2(3)
+    combos = [[g] for g in gl2] + [[g, h] for i, g in enumerate(gl2) for h in gl2[i + 1 :]]
+    return sorted({oracles.closure(3, combo) for combo in combos}, key=lambda s: (len(s), sorted(s)))
+
+
+COMM_FIXED_GROUPS = (
+    [(3, elems) for elems in _p3_census_element_sets()]
+    + [(2, frozenset(oracles.gl2(2))), (5, frozenset(oracles.upper_triangular_elements(5)))]
+)
+
+
+@pytest.mark.parametrize(
+    "p, elems",
+    COMM_FIXED_GROUPS,
+    ids=[f"f3-census-{i}" for i in range(55)] + ["gl2-f2", "borel-f5"],
+)
+def test_comm_fixed_scans_match_brute_force(p, elems):
+    # Brute force: every carrier point in lexicographic order against the
+    # oracle commutator subgroup in sorted order, counting each element
+    # tried until the first one that moves a point.
+    fp = PrimeField(p)
+    group = FiniteGroup.from_residues(fp, elems)
+    sub = sorted(oracles.comm_subgroup(p, elems))
+    carrier = [(x, y) for x in range(p) for y in range(p)]
+    fixed, work, counterexample = [], 0, None
+    for v in carrier:
+        movers = [m for m in sub if oracles.act(p, v, m) != v]
+        if not movers:
+            fixed.append(v)
+        if counterexample is None:
+            if movers:
+                first = movers[0]
+                work += sub.index(first) + 1
+                counterexample = {
+                    "point": f"[{v[0]},{v[1]}]@F{p}",
+                    "element": "[[{},{}],[{},{}]]@F{}".format(*first, p),
+                }
+            else:
+                work += len(sub)
+
+    got = commutator_fixed_carrier_points(group)
+    assert [(q.x.value, q.y.value) for q in got] == fixed
+    assert all(q.domain == fp for q in got)
+    report = is_commutator_fixed_set([pt(fp, x, y) for x, y in carrier], group, "census")
+    assert report.passed == (counterexample is None)
+    assert report.counterexample == counterexample
+    assert report.work == work
+    for v in carrier:
+        for mode in ("subgroup", "pairwise"):
+            assert is_commutator_fixed_point(pt(fp, *v), group, mode) == (v in fixed)
 
 
 class TestMaskingCoverage:

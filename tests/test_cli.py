@@ -270,38 +270,48 @@ CUSTOM_F5 = {
 
 
 @pytest.mark.parametrize(
-    "descriptor, prior",
+    "descriptor, prior, argv",
     [
-        ({"kind": "diagonal", "name": "x"}, None),
-        (dict(CUSTOM_F5, embedding=[[[1, 1], [9, 9]]]), None),
-        (dict(CUSTOM_F5, embedding=[[1, 1, 0, 1]]), None),
-        (dict(CUSTOM_F5, generators="[[1,0],[0,1]]@F5"), None),
-        (dict(CUSTOM_F5, secret_domain=["1"]), None),
-        (dict(CUSTOM_F5, p="5"), None),
-        (dict(CUSTOM_F5, multiplicative="yes"), None),
-        ({"p": 5}, None),
-        ([CUSTOM_F5], None),
-        (None, [["1", "1/2"]]),
-        (None, {"1": [1]}),
-        (None, {"1": 0.5, "2": 0.5}),
-        (None, {"1": "1/0", "2": "1"}),
-        (None, {"1": "1/2", "7": "1/2"}),
-        (None, {"1": "1/2", "-3": "1/2"}),
-        (None, {" 1": "1/2", "2": "1/2"}),
+        ({"kind": "diagonal", "name": "x"}, None, None),
+        (dict(CUSTOM_F5, embedding=[[[1, 1], [9, 9]]]), None, None),
+        (dict(CUSTOM_F5, embedding=[[1, 1, 0, 1]]), None, None),
+        (dict(CUSTOM_F5, generators="[[1,0],[0,1]]@F5"), None, None),
+        (dict(CUSTOM_F5, secret_domain=["1"]), None, None),
+        (dict(CUSTOM_F5, p="5"), None, None),
+        (dict(CUSTOM_F5, multiplicative="yes"), None, None),
+        ({"p": 5}, None, None),
+        ([CUSTOM_F5], None, None),
+        (None, [["1", "1/2"]], None),
+        (None, {"1": [1]}, None),
+        (None, {"1": 0.5, "2": 0.5}, None),
+        (None, {"1": "1/0", "2": "1"}, None),
+        (None, {"1": "1/2", "7": "1/2"}, None),
+        (None, {"1": "1/2", "-3": "1/2"}, None),
+        (None, {" 1": "1/2", "2": "1/2"}, None),
+        (dict(CUSTOM_F5, secret_domain=[1, 6]), None, None),
+        (None, None, ["check", "--instance", "custom", "--p", "5",
+                      "--generators", "[[2,0],[0,1]]@F5", "--secret-domain", "1,6"]),
+        (None, None, ["check", "--instance", "custom", "--p", "5",
+                      "--generators", "[[2,0],[0,1]]@F5", "--secret-domain=-1,2"]),
+        (None, None, ["check", "--instance", "custom", "--p", "5",
+                      "--generators", "[[2,0],[0,1]]@F5", "--t-domain", "0,5"]),
+        (None, None, ["run", "--instance", "diagonal", "--p", "5", "--secret", "7"]),
     ],
     ids=["no-p", "embedding-out-of-range", "embedding-shape", "generators-not-a-list",
          "string-domain", "string-p", "string-multiplicative", "no-kind", "list-descriptor",
          "list-prior", "list-mass", "float-mass", "zero-denominator-mass",
-         "key-above-p", "negative-key", "padded-key"],
+         "key-above-p", "negative-key", "padded-key", "descriptor-domain-above-p",
+         "secret-domain-above-p", "negative-secret-domain", "t-domain-above-p",
+         "secret-above-p"],
 )
 def test_malformed_descriptor_or_prior_exits_two_without_traceback(
-    capsys, tmp_path, descriptor, prior
+    capsys, tmp_path, descriptor, prior, argv
 ):
     if descriptor is not None:
         path = tmp_path / "instance.json"
         path.write_text(json.dumps(descriptor))
         argv = ["check", "--instance", str(path)]
-    else:
+    elif prior is not None:
         path = tmp_path / "prior.json"
         path.write_text(json.dumps(prior))
         argv = ["analyze", "--instance", "diagonal", "--p", "5", "--prior", str(path)]

@@ -255,6 +255,28 @@ class TestResidueKernelAgainstOracles:
         expected = all(oracles.mmul(p, g, h) == oracles.mmul(p, h, g) for g in raw for h in raw)
         assert oracle_group(p, raw).is_abelian == expected
 
+    @pytest.mark.parametrize(
+        "p, raw",
+        [(2, oracles.gl2(2)), (3, oracles.gl2(3)), (5, oracles.upper_triangular_elements(5))],
+        ids=["gl2-f2", "gl2-f3", "borel-f5"],
+    )
+    def test_from_elements_and_from_residues_agree(self, p, raw):
+        # Shuffled, with repeats: both constructors dedup and sort.
+        shuffled = raw[::-1] + raw[::3]
+        by_residues = FiniteGroup.from_residues(PrimeField(p), shuffled)
+        by_elements = FiniteGroup.from_elements(
+            Mat2.from_values(PrimeField(p), *m) for m in shuffled
+        )
+        assert by_residues == by_elements
+        assert hash(by_residues) == hash(by_elements)
+        assert by_residues.residues == tuple(sorted(raw))
+        for group in (by_residues, by_elements):
+            assert len(group.elements) == len(group.residues) == len(raw)
+            for i, m in enumerate(group.elements):
+                assert m.residues() == group.residues[i]
+            assert group.identity == Mat2.identity(PrimeField(p))
+            assert group.residues[group.identity_index] == (1, 0, 0, 1)
+
     def test_from_residues_rejects_out_of_range_residues(self):
         with pytest.raises(ValueError, match=r"\[0, 5\)"):
             FiniteGroup.from_residues(F5, [(1, 0, 0, 1), (6, 0, 0, 1)])
