@@ -162,3 +162,36 @@ def mutual_information(joint, prior, completions):
             math.log2(ratio.numerator) - math.log2(ratio.denominator)
         )
     return bits, zero_leakage, len(by_transcript)
+
+
+def first_transcript_violation(p: int, secrets, elems):
+    """First (s, t, A, B, s') in sorted-residue order such that no
+    blinding t' in ``secrets`` and masks A', B' in ``elems`` reproduce
+    the three messages of the session (s, t, A, B) from (s', t'); None
+    when every candidate secret explains every session. Start points
+    range over the secret square, as in the transcript-equivalence check.
+    """
+    secrets = sorted(secrets)
+    elems = sorted(elems)
+    explained: dict = {}
+    for s in secrets:
+        for t in secrets:
+            for a in elems:
+                for b in elems:
+                    tau = session(p, (s, t), a, b)[:3]
+                    if tau not in explained:
+                        v1, v2, v3 = tau
+                        reply = any(act(p, v1, b2) == v2 for b2 in elems)
+                        explained[tau] = {
+                            s2
+                            for s2 in secrets
+                            for t2 in secrets
+                            for a2 in elems
+                            if reply
+                            and act(p, (s2, t2), a2) == v1
+                            and act(p, v2, minv(p, a2)) == v3
+                        }
+                    for s2 in secrets:
+                        if s2 not in explained[tau]:
+                            return s, t, a, b, s2
+    return None
