@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Iterator, Literal, Optional, Sequence, Union
 
 from .errors import SingularMatrixError, TriplePassError, WorkCapExceeded
@@ -254,10 +255,50 @@ class InstanceIndex:
                 pt = instance.secret_pair_point(scalars[s], scalars[t])
                 self.square[(s, t)] = pt.x.value * p + pt.y.value
         self.secret_pair_of_point = {v: k for k, v in self.square.items()}
+        # Point -> its fibre table, filled lazily by ``fibres``; the
+        # tables share one int object per group index.
+        self._fibres: dict[int, dict[int, tuple[int, ...]]] = {}
+        self._group_indices = list(range(self.n_group))
+
+    def fibres(self, v: int) -> dict[int, tuple[int, ...]]:
+        """Orbit-stabilizer table of point v, built on first use: each
+        w in the orbit of v maps to the group indices g with v.g == w,
+        in group order. The keys are the orbit; ``fibres(v)[v]`` is the
+        stabilizer. Raises TriplePassError unless the fibres all have
+        the stabilizer's size, so |orbit| * |Stab| == |G|."""
+        fib = self._fibres.get(v)
+        if fib is None:
+            grouped: dict[int, list[int]] = {}
+            for g, row in zip(self._group_indices, self.act_table):
+                grouped.setdefault(row[v], []).append(g)
+            stab = len(grouped.get(v, ()))
+            if any(len(gs) != stab for gs in grouped.values()):
+                raise TriplePassError(
+                    f"point {v} breaks orbit-stabilizer: {len(grouped)} orbit points"
+                    f" times a stabilizer of {stab} is not |G| = {self.n_group}"
+                )
+            fib = self._fibres[v] = {w: tuple(gs) for w, gs in grouped.items()}
+        return fib
+
+    def session_grid(self, v: int) -> tuple[int, Iterator[tuple[int, int, int]]]:
+        """The forward grid from point v, one key per (A, orbit point):
+        (v.A, v2, v2.A^-1) for every v2 in the orbit, each standing for
+        the |Stab(v)| replies B with v.A.B == v2. Returns that weight
+        and the keys; weighted, they count ``exchanges(v)`` exactly."""
+        fib = self.fibres(v)
+        orbit = tuple(fib)
+        n = len(orbit)
+        keys = chain.from_iterable(
+            zip(repeat(row[v], n), orbit, map(inv_row.__getitem__, orbit))
+            for row, inv_row in zip(self.act_table, self.inv_rows)
+        )
+        return len(fib[v]), keys
 
     def exchanges(self, v: int) -> Iterator[tuple[int, int, int]]:
         """The wire messages (v1, v2, v3) of every session from point v;
-        the k-th item has masks (A, B) = divmod(k, n_group)."""
+        the k-th item has masks (A, B) = divmod(k, n_group). Only scans
+        that need the masks themselves use it; counts come from
+        ``session_grid``."""
         table = self.act_table
         for row, inv_row in zip(table, self.inv_rows):
             v1 = row[v]
@@ -270,20 +311,19 @@ class InstanceIndex:
     ) -> list[tuple[int, tuple[int, int]]]:
         """Alice's candidates: every (A, (s, t)) with v2.A^-1 == v3 and
         v1.A^-1 encoding a pair of ``pairs`` (default ``pair_of_point``),
-        in group order."""
+        in group order. The masks A with v3.A == v2 are one fibre of v3."""
         if pairs is None:
             pairs = self.pair_of_point
         out = []
-        for a_i, inv_row in enumerate(self.inv_rows):
-            if inv_row[v2] == v3:
-                pair = pairs.get(inv_row[v1])
-                if pair is not None:
-                    out.append((a_i, pair))
+        for a_i in self.fibres(v3).get(v2, ()):
+            pair = pairs.get(self.inv_rows[a_i][v1])
+            if pair is not None:
+                out.append((a_i, pair))
         return out
 
     def replies(self, v1: int, v2: int) -> list[int]:
         """Every B with v1.B == v2, in group order: Bob's candidate masks."""
-        return [b_i for b_i, row in enumerate(self.act_table) if row[v1] == v2]
+        return list(self.fibres(v1).get(v2, ()))
 
     def point_from_index(self, i: int) -> Point:
         fp = self.instance.field

@@ -2,13 +2,14 @@
 
 Given a transcript and a known instance, the witness enumerator lists
 every (secret, blinding, mask, mask) assignment that reproduces the
-three wire messages exactly. Posteriors are exact Fractions; mutual
-information is reduced from integer-scaled counts, with one Fraction per
-distinct probability ratio. A zero-leakage verdict is an exact
-comparison of posterior against prior, never a float test. Logarithms
-enter only at presentation, grouped by exact ratio, so an instance that
-leaks nothing reports exactly 0.0 bits and a total break on a uniform
-prior over 2^k secrets reports exactly k bits.
+three wire messages exactly, as the product of Alice's and Bob's
+factors; posteriors count that product without listing it. Posteriors
+are exact Fractions; mutual information is reduced from integer-scaled
+counts, with one Fraction per distinct probability ratio. A zero-leakage
+verdict is an exact comparison of posterior against prior, never a float
+test. Logarithms enter only at presentation, grouped by exact ratio, so
+an instance that leaks nothing reports exactly 0.0 bits and a total
+break on a uniform prior over 2^k secrets reports exactly k bits.
 """
 
 from __future__ import annotations
@@ -113,53 +114,79 @@ def _transcript_indices(idx: InstanceIndex, transcript: Transcript) -> tuple[int
     )
 
 
+def _factors(
+    transcript: Transcript, instance: ActionInstance, what: str, cap: Optional[int] = None
+) -> tuple[InstanceIndex, list[tuple[int, tuple[int, int]]], list[int]]:
+    """The two factors of a transcript's witnesses, each re-validated.
+
+    v1 and v3 constrain (s, t, A) alone and, given v1, v2 constrains B
+    alone, so the witnesses (s, t, A, B) are exactly the product of
+    Alice's factor ``unmaskings`` and Bob's factor ``replies``. Every
+    factor entry re-derives its messages from the action tables; a
+    mismatch raises. With ``cap``, a witness scan estimated above it is
+    refused first.
+    """
+    if not instance.is_finite:
+        raise TriplePassError(f"{what} requires finite group")
+    idx = instance_index(instance)
+    if cap is not None:
+        estimate = len(idx.s_res) * len(idx.t_res) * idx.n_group**2
+        if estimate > cap:
+            raise WorkCapExceeded("witness-enumeration", estimate, cap)
+    v1, v2, v3 = _transcript_indices(idx, transcript)
+    alice = idx.unmaskings(v1, v2, v3)
+    bob = idx.replies(v1, v2)
+    table, inv_rows = idx.act_table, idx.inv_rows
+    for a_i, pair in alice:
+        if table[a_i][idx.point_of_pair[pair]] != v1 or inv_rows[a_i][v2] != v3:
+            raise AssertionError("Alice's witness factor failed direct re-validation")
+    for b_i in bob:
+        if table[b_i][v1] != v2:
+            raise AssertionError("Bob's witness factor failed direct re-validation")
+    return idx, alice, bob
+
+
+def _require_truth(
+    idx: InstanceIndex, transcript: Transcript, alice: list, bob: list
+) -> None:
+    """A recorded ground truth must be a witness whenever there is one:
+    its masks are located by residues in the group, then looked up in
+    the factors."""
+    truth = transcript.ground_truth
+    if truth is None or not alice or not bob:
+        return
+    a_i = idx.group.index_of(truth.mask_a)
+    b_i = idx.group.index_of(truth.mask_b)
+    if (a_i, (truth.s.value, truth.t.value)) not in alice or b_i not in bob:
+        raise InconsistentTranscriptError(
+            "inconsistent transcript: its recorded ground truth is not among the witnesses"
+            f" (session {transcript.session_id})"
+        )
+
+
 def enumerate_consistent(
     transcript: Transcript, instance: ActionInstance, *, cap: Optional[int] = None
 ) -> WitnessSet:
     """Exactly the (s, t, A, B) tuples reproducing the transcript.
 
-    The first and third messages constrain (s, t, A) alone and the
-    second constrains B alone, so candidates factor into a product; the
-    factored set equals the naive four-deep scan. Every witness is
-    re-validated by direct evaluation before it is returned.
+    The witnesses are the product of two re-validated factors (see
+    ``_factors``): Alice's (A, (s, t)) candidates and Bob's B replies,
+    listed A-major in group order. The factored set equals the naive
+    four-deep scan. A recorded ground truth outside a nonempty witness
+    set raises ``InconsistentTranscriptError``.
     """
-    if not instance.is_finite:
-        raise TriplePassError("witness enumeration requires finite group")
     cap = DEFAULT_WORK_CAP if cap is None else cap
-    idx = instance_index(instance)
-    estimate = len(idx.s_res) * len(idx.t_res) * idx.n_group**2
-    if estimate > cap:
-        raise WorkCapExceeded("witness-enumeration", estimate, cap)
-    v1, v2, v3 = _transcript_indices(idx, transcript)
-
-    table = idx.act_table
-    b_cands = idx.replies(v1, v2)
-    group = idx.group
-    witnesses = []
-    counts: dict[Scalar, int] = {}
-    for a_i, (s_res, t_res) in idx.unmaskings(v1, v2, v3):
-        s = idx.scalar(s_res)
-        t = idx.scalar(t_res)
-        start = idx.point_of_pair[(s_res, t_res)]
-        for b_i in b_cands:
-            # Soundness stays on: re-derive all three messages directly.
-            m1 = table[a_i][start]
-            m2 = table[b_i][m1]
-            m3 = idx.inv_rows[a_i][m2]
-            if (m1, m2, m3) != (v1, v2, v3):
-                raise AssertionError("factored witness failed direct re-validation")
-            witnesses.append((s, t, group.elements[a_i], group.elements[b_i]))
-            counts[s] = counts.get(s, 0) + 1
-
-    truth = transcript.ground_truth
-    if truth is not None and witnesses:
-        member = (truth.s, truth.t, truth.mask_a, truth.mask_b)
-        if member not in witnesses:
-            raise InconsistentTranscriptError(
-                "inconsistent transcript: its recorded ground truth is not among the witnesses"
-                f" (session {transcript.session_id})"
-            )
-    return WitnessSet(transcript, tuple(witnesses), counts)
+    idx, alice, bob = _factors(transcript, instance, "witness enumeration", cap)
+    _require_truth(idx, transcript, alice, bob)
+    elements = idx.group.elements
+    witnesses = tuple(
+        (idx.scalar(s), idx.scalar(t), elements[a_i], elements[b_i])
+        for a_i, (s, t) in alice
+        for b_i in bob
+    )
+    per_secret = Counter(s for _, (s, _) in alice) if bob else Counter()
+    counts = {idx.scalar(s): n * len(bob) for s, n in per_secret.items()}
+    return WitnessSet(transcript, witnesses, counts)
 
 
 def find_witness(
@@ -167,17 +194,13 @@ def find_witness(
 ) -> Optional[tuple[Scalar, Mat2, Mat2]]:
     """One (t', A', B') explaining the transcript with secret s_prime,
     or None after an exhaustive search finds nothing."""
-    if not instance.is_finite:
-        raise TriplePassError("witness search requires finite group")
-    idx = instance_index(instance)
-    v1, v2, v3 = _transcript_indices(idx, transcript)
-    a_cands = [(a_i, t) for a_i, (s, t) in idx.unmaskings(v1, v2, v3) if s == s_prime.value]
+    idx, alice, bob = _factors(transcript, instance, "witness search")
+    a_cands = [(a_i, t) for a_i, (s, t) in alice if s == s_prime.value]
     # Bob's candidates do not depend on A, so any reply completes any A.
-    b_cands = idx.replies(v1, v2)
-    if not a_cands or not b_cands:
+    if not a_cands or not bob:
         return None
     a_i, t_res = a_cands[0]
-    return idx.scalar(t_res), idx.group.elements[a_i], idx.group.elements[b_cands[0]]
+    return idx.scalar(t_res), idx.group.elements[a_i], idx.group.elements[bob[0]]
 
 
 @dataclass(frozen=True)
@@ -200,20 +223,26 @@ def posterior_from_transcript(
     cap: Optional[int] = None,
 ) -> PosteriorReport:
     """Bayes over exact witness counts: posterior(s) is proportional to
-    prior(s) times the number of (t, A, B) completions."""
+    prior(s) times the number of (t, A, B) completions.
+
+    The count for s is its entries in Alice's factor times Bob's, so no
+    witness is materialised; the factors are re-validated and checked
+    against a recorded ground truth as in ``enumerate_consistent``,
+    under the same cap.
+    """
     prior = uniform_prior(instance) if prior is None else _validate_prior(instance, prior)
-    witness_set = enumerate_consistent(transcript, instance, cap=cap)
-    weights = {
-        s: prior.get(s, Fraction(0)) * count
-        for s, count in witness_set.counts_by_secret.items()
-    }
+    cap = DEFAULT_WORK_CAP if cap is None else cap
+    idx, alice, bob = _factors(transcript, instance, "witness enumeration", cap)
+    _require_truth(idx, transcript, alice, bob)
+    per_secret = Counter(s for _, (s, _) in alice)
+    weights = {s: mass * (per_secret[s.value] * len(bob)) for s, mass in prior.items()}
     total = sum(weights.values(), Fraction(0))
     if total == 0:
         raise InconsistentTranscriptError(
             "inconsistent transcript: no witness reproduces it under this prior"
         )
     assert instance.secret_domain is not None
-    posterior = {s: weights.get(s, Fraction(0)) / total for s in sorted(prior, key=lambda x: x.value)}
+    posterior = {s: weights[s] / total for s in sorted(prior, key=lambda x: x.value)}
     support = tuple(s for s in posterior if posterior[s] > 0)
     masses = {posterior[s] for s in support}
     uniform = len(masses) == 1 and set(support) == set(instance.secret_domain)
@@ -223,7 +252,7 @@ def posterior_from_transcript(
         posterior=posterior,
         support=support,
         uniform=uniform,
-        witness_count=len(witness_set.witnesses),
+        witness_count=len(alice) * len(bob),
     )
 
 
@@ -317,10 +346,13 @@ def exact_mutual_information(
     """I(secret; transcript) from a full exact joint enumeration.
 
     The blinding value and both masks are uniform; the secret follows
-    the prior. Transcripts are enumerated through the protocol itself,
-    so only realizable transcripts carry weight. ``workers`` is accepted
-    for compatibility and has no effect: the scan is pure Python, which
-    threads cannot speed up.
+    the prior. Only realizable transcripts carry weight. Each start
+    point's sessions come from its weighted grid
+    (``InstanceIndex.session_grid``): one key per (A, orbit point)
+    weighted by the stabilizer size, which counts every (A, B) pair
+    exactly once at |G| * |orbit| instead of |G|^2 steps. ``workers``
+    is accepted for compatibility and has no effect: the scan is pure
+    Python, which threads cannot speed up.
     """
     if not instance.is_finite:
         raise TriplePassError("leakage analysis requires finite group")
@@ -334,13 +366,17 @@ def exact_mutual_information(
     if estimate > cap:
         raise WorkCapExceeded("leakage-analysis", estimate, cap)
 
+    # Keys are counted per stabilizer weight, then scaled once per key.
     counts: dict[tuple, int] = {}
     for s in support:
-        per_secret: Counter = Counter()
+        grids: dict[int, Counter] = {}
         for t_res in idx.t_res:
-            per_secret.update(idx.exchanges(idx.point_of_pair[(s.value, t_res)]))
-        for key, count in per_secret.items():
-            counts[(key, s.value)] = count
+            weight, keys = idx.session_grid(idx.point_of_pair[(s.value, t_res)])
+            grids.setdefault(weight, Counter()).update(keys)
+        for weight, grid in grids.items():
+            for key, n in grid.items():
+                cell = (key, s.value)
+                counts[cell] = counts.get(cell, 0) + n * weight
 
     prior_by_res = {s.value: prior[s] for s in support}
     completions = len(idx.t_res) * idx.n_group**2

@@ -162,6 +162,12 @@ class FiniteGroup:
     def _residue_index(self) -> dict[Residues, int]:
         return {r: i for i, r in enumerate(self.residues)}
 
+    def index_of(self, m: Mat2) -> Optional[int]:
+        """Position of ``m`` in ``residues``, or None for a non-member."""
+        if m.domain != self.domain:
+            return None
+        return self._residue_index.get(m.residues())
+
     @cached_property
     def inverse_indices(self) -> tuple[int, ...]:
         p, index = self.p, self._residue_index

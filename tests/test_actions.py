@@ -1,10 +1,12 @@
 import json
+from collections import Counter
 
 import pytest
 
 import oracles
 from triplepass.actions import (
     ActionInstance,
+    InstanceIndex,
     Point,
     act,
     build_instance,
@@ -186,6 +188,71 @@ def test_exchanges_match_the_session_oracle(request, fixture):
             a, b = divmod(k, len(masks))
             expected = oracles.session(p, divmod(v, p), masks[a], masks[b])[:3]
             assert messages == tuple(x * p + y for x, y in expected)
+
+
+@pytest.fixture(scope="module")
+def mixed_stabilizers():
+    # {diag(a, +-1)} over F5: stabilizers of sizes 1, 2, 4 and 8.
+    return build_instance(
+        "custom", 5, generators=["[[2,0],[0,1]]@F5", "[[1,0],[0,4]]@F5"], name="mixed-f5"
+    )
+
+
+KERNEL_INSTANCES = ["gl2f3", "borel5_embedded", "rot7", "diag5", "mixed_stabilizers"]
+
+
+@pytest.mark.parametrize("fixture", KERNEL_INSTANCES)
+def test_fibres_partition_the_group_by_orbit_point(request, fixture):
+    idx = InstanceIndex(request.getfixturevalue(fixture))
+    assert idx._fibres == {}  # built on first use, never by the constructor
+    stabilizer_sizes = set()
+    for v in range(idx.n_points):
+        fib = idx.fibres(v)
+        assert sorted(g for gs in fib.values() for g in gs) == list(range(idx.n_group))
+        for w, gs in fib.items():
+            assert list(gs) == [g for g, row in enumerate(idx.act_table) if row[v] == w]
+        stabilizer_sizes.add(len(fib[v]))
+        assert len(fib) * len(fib[v]) == idx.n_group
+    if fixture == "mixed_stabilizers":
+        assert stabilizer_sizes == {1, 2, 4, 8}
+
+
+@pytest.mark.parametrize("fixture", KERNEL_INSTANCES)
+def test_weighted_grid_counts_every_exchange(request, fixture):
+    idx = instance_index(request.getfixturevalue(fixture))
+    for v in range(idx.n_points):
+        weight, keys = idx.session_grid(v)
+        weighted = Counter()
+        for key in keys:
+            weighted[key] += weight
+        assert weighted == Counter(idx.exchanges(v))
+
+
+@pytest.mark.parametrize("fixture", KERNEL_INSTANCES)
+def test_reverse_scans_match_a_brute_scan(request, fixture):
+    idx = instance_index(request.getfixturevalue(fixture))
+    table, inv_rows = idx.act_table, idx.inv_rows
+    for v1 in range(idx.n_points):
+        for v2 in range(idx.n_points):
+            assert idx.replies(v1, v2) == [b for b, row in enumerate(table) if row[v1] == v2]
+            for pairs in (idx.pair_of_point, idx.secret_pair_of_point):
+                for v3 in range(idx.n_points):
+                    brute = [
+                        (a, pairs[inv_rows[a][v1]])
+                        for a in range(idx.n_group)
+                        if inv_rows[a][v2] == v3 and inv_rows[a][v1] in pairs
+                    ]
+                    assert idx.unmaskings(v1, v2, v3, pairs) == brute
+
+
+def test_a_broken_action_row_is_refused_explicitly(diag5):
+    idx = InstanceIndex(diag5)
+    v = idx.point_index(pt(F5, 1, 1))
+    # Make one mask that moves v fix it instead: its fibre grows.
+    mover = next(g for g, row in enumerate(idx.act_table) if row[v] != v)
+    idx.act_table[mover] = list(range(idx.n_points))
+    with pytest.raises(TriplePassError, match="orbit-stabilizer"):
+        idx.fibres(v)
 
 
 def test_square_is_the_secret_square_in_pair_order(borel3_embedded, diag5):

@@ -184,6 +184,39 @@ class TestAnalyze:
         assert "ground truth" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @staticmethod
+    def _swap_mask_b(first, second):
+        assert first["truth"]["B"] != second["truth"]["B"]
+        first["truth"]["B"], second["truth"]["B"] = second["truth"]["B"], first["truth"]["B"]
+
+    @staticmethod
+    def _mask_outside_group(first, second):
+        first["truth"]["A"] = "[[1,1],[0,1]]@F5"  # invertible, but not diagonal
+
+    @pytest.mark.parametrize("python_flags", [[], ["-O"]], ids=["plain", "optimize"])
+    @pytest.mark.parametrize(
+        "tamper", ["_swap_mask_b", "_mask_outside_group"], ids=["only-B-swapped", "mask-outside-group"]
+    )
+    def test_tampered_ground_truth_exits_two(self, capsys, tmp_path, tamper, python_flags):
+        # The truth is checked by factor membership: Alice's (s, t, A) and
+        # Bob's B separately, each looked up by residues in the group.
+        run_file = tmp_path / "run.json"
+        run_cli(capsys, "run", "--instance", "diagonal", "--p", "5", "--sessions", "2",
+                "--seed", "0", "--lab-view", "--out", str(run_file))
+        artifact = json.loads(run_file.read_text())
+        getattr(self, tamper)(*artifact["transcripts"])
+        run_file.write_text(json.dumps(artifact))
+        src = str(Path(triplepass.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, *python_flags, "-m", "triplepass", "analyze",
+             "--transcripts", str(run_file)],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "ground truth" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     @pytest.mark.parametrize(
         "change",
         [
