@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, repeat
 from typing import Iterator, Literal, Optional, Sequence, Union
 
@@ -202,7 +203,9 @@ class InstanceIndex:
 
     Carrier points are indexed x*p + y over residues; ``act_table[g][i]``
     is the index of point i moved by group element g. Building the index
-    also verifies that every group element permutes the carrier.
+    also verifies that every group element permutes the carrier. The
+    index keeps the instance's field and name, never the instance, so a
+    dropped instance is freed with its tables by reference counting.
     """
 
     def __init__(self, instance: ActionInstance):
@@ -210,7 +213,8 @@ class InstanceIndex:
         fp = instance.field
         assert isinstance(fp, PrimeField)
         p = fp.p
-        self.instance = instance
+        self.field = fp
+        self.name = instance.name
         self.p = p
         self.n_points = p * p
         self.group = group
@@ -325,15 +329,26 @@ class InstanceIndex:
         """Every B with v1.B == v2, in group order: Bob's candidate masks."""
         return list(self.fibres(v1).get(v2, ()))
 
+    @cached_property
+    def points(self) -> tuple[Point, ...]:
+        """Every carrier point, by index; built on first use."""
+        scalars = self.field.elements()
+        return tuple(Point(x, y) for x in scalars for y in scalars)
+
+    @cached_property
+    def bayes_memo(self) -> dict:
+        """Exact Bayes steps of ``analysis.posterior_from_transcript``,
+        keyed by prior and count signature; empty until a posterior runs."""
+        return {}
+
     def point_from_index(self, i: int) -> Point:
-        fp = self.instance.field
-        return Point(fp.scalar(i // self.p), fp.scalar(i % self.p))
+        return self.points[i]
 
     def scalar(self, residue: int) -> Scalar:
-        return self.instance.field.scalar(residue)
+        return self.field.scalar(residue)
 
     def point_index(self, pt: Point) -> int:
-        if pt.domain != self.instance.field:
+        if pt.domain != self.field:
             raise TriplePassError("point domain does not match the instance carrier")
         return pt.x.value * self.p + pt.y.value
 

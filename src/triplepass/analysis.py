@@ -103,10 +103,8 @@ class WitnessSet:
 
 
 def _transcript_indices(idx: InstanceIndex, transcript: Transcript) -> tuple[int, int, int]:
-    if transcript.instance != idx.instance.name:
-        raise TriplePassError(
-            f"transcript is for {transcript.instance!r}, not {idx.instance.name!r}"
-        )
+    if transcript.instance != idx.name:
+        raise TriplePassError(f"transcript is for {transcript.instance!r}, not {idx.name!r}")
     return (
         idx.point_index(transcript.v1),
         idx.point_index(transcript.v2),
@@ -228,32 +226,53 @@ def posterior_from_transcript(
     The count for s is its entries in Alice's factor times Bob's, so no
     witness is materialised; the factors are re-validated and checked
     against a recorded ground truth as in ``enumerate_consistent``,
-    under the same cap.
+    under the same cap, for every transcript. The Bayes step itself
+    depends only on the prior and the count signature (the per-secret
+    counts of Alice's factor and the size of Bob's), so it is computed
+    once per signature and kept in the index's ``bayes_memo``; each
+    report still gets its own dicts.
     """
     prior = uniform_prior(instance) if prior is None else _validate_prior(instance, prior)
     cap = DEFAULT_WORK_CAP if cap is None else cap
     idx, alice, bob = _factors(transcript, instance, "witness enumeration", cap)
     _require_truth(idx, transcript, alice, bob)
     per_secret = Counter(s for _, (s, _) in alice)
-    weights = {s: mass * (per_secret[s.value] * len(bob)) for s, mass in prior.items()}
+    key = (
+        tuple((s.value, mass.numerator, mass.denominator) for s, mass in prior.items()),
+        tuple(sorted(per_secret.items())),
+        len(bob),
+    )
+    bayes = idx.bayes_memo.get(key)
+    if bayes is None:
+        assert instance.secret_domain is not None
+        bayes = idx.bayes_memo[key] = _bayes(prior, per_secret, len(bob), instance.secret_domain)
+    posterior, support, uniform = bayes
+    return PosteriorReport(
+        transcript=transcript,
+        prior=dict(prior),
+        posterior=dict(posterior),
+        support=support,
+        uniform=uniform,
+        witness_count=len(alice) * len(bob),
+    )
+
+
+def _bayes(
+    prior: Mapping[Scalar, Fraction], per_secret: Counter, n_bob: int, secrets: tuple[Scalar, ...]
+) -> tuple[tuple[tuple[Scalar, Fraction], ...], tuple[Scalar, ...], bool]:
+    """(posterior items in residue order, support, uniform) from the
+    prior and a transcript's count signature."""
+    weights = {s: mass * (per_secret[s.value] * n_bob) for s, mass in prior.items()}
     total = sum(weights.values(), Fraction(0))
     if total == 0:
         raise InconsistentTranscriptError(
             "inconsistent transcript: no witness reproduces it under this prior"
         )
-    assert instance.secret_domain is not None
-    posterior = {s: weights[s] / total for s in sorted(prior, key=lambda x: x.value)}
-    support = tuple(s for s in posterior if posterior[s] > 0)
-    masses = {posterior[s] for s in support}
-    uniform = len(masses) == 1 and set(support) == set(instance.secret_domain)
-    return PosteriorReport(
-        transcript=transcript,
-        prior=dict(prior),
-        posterior=posterior,
-        support=support,
-        uniform=uniform,
-        witness_count=len(alice) * len(bob),
-    )
+    posterior = tuple((s, weights[s] / total) for s in sorted(prior, key=lambda x: x.value))
+    support = tuple(s for s, mass in posterior if mass > 0)
+    masses = {mass for _, mass in posterior if mass > 0}
+    uniform = len(masses) == 1 and set(support) == set(secrets)
+    return posterior, support, uniform
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,15 @@
 """The four-pass masking protocol: Alice masks, Bob masks, Alice unmasks,
 Bob unmasks, with an eavesdropper tap recording the three wire messages.
 
-Sessions are small state machines that reject out-of-phase messages;
-everything they compute is exact. The round trip returns the original
-point exactly when the point is fixed by the commutator A.B.A^-1.B^-1
-of the two masks, which is why only commuting mask families make the
-trick reliable.
+A session on a finite instance runs on the instance's index tables: the
+masks are group indices, the four passes are lookups in ``act_table``
+and ``inv_rows``, and the commutator is a residue product. ``Scalar``,
+``Point`` and ``Mat2`` values appear only in the returned outcome. The
+order-checked state machines ``AliceSession`` and ``BobSession``, with
+the ``Mat2`` passes, serve the rational demo alone. Everything is exact.
+The round trip returns the original point exactly when the point is
+fixed by the commutator A.B.A^-1.B^-1 of the two masks, which is why
+only commuting mask families make the trick reliable.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from .actions import (
 )
 from .errors import ProtocolOrderError, TriplePassError, WorkCapExceeded
 from .fields import PrimeField, RATIONALS, Scalar, scalar_from_json, scalar_to_json
-from .groups import FiniteGroup
+from .groups import FiniteGroup, _mul
 from .matrices import Mat2, format_matrix, parse_matrix
 
 __all__ = [
@@ -47,7 +51,6 @@ __all__ = [
     "check_roundtrip_commutator_fixed",
     "sample_rational_scalar",
     "sample_rational_matrix",
-    "sample_group_element",
     "transcript_to_dict",
     "transcript_from_dict",
 ]
@@ -185,10 +188,6 @@ def sample_rational_matrix(rng: random.Random) -> Mat2:
             return m
 
 
-def sample_group_element(group: FiniteGroup, rng: random.Random) -> Mat2:
-    return group.elements[rng.randrange(len(group))]
-
-
 def encode_secret(instance: ActionInstance, s: Scalar, rng: random.Random) -> SecretEncoding:
     """Blind a secret with a fresh random coordinate.
 
@@ -218,6 +217,40 @@ def encode_secret(instance: ActionInstance, s: Scalar, rng: random.Random) -> Se
     return SecretEncoding(s, t, instance.secret_pair_point(s, t))
 
 
+def _indexed_session(
+    instance: ActionInstance, encoding: SecretEncoding, a_i: int, b_i: int, session_id: int
+) -> SessionOutcome:
+    """The four passes of a finite instance on its index tables, with the
+    masks A and B given as group indices."""
+    idx = instance_index(instance)
+    p, group = idx.p, idx.group
+    v = idx.point_index(encoding.v)
+    v1 = idx.act_table[a_i][v]
+    v2 = idx.act_table[b_i][v1]
+    v3 = idx.inv_rows[a_i][v2]
+    v4 = idx.inv_rows[b_i][v3]
+
+    res, inverse = group.residues, group.inverse_indices
+    comm = _mul(p, _mul(p, _mul(p, res[a_i], res[b_i]), res[inverse[a_i]]), res[inverse[b_i]])
+    # The four passes compose to exactly this element; kept as an always-on
+    # consistency check because everything downstream relies on it.
+    x, y = divmod(v, p)
+    a, b, c, d = comm
+    if ((x * a + y * c) % p) * p + (x * b + y * d) % p != v4:
+        raise AssertionError("the four passes do not compose to the mask commutator")
+
+    points, masks = idx.points, group.elements
+    transcript = Transcript(
+        instance=instance.name,
+        v1=points[v1],
+        v2=points[v2],
+        v3=points[v3],
+        session_id=session_id,
+        ground_truth=GroundTruth(encoding.s, encoding.t, masks[a_i], masks[b_i]),
+    )
+    return SessionOutcome(transcript, points[v4], v4 == v, Mat2.from_values(idx.field, *comm))
+
+
 def run_session_with(
     instance: ActionInstance,
     encoding: SecretEncoding,
@@ -225,7 +258,19 @@ def run_session_with(
     mask_b: Mat2,
     session_id: int = 0,
 ) -> SessionOutcome:
-    """Run the four passes with explicit choices; the deterministic core."""
+    """Run the four passes with explicit choices; the deterministic core.
+
+    On a finite instance both masks must be elements of its group, or
+    ``TriplePassError`` is raised; the passes then run on the index
+    tables, as in ``run_session``. Only the rational demo runs the
+    ``AliceSession``/``BobSession`` state machines.
+    """
+    if instance.is_finite:
+        a_i, b_i = instance.group.index_of(mask_a), instance.group.index_of(mask_b)
+        if a_i is None or b_i is None:
+            raise TriplePassError(f"masks must be elements of the {instance.name} group")
+        return _indexed_session(instance, encoding, a_i, b_i, session_id)
+
     alice = AliceSession(encoding, mask_a)
     bob = BobSession(mask_b)
     v1 = alice.send_masked()
@@ -234,8 +279,6 @@ def run_session_with(
     v4 = bob.unmask_final(v3)
 
     commutator_applied = ((mask_a @ mask_b) @ mask_a.inverse()) @ mask_b.inverse()
-    # The four passes compose to exactly this element; kept as an always-on
-    # consistency check because everything downstream relies on it.
     if v4 != act(commutator_applied, encoding.v):
         raise AssertionError("the four passes do not compose to the mask commutator")
 
@@ -259,15 +302,18 @@ def run_session(
     """Encode the secret, draw both masks, and run the four passes.
 
     Draw order is fixed (t, then A, then B) so a seeded generator
-    reproduces sessions byte for byte.
+    reproduces sessions byte for byte. On a finite instance each mask is
+    one ``rng.randrange(|G|)`` draw, kept as a group index: the passes
+    run on the index tables and only the outcome holds ``Mat2`` values.
     """
     encoding = encode_secret(instance, s, rng)
     if instance.is_finite:
-        mask_a = sample_group_element(instance.group, rng)
-        mask_b = sample_group_element(instance.group, rng)
-    else:
-        mask_a = sample_rational_matrix(rng)
-        mask_b = sample_rational_matrix(rng)
+        n = len(instance.group)
+        a_i = rng.randrange(n)
+        b_i = rng.randrange(n)
+        return _indexed_session(instance, encoding, a_i, b_i, session_id)
+    mask_a = sample_rational_matrix(rng)
+    mask_b = sample_rational_matrix(rng)
     return run_session_with(instance, encoding, mask_a, mask_b, session_id)
 
 

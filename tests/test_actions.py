@@ -1,4 +1,7 @@
+import gc
 import json
+import random
+import weakref
 from collections import Counter
 
 import pytest
@@ -25,10 +28,12 @@ from triplepass.actions import (
     secret_square_points,
     trivial_instance,
 )
+from triplepass.analysis import posterior_from_transcript
 from triplepass.errors import SingularMatrixError, TriplePassError, WorkCapExceeded
 from triplepass.fields import PrimeField
 from triplepass.groups import FiniteGroup
 from triplepass.matrices import Mat2, format_matrix
+from triplepass.protocol import run_session
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -253,6 +258,24 @@ def test_a_broken_action_row_is_refused_explicitly(diag5):
     idx.act_table[mover] = list(range(idx.n_points))
     with pytest.raises(TriplePassError, match="orbit-stabilizer"):
         idx.fibres(v)
+
+
+def test_a_dropped_instance_frees_its_index_by_reference_counting():
+    # The index keeps the field and name, not the instance, so no cycle
+    # holds its tables, fibres, point table or Bayes memo alive.
+    gc.disable()
+    try:
+        inst = build_instance("diagonal", 5)
+        out = run_session(inst, F5.scalar(2), random.Random(3))
+        posterior_from_transcript(out.transcript, inst)
+        idx = instance_index(inst)
+        idx.fibres(idx.point_index(out.transcript.v1))
+        assert idx.points and idx.bayes_memo
+        ref = weakref.ref(idx)
+        del inst, out, idx
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_square_is_the_secret_square_in_pair_order(borel3_embedded, diag5):

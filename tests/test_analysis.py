@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -14,6 +15,7 @@ from triplepass.actions import (
     build_instance,
     check_transcript_equivalence,
     instance_from_descriptor,
+    instance_index,
 )
 from triplepass.analysis import (
     enumerate_consistent,
@@ -35,6 +37,7 @@ from triplepass.matrices import Mat2, parse_matrix
 from triplepass.protocol import SecretEncoding, Transcript, run_session, run_session_with
 
 F2 = PrimeField(2)
+F3 = PrimeField(3)
 F5 = PrimeField(5)
 F7 = PrimeField(7)
 
@@ -260,6 +263,63 @@ class TestPosterior:
         recomputed = {s: Fraction(c, total) for s, c in counts.items()}
         for s, mass in report.posterior.items():
             assert mass == recomputed.get(s, Fraction(0))
+
+
+class TestBayesMemo:
+    """The exact Bayes step is computed once per prior and count
+    signature; the per-transcript checks still run every time."""
+
+    @staticmethod
+    def _oracle_posterior(instance, transcript, prior):
+        counts = {}
+        for s, *_ in oracle_witnesses(instance, transcript):
+            counts[s] = counts.get(s, 0) + 1
+        total = sum(mass * counts.get(s.value, 0) for s, mass in prior.items())
+        return {s: mass * counts.get(s.value, 0) / total for s, mass in prior.items()}
+
+    def test_each_prior_gets_its_own_posterior(self):
+        inst = build_instance("general-linear", 3)
+        out = run_session(inst, F3.scalar(1), random.Random(2))
+        uniform = {F3.scalar(1): Fraction(1, 2), F3.scalar(2): Fraction(1, 2)}
+        skewed = {F3.scalar(1): Fraction(1, 5), F3.scalar(2): Fraction(4, 5)}
+        expected = {
+            name: self._oracle_posterior(inst, out.transcript, prior)
+            for name, prior in (("uniform", uniform), ("skewed", skewed))
+        }
+        assert expected["uniform"] != expected["skewed"]
+        for name, prior in (("uniform", uniform), ("skewed", skewed), ("uniform", uniform)):
+            report = posterior_from_transcript(out.transcript, inst, prior)
+            assert report.posterior == expected[name]
+            assert report.prior == prior
+        assert posterior_from_transcript(out.transcript, inst).posterior == expected["uniform"]
+
+    def test_reports_share_no_mutable_object(self, diag5):
+        transcript = lab_transcript(diag5, 2, 3, (2, 0, 0, 1), (3, 0, 0, 4))
+        first = posterior_from_transcript(transcript, diag5)
+        second = posterior_from_transcript(transcript, diag5)
+        assert first.posterior == second.posterior
+        assert first.posterior is not second.posterior
+        assert first.prior is not second.prior
+        first.posterior.clear()
+        first.prior.clear()
+        third = posterior_from_transcript(transcript, diag5)
+        assert third.posterior == second.posterior and third.posterior[F5.scalar(2)] == 1
+        assert third.prior == second.prior
+
+    def test_a_tampered_truth_is_refused_after_its_signature_is_memoized(self):
+        inst = build_instance("diagonal", 7)
+        genuine = run_session(inst, F7.scalar(3), random.Random(4)).transcript
+        posterior_from_transcript(genuine, inst)
+        assert len(instance_index(inst).bayes_memo) == 1
+        truth = genuine.ground_truth
+        a, b, c, d = truth.mask_b.residues()
+        doubled = Mat2.from_values(F7, 2 * a, b, c, 2 * d)  # v1.B' = 2.v2, never v2
+        tampered = dataclasses.replace(
+            genuine, ground_truth=dataclasses.replace(truth, mask_b=doubled)
+        )
+        with pytest.raises(InconsistentTranscriptError, match="ground truth"):
+            posterior_from_transcript(tampered, inst)
+        assert len(instance_index(inst).bayes_memo) == 1
 
 
 class TestExactMutualInformation:

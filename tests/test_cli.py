@@ -1,3 +1,5 @@
+import copy
+import hashlib
 import json
 import os
 import subprocess
@@ -9,6 +11,7 @@ import pytest
 
 import triplepass
 from triplepass.cli import main
+from triplepass.matrices import Mat2, format_matrix, parse_matrix
 
 
 # s=2, t=3, A=diag(2,1), B=diag(3,4)
@@ -93,6 +96,44 @@ class TestRun:
             run_cli(capsys, "run", "--instance", "rotation", "--p", "7",
                     "--sessions", "5", "--seed", "11", "--lab-view", "--out", str(path))
         assert a.read_bytes() == b.read_bytes()
+
+    # sha256 of the seed-0 `run --lab-view` artifact over 300 sessions, and
+    # of the `reports` field of `analyze --transcripts` on that file (its
+    # config names the input path), as written by version 0.1.0 before
+    # sessions and posteriors moved onto the index tables. The run digest
+    # covers the whole artifact, the tool version included.
+    PINNED_DIGESTS = {
+        ("diagonal", "7"): (
+            "e7ce9e520a727d62a3baf390802c05760ef231f48e7838e258ed4d7c4b1163fc",
+            "71e1aede469b21a23f13c67b48c01cba8b1a44b16dba31b3fbf93848801402af",
+        ),
+        ("general-linear", "5"): (
+            "16945c9c82468fe0c973f0d4c4ac8454ae1ad633fcb867caaa20504a3da45dc4",
+            "33b0b63b2d1a02336754aa8f0a37f50b0a8de196dc026367481d6c2def7a330e",
+        ),
+        ("borel-embedded", "7"): (
+            "eb758b498bf1c439cf23c7b728fda1294f07156a027d925ff97cc683b96a6bf9",
+            "f15af753eb34c2850d5094ab5ea87f1fa5d185020e839b367b4a2e4d24d5c169",
+        ),
+        ("rotation", "7"): (
+            "c259d2702467cf4031a2ad9cfa760310ddf4003839b547ddb60f96c4e7d7c8b9",
+            "37af76b04eb0fa26a943b11ee7b6b0615e1ccb0a23d3a9167e3242475ea053e2",
+        ),
+    }
+
+    @pytest.mark.parametrize("kind,p", sorted(PINNED_DIGESTS))
+    def test_seed_zero_artifacts_match_pinned_digests(self, capsys, tmp_path, kind, p):
+        run_file, analyze_file = tmp_path / "run.json", tmp_path / "analyze.json"
+        assert run_cli(capsys, "run", "--instance", kind, "--p", p, "--sessions", "300",
+                       "--seed", "0", "--lab-view", "--out", str(run_file))[0] == 0
+        assert run_cli(capsys, "analyze", "--transcripts", str(run_file),
+                       "--out", str(analyze_file))[0] == 0
+        reports = json.loads(analyze_file.read_text())["reports"]
+        digests = (
+            hashlib.sha256(run_file.read_bytes()).hexdigest(),
+            hashlib.sha256(json.dumps(reports, indent=2).encode()).hexdigest(),
+        )
+        assert digests == self.PINNED_DIGESTS[(kind, p)]
 
     def test_csv_success_table(self, capsys, tmp_path):
         out_file = tmp_path / "run.csv"
@@ -193,9 +234,20 @@ class TestAnalyze:
     def _mask_outside_group(first, second):
         first["truth"]["A"] = "[[1,1],[0,1]]@F5"  # invertible, but not diagonal
 
+    @staticmethod
+    def _repeat_with_b_doubled(first, second):
+        # The second session repeats the first's messages, so its count
+        # signature is already memoized when its truth is checked.
+        second.update(copy.deepcopy(first))
+        b = parse_matrix(first["truth"]["B"])
+        doubled = Mat2(b.a + b.a, b.b, b.c, b.d + b.d)  # v1.B' = 2.v2, never v2
+        second["truth"]["B"] = format_matrix(doubled)
+
     @pytest.mark.parametrize("python_flags", [[], ["-O"]], ids=["plain", "optimize"])
     @pytest.mark.parametrize(
-        "tamper", ["_swap_mask_b", "_mask_outside_group"], ids=["only-B-swapped", "mask-outside-group"]
+        "tamper",
+        ["_swap_mask_b", "_mask_outside_group", "_repeat_with_b_doubled"],
+        ids=["only-B-swapped", "mask-outside-group", "memoized-signature"],
     )
     def test_tampered_ground_truth_exits_two(self, capsys, tmp_path, tamper, python_flags):
         # The truth is checked by factor membership: Alice's (s, t, A) and

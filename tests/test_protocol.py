@@ -1,15 +1,22 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
 import oracles
+import triplepass
 from triplepass.actions import Point, act, build_instance, instance_index, rational_demo_instance
-from triplepass.errors import ProtocolOrderError
+from triplepass.errors import ProtocolOrderError, TriplePassError
 from triplepass.fields import PrimeField, RATIONALS
 from triplepass.matrices import Mat2
 from triplepass.protocol import (
     AliceSession,
     BobSession,
+    GroundTruth,
     SecretEncoding,
     alice_mask,
     alice_unmask,
@@ -236,6 +243,103 @@ class TestRunSession:
                         enc = SecretEncoding(fp.scalar(x), fp.scalar(y), pt(fp, x, y))
                         out = run_session_with(gl2f2, enc, mask_a, mask_b)
                         assert out.v4 == act(out.commutator_applied, enc.v)
+
+
+# Corrupts the row of A = diag(2, 1) at v = (1, 1) in a diagonal-f5 index,
+# then runs one session (v, A, identity) through it.
+CORRUPTED_ROW_SESSION = textwrap.dedent(
+    """
+    from triplepass import Mat2, build_instance
+    from triplepass.actions import instance_index
+    from triplepass.fields import PrimeField
+    from triplepass.protocol import SecretEncoding, run_session_with
+
+    F5 = PrimeField(5)
+    inst = build_instance("diagonal", 5)
+    idx = instance_index(inst)
+    mask_a = Mat2.from_values(F5, 2, 0, 0, 1)
+    a_i = inst.group.index_of(mask_a)
+    row = list(idx.act_table[a_i])
+    row[1 * 5 + 1] = 3 * 5 + 1  # (1, 1).A now reads (3, 1), not (2, 1)
+    idx.act_table[a_i] = row
+    enc = SecretEncoding(F5.scalar(1), F5.scalar(1), idx.point_from_index(1 * 5 + 1))
+    try:
+        run_session_with(inst, enc, mask_a, Mat2.identity(F5))
+    except AssertionError as exc:
+        print("refused:", exc)
+    else:
+        print("accepted")
+    """
+)
+
+
+class TestIndexedSessionCore:
+    """Finite sessions run on the index tables; plain integers check them."""
+
+    @pytest.mark.parametrize("name", ["gl2f3", "diag5", "borel5_embedded"])
+    def test_every_session_matches_the_oracle(self, request, name):
+        inst = request.getfixturevalue(name)
+        fp, p = inst.field, inst.field.p
+        if inst.embedding is None:
+            starts = [(fp.scalar(x), fp.scalar(y), pt(fp, x, y)) for x in range(p) for y in range(p)]
+        else:
+            starts = [(s, t, v) for (s, t), v in inst.embedding.items()]
+        masks = list(zip(inst.group.residues, inst.group.elements))
+        for s, t, v in starts:
+            enc = SecretEncoding(s, t, v)
+            start = (v.x.value, v.y.value)
+            for a, mask_a in masks:
+                a_inv = oracles.minv(p, a)
+                for b, mask_b in masks:
+                    out = run_session_with(inst, enc, mask_a, mask_b)
+                    tr = out.transcript
+                    expected = oracles.session(p, start, a, b)
+                    got = tuple((q.x.value, q.y.value) for q in (tr.v1, tr.v2, tr.v3, out.v4))
+                    assert got == expected, (start, a, b)
+                    assert out.success == (expected[3] == start)
+                    comm = oracles.mmul(
+                        p, oracles.mmul(p, oracles.mmul(p, a, b), a_inv), oracles.minv(p, b)
+                    )
+                    assert out.commutator_applied.residues() == comm
+                    assert tr.ground_truth == GroundTruth(s, t, mask_a, mask_b)
+
+    @pytest.mark.parametrize("name", ["gl2f3", "diag5", "borel5_embedded"])
+    def test_run_session_draws_t_then_a_then_b(self, request, name):
+        inst = request.getfixturevalue(name)
+        rng, replay = random.Random(21), random.Random(21)
+        n = len(inst.group)
+        for i in range(60):
+            s = inst.secret_domain[i % len(inst.secret_domain)]
+            out = run_session(inst, s, rng, session_id=i)
+            if inst.embedding is None:
+                candidates = [t for t in inst.t_domain if not (s.is_zero and t.is_zero)]
+            else:
+                candidates = list(inst.t_domain)
+            t = candidates[replay.randrange(len(candidates))]
+            mask_a = inst.group.elements[replay.randrange(n)]
+            mask_b = inst.group.elements[replay.randrange(n)]
+            assert out.transcript.ground_truth == GroundTruth(s, t, mask_a, mask_b)
+            assert rng.getstate() == replay.getstate()
+
+    @pytest.mark.parametrize("python_flags", [[], ["-O"]], ids=["plain", "optimize"])
+    def test_a_corrupted_action_row_breaks_the_composition_check(self, python_flags):
+        src = str(Path(triplepass.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, *python_flags, "-c", CORRUPTED_ROW_SESSION],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "refused: the four passes do not compose to the mask commutator\n"
+
+    def test_a_mask_outside_the_group_is_refused(self, diag5):
+        enc = encoding(F5, 2, 3)
+        inside = Mat2.from_values(F5, 2, 0, 0, 1)
+        for outside in (Mat2.from_values(F5, 1, 1, 0, 1), Mat2.from_values(F5, 1, 0, 0, 0)):
+            for mask_a, mask_b in ((outside, inside), (inside, outside)):
+                with pytest.raises(TriplePassError, match="elements of the diagonal-f5 group"):
+                    run_session_with(diag5, enc, mask_a, mask_b)
+        with pytest.raises(TriplePassError):
+            run_session_with(diag5, enc, Mat2.from_values(F2, 1, 0, 0, 1), inside)
 
 
 class TestRoundtripVsCommutatorFixed:
