@@ -341,12 +341,6 @@ class InstanceIndex:
         keyed by prior and count signature; empty until a posterior runs."""
         return {}
 
-    def point_from_index(self, i: int) -> Point:
-        return self.points[i]
-
-    def scalar(self, residue: int) -> Scalar:
-        return self.field.scalar(residue)
-
     def point_index(self, pt: Point) -> int:
         if pt.domain != self.field:
             raise TriplePassError("point domain does not match the instance carrier")
@@ -411,7 +405,7 @@ def build_instance(
     upper-triangulars with the secret square injected into the line
     x = 0 that their commutators fix), and ``custom`` (explicit
     generators, closed into a group, with an optional ``embedding`` of
-    residue pairs ``[[s, t], [x, y]]``).
+    residue pairs ``[[s, t], [x, y]]``). Named kinds refuse both.
 
     ``general-linear`` is refused above p = 7 (``enumerate_gl2``); an
     instance whose action table of |G| * p^2 entries exceeds
@@ -421,14 +415,15 @@ def build_instance(
     """
     if kind not in INSTANCE_KINDS:
         raise ValueError(f"unknown instance kind {kind!r}")
+    for given, what in ((generators, "generators"), (embedding, "embedding")):
+        if given is not None and kind != "custom":
+            raise ValueError(f"{kind} instances fix their own {what}")
     work_cap = DEFAULT_WORK_CAP if work_cap is None else work_cap
     fp = PrimeField(p)
     # The action table holds |G| * p^2 entries; a custom group has at least one.
     estimate = (1 if kind == "custom" else _named_group_order(kind, p)) * p * p
     if estimate > work_cap:
         raise WorkCapExceeded("instance-construction", estimate, work_cap)
-    if embedding is not None and kind != "custom":
-        raise ValueError(f"{kind} instances fix their own embedding")
     scalars = fp.elements()
 
     if kind == "general-linear":
@@ -690,10 +685,10 @@ def check_masking_coverage(
                         CONDITION_MASKING,
                         False,
                         {
-                            "s": format_scalar(idx.scalar(s)),
-                            "t": format_scalar(idx.scalar(t)),
+                            "s": str(s),
+                            "t": str(t),
                             "g": format_matrix(group.elements[g]),
-                            "s_prime": format_scalar(idx.scalar(s_prime)),
+                            "s_prime": str(s_prime),
                         },
                         work,
                     )
@@ -742,11 +737,11 @@ def check_transcript_equivalence(
                         CONDITION_TRANSCRIPT,
                         False,
                         {
-                            "s": format_scalar(idx.scalar(s)),
-                            "t": format_scalar(idx.scalar(t)),
+                            "s": str(s),
+                            "t": str(t),
                             "A": format_matrix(group.elements[a_i]),
                             "B": format_matrix(group.elements[b_i]),
-                            "s_prime": format_scalar(idx.scalar(s_prime)),
+                            "s_prime": str(s_prime),
                         },
                         work,
                     )

@@ -27,6 +27,7 @@ from .actions import (
     DEFAULT_WORK_CAP,
     InstanceIndex,
     Point,
+    _require_finite,
     build_instance,
     check_masking_coverage,
     check_transcript_equivalence,
@@ -124,8 +125,7 @@ def _factors(
     mismatch raises. With ``cap``, a witness scan estimated above it is
     refused first.
     """
-    if not instance.is_finite:
-        raise TriplePassError(f"{what} requires finite group")
+    _require_finite(instance, what)
     idx = instance_index(instance)
     if cap is not None:
         estimate = len(idx.s_res) * len(idx.t_res) * idx.n_group**2
@@ -178,12 +178,12 @@ def enumerate_consistent(
     _require_truth(idx, transcript, alice, bob)
     elements = idx.group.elements
     witnesses = tuple(
-        (idx.scalar(s), idx.scalar(t), elements[a_i], elements[b_i])
+        (idx.field.scalar(s), idx.field.scalar(t), elements[a_i], elements[b_i])
         for a_i, (s, t) in alice
         for b_i in bob
     )
     per_secret = Counter(s for _, (s, _) in alice) if bob else Counter()
-    counts = {idx.scalar(s): n * len(bob) for s, n in per_secret.items()}
+    counts = {idx.field.scalar(s): n * len(bob) for s, n in per_secret.items()}
     return WitnessSet(transcript, witnesses, counts)
 
 
@@ -198,7 +198,7 @@ def find_witness(
     if not a_cands or not bob:
         return None
     a_i, t_res = a_cands[0]
-    return idx.scalar(t_res), idx.group.elements[a_i], idx.group.elements[bob[0]]
+    return idx.field.scalar(t_res), idx.group.elements[a_i], idx.group.elements[bob[0]]
 
 
 @dataclass(frozen=True)
@@ -360,7 +360,6 @@ def exact_mutual_information(
     prior: Optional[Mapping[Scalar, Fraction]] = None,
     *,
     cap: Optional[int] = None,
-    workers: int = 1,
 ) -> LeakageReport:
     """I(secret; transcript) from a full exact joint enumeration.
 
@@ -369,16 +368,11 @@ def exact_mutual_information(
     point's sessions come from its weighted grid
     (``InstanceIndex.session_grid``): one key per (A, orbit point)
     weighted by the stabilizer size, which counts every (A, B) pair
-    exactly once at |G| * |orbit| instead of |G|^2 steps. ``workers``
-    is accepted for compatibility and has no effect: the scan is pure
-    Python, which threads cannot speed up.
+    exactly once at |G| * |orbit| instead of |G|^2 steps.
     """
-    if not instance.is_finite:
-        raise TriplePassError("leakage analysis requires finite group")
+    _require_finite(instance, "leakage analysis")
     prior = uniform_prior(instance) if prior is None else _validate_prior(instance, prior)
     cap = DEFAULT_WORK_CAP if cap is None else cap
-    if workers < 1:
-        raise ValueError("workers must be positive")
     idx = instance_index(instance)
     support = [s for s in sorted(prior, key=lambda x: x.value) if prior[s] > 0]
     estimate = len(support) * len(idx.t_res) * idx.n_group**2
@@ -529,6 +523,8 @@ def search_instances(
     A cap-exhausted run returns the entries finished so far, flagged
     incomplete.
     """
+    if max_generators < 1:
+        raise ValueError(f"max_generators must be at least 1, got {max_generators}")
     cap = DEFAULT_WORK_CAP if cap is None else cap
     ambient = enumerate_gl2(p)
     residues = ambient.residues

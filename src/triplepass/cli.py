@@ -44,11 +44,7 @@ from .analysis import (
     exact_mutual_information,
     posterior_from_transcript,
 )
-from .errors import (
-    InconsistentTranscriptError,
-    TriplePassError,
-    WorkCapExceeded,
-)
+from .errors import TriplePassError, WorkCapExceeded
 from .fields import PrimeField, Scalar, parse_scalar
 from .matrices import Mat2, format_matrix
 from .protocol import (
@@ -88,33 +84,34 @@ def _resolve_instance(args: argparse.Namespace) -> ActionInstance:
     selector = args.instance
     if selector is None:
         raise UsageError("an instance is required (--instance KIND or a descriptor file)")
-    if selector.endswith(".json") or "/" in selector:
-        return load_instance_file(selector, work_cap=args.cap)
-    if selector == "trivial":
-        return trivial_instance(args.p or 5, work_cap=args.cap)
-    if selector == "rational":
+    flags = {"--generators": args.generators, "--secret-domain": args.secret_domain,
+             "--t-domain": args.t_domain, "--name": args.name}
+    is_file = selector.endswith(".json") or "/" in selector
+    if is_file or selector in ("trivial", "rational"):
+        # Only build_instance takes these flags; elsewhere they would be dropped.
+        given = [flag for flag, value in flags.items() if value is not None]
+        if given:
+            raise UsageError(f"{', '.join(given)} cannot be used with --instance {selector}")
+        if is_file:
+            return load_instance_file(selector, work_cap=args.cap)
+        if selector == "trivial":
+            return trivial_instance(args.p or 5, work_cap=args.cap)
         return rational_demo_instance()
-    if selector == "custom" or getattr(args, "generators", None):
-        if not getattr(args, "generators", None):
-            raise UsageError("custom instances need --generators")
-        return build_instance(
-            "custom",
-            args.p or 5,
-            generators=args.generators,
-            secret_domain=_csv_ints(getattr(args, "secret_domain", None)),
-            t_domain=_csv_ints(getattr(args, "t_domain", None)),
-            name=getattr(args, "name", None),
-            work_cap=args.cap,
-        )
-    if selector in INSTANCE_KINDS:
-        return build_instance(selector, args.p or 5, work_cap=args.cap)
-    raise UsageError(f"unknown instance kind {selector!r} (expected one of {', '.join(_CLI_KINDS)})")
+    if selector not in INSTANCE_KINDS:
+        raise UsageError(f"unknown instance kind {selector!r} (expected one of {', '.join(_CLI_KINDS)})")
+    p = args.p or 5
 
+    def domain(flag: str) -> Optional[list[Scalar]]:
+        text = flags[flag]
+        if text is None:
+            return None
+        field = PrimeField(p)
+        return [_residue(item, field, f"{flag} value") for item in text.split(",")]
 
-def _csv_ints(text: Optional[str]) -> Optional[list[int]]:
-    if text is None:
-        return None
-    return [int(part) for part in text.split(",") if part.strip() != ""]
+    return build_instance(
+        selector, p, generators=args.generators, name=args.name, work_cap=args.cap,
+        secret_domain=domain("--secret-domain"), t_domain=domain("--t-domain"),
+    )
 
 
 def _artifact(schema: str, args: argparse.Namespace, command: str, **extras) -> dict:
@@ -230,7 +227,7 @@ def _search_dict(report: SearchReport) -> dict:
 def _print_session(outcome, file=None) -> None:
     file = file if file is not None else sys.stdout
     truth = outcome.transcript.ground_truth
-    print(f"  v  = {format_point_of(truth)}", file=file)
+    print(f"  v  = (s={truth.s}, t={truth.t})", file=file)
     print(f"  A  = {format_matrix(truth.mask_a)}", file=file)
     print(f"  B  = {format_matrix(truth.mask_b)}", file=file)
     print(f"  pass 1  alice -> bob    v1 = {format_point(outcome.transcript.v1)}", file=file)
@@ -241,10 +238,6 @@ def _print_session(outcome, file=None) -> None:
         print("  round trip: OK (v4 = v)", file=file)
     else:
         print("  round trip: FAILED (v4 != v; the masks do not commute on v)", file=file)
-
-
-def format_point_of(truth) -> str:
-    return f"(s={truth.s}, t={truth.t})"
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
@@ -581,13 +574,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except WorkCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except InconsistentTranscriptError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, OSError, json.JSONDecodeError, TriplePassError) as exc:
+    except (UsageError, ValueError, OSError, TriplePassError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except AssertionError as exc:

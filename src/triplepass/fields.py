@@ -97,19 +97,6 @@ class PrimeField:
     def nonzero_elements(self) -> tuple["Scalar", ...]:
         return tuple(Scalar(self, v) for v in range(1, self.p))
 
-    # Raw residue operations; Scalar wraps these.
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
-
     def div(self, a: int, b: int) -> int:
         if b % self.p == 0:
             raise ZeroDivisionError(f"division by zero in {self.label}")
@@ -135,18 +122,6 @@ class Rationals:
     def one(self) -> "Scalar":
         return Scalar(self, Fraction(1))
 
-    def add(self, a: Fraction, b: Fraction) -> Fraction:
-        return a + b
-
-    def sub(self, a: Fraction, b: Fraction) -> Fraction:
-        return a - b
-
-    def mul(self, a: Fraction, b: Fraction) -> Fraction:
-        return a * b
-
-    def neg(self, a: Fraction) -> Fraction:
-        return -a
-
     def div(self, a: Fraction, b: Fraction) -> Fraction:
         if b == 0:
             raise ZeroDivisionError("division by zero in Q")
@@ -163,7 +138,8 @@ class Scalar:
     """An exact field element tagged with its domain.
 
     Arithmetic between scalars of different domains raises
-    DomainMismatchError rather than coercing.
+    DomainMismatchError rather than coercing. The operators compute on
+    the raw values and let the domain's ``scalar`` normalise the result.
     """
 
     domain: Domain
@@ -183,22 +159,22 @@ class Scalar:
 
     def __add__(self, other: "Scalar") -> "Scalar":
         self._same(other)
-        return Scalar(self.domain, self.domain.add(self.value, other.value))
+        return self.domain.scalar(self.value + other.value)
 
     def __sub__(self, other: "Scalar") -> "Scalar":
         self._same(other)
-        return Scalar(self.domain, self.domain.sub(self.value, other.value))
+        return self.domain.scalar(self.value - other.value)
 
     def __mul__(self, other: "Scalar") -> "Scalar":
         self._same(other)
-        return Scalar(self.domain, self.domain.mul(self.value, other.value))
+        return self.domain.scalar(self.value * other.value)
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
         self._same(other)
         return Scalar(self.domain, self.domain.div(self.value, other.value))
 
     def __neg__(self) -> "Scalar":
-        return Scalar(self.domain, self.domain.neg(self.value))
+        return self.domain.scalar(-self.value)
 
     def __str__(self) -> str:
         return format_scalar(self)

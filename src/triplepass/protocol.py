@@ -23,6 +23,7 @@ from .actions import (
     ConditionReport,
     DEFAULT_WORK_CAP,
     Point,
+    _require_finite,
     act,
     instance_index,
     is_commutator_fixed_set,
@@ -30,7 +31,7 @@ from .actions import (
 )
 from .errors import ProtocolOrderError, TriplePassError, WorkCapExceeded
 from .fields import PrimeField, RATIONALS, Scalar, scalar_from_json, scalar_to_json
-from .groups import FiniteGroup, _mul
+from .groups import _mul
 from .matrices import Mat2, format_matrix, parse_matrix
 
 __all__ = [
@@ -328,9 +329,7 @@ def exhaustive_roundtrip(
     ``over`` selects the start points: the embedded secret square or the
     whole carrier. Returns (failures, total, first failing triple).
     """
-    group = instance.group
-    if not isinstance(group, FiniteGroup):
-        raise TriplePassError("exhaustive round trip requires finite group")
+    group = _require_finite(instance, "exhaustive round trip")
     cap = DEFAULT_WORK_CAP if cap is None else cap
     idx = instance_index(instance)
     if over == "secret-square":
@@ -352,7 +351,7 @@ def exhaustive_roundtrip(
                 failures += 1
                 if first is None:
                     a_i, b_i = divmod(k, n_g)
-                    first = (idx.point_from_index(v), group.elements[a_i], group.elements[b_i])
+                    first = (idx.points[v], group.elements[a_i], group.elements[b_i])
     return failures, total, first
 
 
@@ -365,12 +364,9 @@ def check_roundtrip_commutator_fixed(
     Both sides are evaluated exhaustively and the report records them;
     the check passes when they agree.
     """
-    group = instance.group
-    if not isinstance(group, FiniteGroup):
-        raise TriplePassError("roundtrip check requires finite group")
     failures, total, first = exhaustive_roundtrip(instance, "secret-square", cap=cap)
     sessions_ok = failures == 0
-    fixed = is_commutator_fixed_set(secret_square_points(instance), group, instance.name)
+    fixed = is_commutator_fixed_set(secret_square_points(instance), instance.group, instance.name)
     detail = {
         "all_sessions_succeed": sessions_ok,
         "roundtrip_failures": failures,

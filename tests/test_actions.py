@@ -126,6 +126,12 @@ class TestBuildInstance:
         with pytest.raises(ValueError, match="generators"):
             build_instance("custom", 5)
 
+    def test_named_kinds_refuse_generators_and_embedding(self):
+        with pytest.raises(ValueError, match="fix their own generators"):
+            build_instance("diagonal", 5, generators=["[[2,0],[0,1]]@F5"])
+        with pytest.raises(ValueError, match="fix their own embedding"):
+            build_instance("rotation", 5, embedding=[((1, 1), (0, 1))])
+
     def test_custom_accepts_literals(self):
         inst = build_instance("custom", 5, generators=["[[2,0],[0,1]]@F5", "[[1,0],[0,2]]@F5"])
         assert len(inst.group) == 16
@@ -286,7 +292,7 @@ def test_square_is_the_secret_square_in_pair_order(borel3_embedded, diag5):
     for inst in (borel3_embedded, diag5, outside_t):
         idx = instance_index(inst)
         assert list(idx.square) == [(s, t) for s in idx.s_res for t in idx.s_res]
-        points = [idx.point_from_index(v) for v in idx.square.values()]
+        points = [idx.points[v] for v in idx.square.values()]
         assert points == list(secret_square_points(inst))
         assert idx.secret_pair_of_point == {v: k for k, v in idx.square.items()}
 

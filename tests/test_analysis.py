@@ -365,12 +365,6 @@ class TestExactMutualInformation:
             equiv = check_transcript_equivalence(inst)
             assert leak.zero_leakage == equiv.passed, inst.name
 
-    def test_worker_count_does_not_change_the_report(self, diag5, rot7):
-        for inst in (diag5, rot7):
-            one = exact_mutual_information(inst, workers=1)
-            four = exact_mutual_information(inst, workers=4)
-            assert one == four
-
     def test_cap(self, gl2f3):
         with pytest.raises(WorkCapExceeded):
             exact_mutual_information(gl2f3, cap=100)

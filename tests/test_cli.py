@@ -381,13 +381,28 @@ CUSTOM_F5 = {
         (None, None, ["check", "--instance", "custom", "--p", "5",
                       "--generators", "[[2,0],[0,1]]@F5", "--t-domain", "0,5"]),
         (None, None, ["run", "--instance", "diagonal", "--p", "5", "--secret", "7"]),
+        (None, None, ["search", "--p", "2", "--max-generators", "0"]),
+        (None, None, ["search", "--p", "2", "--max-generators", "-1"]),
+        (None, None, ["analyze", "--instance", "diagonal", "--p", "5", "--secret-domain", "+1,2"]),
+        (None, None, ["analyze", "--instance", "diagonal", "--p", "5", "--secret-domain", "01,2"]),
+        (None, None, ["analyze", "--instance", "diagonal", "--p", "5", "--t-domain", "\u0663,1"]),
+        (None, None, ["analyze", "--instance", "diagonal", "--p", "5", "--secret-domain", "1,,2"]),
+        (None, None, ["check", "--instance", "borel-embedded", "--p", "5", "--t-domain", "1"]),
+        (None, None, ["check", "--instance", "diagonal", "--p", "5",
+                      "--generators", "[[2,0],[0,1]]@F5"]),
+        (None, None, ["check", "--instance", "trivial", "--secret-domain", "1"]),
+        (None, None, ["run", "--instance", "rational", "--name", "q"]),
+        (CUSTOM_F5, None, ["--t-domain", "1"]),
     ],
     ids=["no-p", "embedding-out-of-range", "embedding-shape", "generators-not-a-list",
          "string-domain", "string-p", "string-multiplicative", "no-kind", "list-descriptor",
          "list-prior", "list-mass", "float-mass", "zero-denominator-mass",
          "key-above-p", "negative-key", "padded-key", "descriptor-domain-above-p",
          "secret-domain-above-p", "negative-secret-domain", "t-domain-above-p",
-         "secret-above-p"],
+         "secret-above-p", "zero-max-generators", "negative-max-generators",
+         "plus-signed-domain", "zero-padded-domain", "arabic-indic-domain", "empty-domain-item",
+         "borel-embedded-foreign-domain", "generators-on-a-named-kind", "domain-on-trivial",
+         "name-on-rational", "domain-on-a-descriptor-file"],
 )
 def test_malformed_descriptor_or_prior_exits_two_without_traceback(
     capsys, tmp_path, descriptor, prior, argv
@@ -395,7 +410,7 @@ def test_malformed_descriptor_or_prior_exits_two_without_traceback(
     if descriptor is not None:
         path = tmp_path / "instance.json"
         path.write_text(json.dumps(descriptor))
-        argv = ["check", "--instance", str(path)]
+        argv = ["check", "--instance", str(path)] + (argv or [])
     elif prior is not None:
         path = tmp_path / "prior.json"
         path.write_text(json.dumps(prior))
@@ -537,6 +552,16 @@ class TestCustomInstances:
         )
         assert code == 0
         artifact = json.loads(out_file.read_text())
+        assert artifact["report"]["mutual_information_bits"] == 1.0
+
+    def test_instance_flags_reach_named_kinds(self, capsys, tmp_path):
+        out_file = tmp_path / "leak.json"
+        code, _, _ = run_cli(capsys, "analyze", "--instance", "diagonal", "--p", "5",
+                             "--secret-domain", "1,2", "--name", "pair", "--out", str(out_file))
+        assert code == 0
+        artifact = json.loads(out_file.read_text())
+        assert artifact["config"]["descriptor"]["secret_domain"] == [1, 2]
+        assert artifact["config"]["instance"] == "pair"
         assert artifact["report"]["mutual_information_bits"] == 1.0
 
     def test_missing_instance_is_usage_error(self, capsys):

@@ -262,7 +262,7 @@ CORRUPTED_ROW_SESSION = textwrap.dedent(
     row = list(idx.act_table[a_i])
     row[1 * 5 + 1] = 3 * 5 + 1  # (1, 1).A now reads (3, 1), not (2, 1)
     idx.act_table[a_i] = row
-    enc = SecretEncoding(F5.scalar(1), F5.scalar(1), idx.point_from_index(1 * 5 + 1))
+    enc = SecretEncoding(F5.scalar(1), F5.scalar(1), idx.points[1 * 5 + 1])
     try:
         run_session_with(inst, enc, mask_a, Mat2.identity(F5))
     except AssertionError as exc:

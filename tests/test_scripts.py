@@ -4,7 +4,6 @@ import sys
 from pathlib import Path
 
 import triplepass
-from triplepass import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -35,9 +34,3 @@ def test_leakage_survey_rows_for_p3():
 def test_reachable_sets_rotation_f7_histogram():
     stdout = run_script("reachable_sets.py", "--kind", "rotation", "--p", "7")
     assert stdout.splitlines()[-1] == "image-size histogram: {8: 42}"
-
-
-def test_subgroup_census_script_is_the_search_command(capsys):
-    stdout = run_script("subgroup_census.py", "--p", "2")
-    assert cli.main(["search", "--p", "2", "--format", "human"]) == 0
-    assert stdout == capsys.readouterr().out
