@@ -16,7 +16,6 @@ from .errors import (
     AttackInapplicableError,
     DomainMismatchError,
     InconsistentTranscriptError,
-    ProtocolOrderError,
     SingularMatrixError,
     TriplePassError,
     WorkCapExceeded,
@@ -52,16 +51,10 @@ from .actions import (
     trivial_instance,
 )
 from .protocol import (
-    AliceSession,
-    BobSession,
     GroundTruth,
     SecretEncoding,
     SessionOutcome,
     Transcript,
-    alice_mask,
-    alice_unmask,
-    bob_mask,
-    bob_unmask,
     check_roundtrip_commutator_fixed,
     encode_secret,
     exhaustive_roundtrip,

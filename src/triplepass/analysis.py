@@ -232,6 +232,7 @@ def posterior_from_transcript(
     once per signature and kept in the index's ``bayes_memo``; each
     report still gets its own dicts.
     """
+    _require_finite(instance, "witness enumeration")
     prior = uniform_prior(instance) if prior is None else _validate_prior(instance, prior)
     cap = DEFAULT_WORK_CAP if cap is None else cap
     idx, alice, bob = _factors(transcript, instance, "witness enumeration", cap)
@@ -533,7 +534,8 @@ def search_instances(
     complete = True
     # Element set -> the first generator combination that closes to it.
     seen: dict[frozenset, tuple[int, ...]] = {}
-    for size in range(1, max_generators + 1):
+    # A generating set never needs more than |G| distinct elements.
+    for size in range(1, min(max_generators, len(residues)) + 1):
         if not complete:
             break
         for combo in combinations(range(len(residues)), size):

@@ -80,26 +80,48 @@ def _default_cap() -> int:
     return DEFAULT_WORK_CAP
 
 
-def _resolve_instance(args: argparse.Namespace) -> ActionInstance:
+def _resolve_instance(
+    args: argparse.Namespace,
+    descriptor: Optional[dict] = None,
+    missing: Optional[str] = "an instance is required (--instance KIND or a descriptor file)",
+) -> Optional[ActionInstance]:
+    """The one place a command gets its instance.
+
+    The source is ``--instance`` (a kind, ``trivial``, ``rational`` or a
+    descriptor file), else ``demo --rational``, else ``descriptor``, the
+    one a transcript file carries. With no source, ``missing`` is raised,
+    or None is returned when it is None (the scripted demo). Kinds take
+    every instance flag and ``trivial`` takes --p alone, which means 5
+    when not given; any other source, or none, refuses them all.
+    """
     selector = args.instance
-    if selector is None:
-        raise UsageError("an instance is required (--instance KIND or a descriptor file)")
-    flags = {"--generators": args.generators, "--secret-domain": args.secret_domain,
-             "--t-domain": args.t_domain, "--name": args.name}
-    is_file = selector.endswith(".json") or "/" in selector
-    if is_file or selector in ("trivial", "rational"):
-        # Only build_instance takes these flags; elsewhere they would be dropped.
-        given = [flag for flag, value in flags.items() if value is not None]
-        if given:
-            raise UsageError(f"{', '.join(given)} cannot be used with --instance {selector}")
-        if is_file:
-            return load_instance_file(selector, work_cap=args.cap)
-        if selector == "trivial":
-            return trivial_instance(args.p or 5, work_cap=args.cap)
-        return rational_demo_instance()
-    if selector not in INSTANCE_KINDS:
+    if getattr(args, "rational", False):
+        if selector is not None:
+            raise UsageError("--rational cannot be used with --instance")
+        selector = "rational"
+    if selector is None and descriptor is None and missing is not None:
+        raise UsageError(missing)
+    is_file = selector is not None and (selector.endswith(".json") or "/" in selector)
+    if not (selector is None or is_file or selector in INSTANCE_KINDS + ("trivial", "rational")):
         raise UsageError(f"unknown instance kind {selector!r} (expected one of {', '.join(_CLI_KINDS)})")
-    p = args.p or 5
+    flags = {"--p": args.p, "--generators": args.generators, "--secret-domain": args.secret_domain,
+             "--t-domain": args.t_domain, "--name": args.name}
+    takes = flags if selector in INSTANCE_KINDS else ("--p",) if selector == "trivial" else ()
+    # Only what the source takes is read; any other flag would be dropped.
+    refused = [flag for flag, value in flags.items() if value is not None and flag not in takes]
+    if refused:
+        source = (f"with --instance {selector}" if args.instance
+                  else "with --rational" if selector else "without --instance")
+        raise UsageError(f"{', '.join(refused)} cannot be used {source}")
+    p = 5 if args.p is None else args.p
+    if selector is None:
+        return None if descriptor is None else instance_from_descriptor(descriptor, work_cap=args.cap)
+    if is_file:
+        return load_instance_file(selector, work_cap=args.cap)
+    if selector == "trivial":
+        return trivial_instance(p, work_cap=args.cap)
+    if selector == "rational":
+        return rational_demo_instance()
 
     def domain(flag: str) -> Optional[list[Scalar]]:
         text = flags[flag]
@@ -241,10 +263,10 @@ def _print_session(outcome, file=None) -> None:
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
+    instance = _resolve_instance(args, missing=None)
     rng = random.Random(args.seed)
 
-    if args.rational:
-        instance = rational_demo_instance()
+    if instance is not None and not instance.is_finite:
         consistent = True
         for i in range(args.sessions):
             s = sample_rational_scalar(rng, nonzero=True)
@@ -258,10 +280,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
                 consistent = False
         return EXIT_OK if consistent else EXIT_FAIL
 
-    if args.instance is not None:
-        instance = _resolve_instance(args)
-        if not instance.is_finite:
-            raise UsageError("use --rational for the rational demo")
+    if instance is not None:
         s = instance.secret_domain[rng.randrange(len(instance.secret_domain))]
         outcome = run_session(instance, s, rng)
         print(f"three-pass demo: {instance.name}")
@@ -371,12 +390,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             transcript_dicts, descriptor = [data], None
         if not isinstance(transcript_dicts, list):
             raise UsageError("the transcripts field of a transcript file must be a list")
-        if args.instance is not None:
-            instance = _resolve_instance(args)
-        elif descriptor is not None:
-            instance = instance_from_descriptor(descriptor, work_cap=cap)
-        else:
-            raise UsageError("transcript file carries no instance descriptor; pass --instance")
+        instance = _resolve_instance(
+            args, descriptor, "transcript file carries no instance descriptor; pass --instance"
+        )
         prior = _load_prior(args.prior, instance)
 
         reports = []
@@ -502,7 +518,7 @@ def _add_instance_flags(parser: argparse.ArgumentParser) -> None:
         default=None,
         help=f"instance kind ({', '.join(_CLI_KINDS)}) or a descriptor .json path",
     )
-    parser.add_argument("--p", type=int, default=None, help="prime modulus")
+    parser.add_argument("--p", type=int, default=None, help="prime modulus of a kind or trivial (default 5)")
     parser.add_argument(
         "--generators", action="append", default=None, help="matrix literal (repeatable, custom kind)"
     )
@@ -570,6 +586,10 @@ def main(argv: Optional[list[str]] = None) -> int:
             raise UsageError("--sessions must not be negative")
         if args.format == "csv" and args.command != "run":
             raise UsageError("csv output is only available for per-session run tables")
+        if args.command == "demo" and args.out is not None:
+            raise UsageError("demo writes no file; it prints to stdout")
+        if getattr(args, "lab_view", False) and args.format != "json":
+            raise UsageError("--lab-view is only available with --format json")
         return args.func(args)
     except WorkCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -578,7 +598,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except AssertionError as exc:
-        print(f"internal error: {exc or 'an internal invariant failed'}", file=sys.stderr)
+        print(f"internal error: {str(exc) or 'an internal invariant failed'}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

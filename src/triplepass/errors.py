@@ -15,10 +15,6 @@ class SingularMatrixError(TriplePassError):
     """A matrix that must be invertible has determinant zero."""
 
 
-class ProtocolOrderError(TriplePassError):
-    """A protocol message arrived out of phase order."""
-
-
 class InconsistentTranscriptError(TriplePassError):
     """No secret/mask assignment reproduces the given transcript."""
 

@@ -5,8 +5,8 @@ A session on a finite instance runs on the instance's index tables: the
 masks are group indices, the four passes are lookups in ``act_table``
 and ``inv_rows``, and the commutator is a residue product. ``Scalar``,
 ``Point`` and ``Mat2`` values appear only in the returned outcome. The
-order-checked state machines ``AliceSession`` and ``BobSession``, with
-the ``Mat2`` passes, serve the rational demo alone. Everything is exact.
+rational demo runs the same four passes with ``act`` on ``Mat2`` masks.
+Everything is exact.
 The round trip returns the original point exactly when the point is
 fixed by the commutator A.B.A^-1.B^-1 of the two masks, which is why
 only commuting mask families make the trick reliable.
@@ -29,7 +29,7 @@ from .actions import (
     is_commutator_fixed_set,
     secret_square_points,
 )
-from .errors import ProtocolOrderError, TriplePassError, WorkCapExceeded
+from .errors import TriplePassError, WorkCapExceeded
 from .fields import PrimeField, RATIONALS, Scalar, scalar_from_json, scalar_to_json
 from .groups import _mul
 from .matrices import Mat2, format_matrix, parse_matrix
@@ -39,12 +39,6 @@ __all__ = [
     "GroundTruth",
     "Transcript",
     "SessionOutcome",
-    "alice_mask",
-    "bob_mask",
-    "alice_unmask",
-    "bob_unmask",
-    "AliceSession",
-    "BobSession",
     "encode_secret",
     "run_session",
     "run_session_with",
@@ -99,71 +93,6 @@ class SessionOutcome:
     v4: Point
     success: bool
     commutator_applied: Mat2
-
-
-def alice_mask(v: Point, mask: Mat2) -> Point:
-    """Pass 1: Alice sends v . A."""
-    return act(mask, v)
-
-
-def bob_mask(v1: Point, mask: Mat2) -> Point:
-    """Pass 2: Bob returns v1 . B."""
-    return act(mask, v1)
-
-
-def alice_unmask(v2: Point, mask: Mat2) -> Point:
-    """Pass 3: Alice strips her mask, sending v2 . A^-1."""
-    return act(mask.inverse(), v2)
-
-
-def bob_unmask(v3: Point, mask: Mat2) -> Point:
-    """Pass 4: Bob strips his mask, computing v3 . B^-1."""
-    return act(mask.inverse(), v3)
-
-
-class AliceSession:
-    """Alice's half of a session; she holds (v, A) and speaks twice."""
-
-    def __init__(self, encoding: SecretEncoding, mask: Mat2):
-        if not mask.is_invertible:
-            raise TriplePassError("mask must be invertible")
-        self.encoding = encoding
-        self.mask = mask
-        self._phase = 0
-
-    def send_masked(self) -> Point:
-        if self._phase != 0:
-            raise ProtocolOrderError("alice already sent her first message")
-        self._phase = 1
-        return alice_mask(self.encoding.v, self.mask)
-
-    def unmask_reply(self, v2: Point) -> Point:
-        if self._phase != 1:
-            raise ProtocolOrderError("alice has not sent her first message yet")
-        self._phase = 2
-        return alice_unmask(v2, self.mask)
-
-
-class BobSession:
-    """Bob's half; he holds B, masks the reply, then unmasks the final pass."""
-
-    def __init__(self, mask: Mat2):
-        if not mask.is_invertible:
-            raise TriplePassError("mask must be invertible")
-        self.mask = mask
-        self._phase = 0
-
-    def mask_reply(self, v1: Point) -> Point:
-        if self._phase != 0:
-            raise ProtocolOrderError("bob already masked a message")
-        self._phase = 1
-        return bob_mask(v1, self.mask)
-
-    def unmask_final(self, v3: Point) -> Point:
-        if self._phase != 1:
-            raise ProtocolOrderError("bob has not masked a message yet")
-        self._phase = 2
-        return bob_unmask(v3, self.mask)
 
 
 def sample_rational_scalar(rng: random.Random, *, nonzero: bool = False) -> Scalar:
@@ -263,8 +192,8 @@ def run_session_with(
 
     On a finite instance both masks must be elements of its group, or
     ``TriplePassError`` is raised; the passes then run on the index
-    tables, as in ``run_session``. Only the rational demo runs the
-    ``AliceSession``/``BobSession`` state machines.
+    tables, as in ``run_session``. On the rational instance the passes
+    are ``act`` calls; a singular mask raises ``SingularMatrixError``.
     """
     if instance.is_finite:
         a_i, b_i = instance.group.index_of(mask_a), instance.group.index_of(mask_b)
@@ -272,12 +201,10 @@ def run_session_with(
             raise TriplePassError(f"masks must be elements of the {instance.name} group")
         return _indexed_session(instance, encoding, a_i, b_i, session_id)
 
-    alice = AliceSession(encoding, mask_a)
-    bob = BobSession(mask_b)
-    v1 = alice.send_masked()
-    v2 = bob.mask_reply(v1)
-    v3 = alice.unmask_reply(v2)
-    v4 = bob.unmask_final(v3)
+    v1 = act(mask_a, encoding.v)
+    v2 = act(mask_b, v1)
+    v3 = act(mask_a.inverse(), v2)
+    v4 = act(mask_b.inverse(), v3)
 
     commutator_applied = ((mask_a @ mask_b) @ mask_a.inverse()) @ mask_b.inverse()
     if v4 != act(commutator_applied, encoding.v):

@@ -639,6 +639,20 @@ class TestSearch:
         report = search_instances(3, cap=500)
         assert not report.complete
 
+    def test_generator_sets_stop_at_the_group_order(self, monkeypatch):
+        # |GL2(F2)| = 6: larger sets would repeat elements, so they are not drawn.
+        calls = []
+
+        def counted(pool, size):
+            calls.append(size)
+            return combinations(pool, size)
+
+        monkeypatch.setattr(analysis, "combinations", counted)
+        report = search_instances(2, 1000)
+        assert len(calls) <= 6
+        assert report.max_generators == 1000
+        assert report.entries == search_instances(2, 6).entries
+
 
 def test_p3_census_subgroups_match_oracle_closures():
     """Every subgroup of the p=3 census is the oracle closure of its

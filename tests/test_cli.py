@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import triplepass
+from triplepass.actions import build_instance, instance_to_descriptor
 from triplepass.cli import main
 from triplepass.matrices import Mat2, format_matrix, parse_matrix
 
@@ -46,6 +47,12 @@ class TestDemo:
         assert code == 0
         assert "@Q" in out
         assert "masks commute" in out
+
+    def test_instance_rational_runs_the_rational_demo(self, capsys):
+        flags = ("--seed", "7", "--sessions", "2")
+        assert run_cli(capsys, "demo", "--instance", "rational", *flags) == run_cli(
+            capsys, "demo", "--rational", *flags
+        )
 
 
 class TestRun:
@@ -225,6 +232,20 @@ class TestAnalyze:
         assert "ground truth" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("python_flags", [[], ["-O"]], ids=["plain", "optimize"])
+    def test_rational_transcripts_exit_two(self, capsys, tmp_path, python_flags):
+        # Finiteness is checked before the default prior reads the secret domain.
+        run_file = tmp_path / "run.json"
+        run_cli(capsys, "run", "--instance", "rational", "--sessions", "2", "--out", str(run_file))
+        src = str(Path(triplepass.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, *python_flags, "-m", "triplepass", "analyze",
+             "--transcripts", str(run_file)],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == "error: witness enumeration requires finite group\n"
+
     @staticmethod
     def _swap_mask_b(first, second):
         assert first["truth"]["B"] != second["truth"]["B"]
@@ -335,6 +356,9 @@ class TestAnalyze:
          "--workers", "0"],
         ["check", "--instance", "trivial", "--workers", "0"],
         ["search", "--p", "2", "--workers", "0"],
+        ["demo", "--out", "demo.txt"],
+        ["run", "--instance", "diagonal", "--lab-view", "--format", "csv"],
+        ["run", "--instance", "diagonal", "--lab-view", "--format", "human"],
     ],
     ids=" ".join,
 )
@@ -393,6 +417,13 @@ CUSTOM_F5 = {
         (None, None, ["check", "--instance", "trivial", "--secret-domain", "1"]),
         (None, None, ["run", "--instance", "rational", "--name", "q"]),
         (CUSTOM_F5, None, ["--t-domain", "1"]),
+        (None, None, ["analyze", "--instance", "diagonal", "--p", "0", "--format", "human"]),
+        (None, None, ["analyze", "--transcripts", "runs.json", "--p", "7", "--secret-domain", "1,2"]),
+        (CUSTOM_F5, None, ["--p", "7"]),
+        (None, None, ["demo", "--p", "7"]),
+        (None, None, ["demo", "--rational", "--p", "7"]),
+        (None, None, ["run", "--instance", "rational", "--p", "7"]),
+        (None, None, ["demo", "--rational", "--instance", "diagonal"]),
     ],
     ids=["no-p", "embedding-out-of-range", "embedding-shape", "generators-not-a-list",
          "string-domain", "string-p", "string-multiplicative", "no-kind", "list-descriptor",
@@ -402,11 +433,18 @@ CUSTOM_F5 = {
          "secret-above-p", "zero-max-generators", "negative-max-generators",
          "plus-signed-domain", "zero-padded-domain", "arabic-indic-domain", "empty-domain-item",
          "borel-embedded-foreign-domain", "generators-on-a-named-kind", "domain-on-trivial",
-         "name-on-rational", "domain-on-a-descriptor-file"],
+         "name-on-rational", "domain-on-a-descriptor-file", "zero-p", "p-on-a-transcript-file",
+         "p-on-a-descriptor-file", "p-on-the-scripted-demo", "p-on-rational-demo",
+         "p-on-rational", "rational-and-instance"],
 )
 def test_malformed_descriptor_or_prior_exits_two_without_traceback(
-    capsys, tmp_path, descriptor, prior, argv
+    capsys, tmp_path, monkeypatch, descriptor, prior, argv
 ):
+    # A transcript file that carries its own descriptor, for argv to name.
+    monkeypatch.chdir(tmp_path)
+    runs = {"config": {"descriptor": instance_to_descriptor(build_instance("diagonal", 5))},
+            "transcripts": [GENUINE_DIAGONAL_F5]}
+    (tmp_path / "runs.json").write_text(json.dumps(runs))
     if descriptor is not None:
         path = tmp_path / "instance.json"
         path.write_text(json.dumps(descriptor))
@@ -472,6 +510,17 @@ def test_internal_invariant_failure_exits_four(capsys, monkeypatch):
     assert code == 4
     assert "Traceback" not in err
     assert err.startswith("internal error: ") and err.count("\n") == 1
+
+
+def test_bare_internal_invariant_failure_names_itself(capsys, monkeypatch):
+    import triplepass.cli
+
+    def fail(*args, **kwargs):
+        raise AssertionError
+
+    monkeypatch.setattr(triplepass.cli, "check_masking_coverage", fail)
+    code, _, err = run_cli(capsys, "check", "--instance", "diagonal", "--p", "5")
+    assert (code, err) == (4, "internal error: an internal invariant failed\n")
 
 
 class TestCheck:

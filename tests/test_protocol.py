@@ -10,18 +10,12 @@ import pytest
 import oracles
 import triplepass
 from triplepass.actions import Point, act, build_instance, instance_index, rational_demo_instance
-from triplepass.errors import ProtocolOrderError, TriplePassError
+from triplepass.errors import TriplePassError
 from triplepass.fields import PrimeField, RATIONALS
 from triplepass.matrices import Mat2
 from triplepass.protocol import (
-    AliceSession,
-    BobSession,
     GroundTruth,
     SecretEncoding,
-    alice_mask,
-    alice_unmask,
-    bob_mask,
-    bob_unmask,
     check_roundtrip_commutator_fixed,
     encode_secret,
     exhaustive_roundtrip,
@@ -49,10 +43,10 @@ class TestPasses:
     def test_identity_masks_round_trip(self):
         ident = Mat2.identity(F5)
         v = pt(F5, 2, 3)
-        v1 = alice_mask(v, ident)
-        v2 = bob_mask(v1, ident)
-        v3 = alice_unmask(v2, ident)
-        v4 = bob_unmask(v3, ident)
+        v1 = act(ident, v)
+        v2 = act(ident, v1)
+        v3 = act(ident.inverse(), v2)
+        v4 = act(ident.inverse(), v3)
         assert (v1, v2, v3, v4) == (v, v, v, v)
 
     def test_f2_failure_sequence(self, gl2f2):
@@ -100,7 +94,7 @@ class TestPasses:
             for y in range(3):
                 v = pt(fp, x, y)
                 for mask in gl2f3.group:
-                    assert alice_unmask(alice_mask(v, mask), mask) == v
+                    assert act(mask.inverse(), act(mask, v)) == v
 
     def test_mask_unmask_inverse_sampled_larger_primes(self):
         rng = random.Random(11)
@@ -110,26 +104,7 @@ class TestPasses:
             for _ in range(50):
                 v = pt(fp, rng.randrange(p), rng.randrange(p))
                 mask = inst.group.elements[rng.randrange(len(inst.group))]
-                assert bob_unmask(bob_mask(v, mask), mask) == v
-
-
-class TestStateMachines:
-    def test_out_of_order_messages_rejected(self):
-        enc = encoding(F5, 2, 3)
-        mask = Mat2.from_values(F5, 2, 0, 0, 1)
-        alice = AliceSession(enc, mask)
-        with pytest.raises(ProtocolOrderError):
-            alice.unmask_reply(pt(F5, 1, 1))
-        alice.send_masked()
-        with pytest.raises(ProtocolOrderError):
-            alice.send_masked()
-
-        bob = BobSession(mask)
-        with pytest.raises(ProtocolOrderError):
-            bob.unmask_final(pt(F5, 1, 1))
-        bob.mask_reply(pt(F5, 1, 1))
-        with pytest.raises(ProtocolOrderError):
-            bob.mask_reply(pt(F5, 1, 1))
+                assert act(mask.inverse(), act(mask, v)) == v
 
 
 class TestEncodeSecret:
@@ -340,6 +315,14 @@ class TestIndexedSessionCore:
                     run_session_with(diag5, enc, mask_a, mask_b)
         with pytest.raises(TriplePassError):
             run_session_with(diag5, enc, Mat2.from_values(F2, 1, 0, 0, 1), inside)
+        # The rational passes are plain ``act`` calls, which refuse a
+        # singular mask and a mask from another domain.
+        rational, q = rational_demo_instance(), Mat2.identity(RATIONALS)
+        enc_q = SecretEncoding(RATIONALS.one, RATIONALS.one, Point(RATIONALS.one, RATIONALS.one))
+        singular = Mat2(RATIONALS.one, RATIONALS.one, RATIONALS.one, RATIONALS.one)
+        for mask_a, mask_b in ((singular, q), (q, singular), (inside, q), (q, inside)):
+            with pytest.raises(TriplePassError):
+                run_session_with(rational, enc_q, mask_a, mask_b)
 
 
 class TestRoundtripVsCommutatorFixed:
