@@ -16,8 +16,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
-from typing import Iterator, Literal, Optional, Sequence, Union
+from typing import Iterator, Literal, NamedTuple, Optional, Sequence, Union
 
 from .errors import SingularMatrixError, TriplePassError, WorkCapExceeded
 from .fields import (
@@ -198,6 +197,23 @@ def _require_finite(instance: ActionInstance, what: str) -> FiniteGroup:
     return instance.group
 
 
+class PairClass(NamedTuple):
+    """One G-orbit of message pairs (v1, v2), by its representative."""
+
+    r: int  # v1: the least point of its orbit
+    w: int  # v2: a point in the orbit of r
+    size: int  # pairs in the class: |orbit(r)| * |Stab(r).w|
+    stab: int  # |Stab(r)|: the replies B with r.B == w
+
+
+def _class_kernel_estimate(idx: "InstanceIndex") -> int:
+    """Steps of the pair-class kernel, bounded before it runs. Each of
+    the at most p^2 orbits costs one fibre scan of |G|, its pairs number
+    |orbit|^2 <= |orbit| * |G|, and each of the at most p^2 classes
+    costs one pass over G."""
+    return 3 * idx.n_group * idx.n_points
+
+
 class InstanceIndex:
     """Integer tables for one finite instance; the hot-loop backend.
 
@@ -284,25 +300,65 @@ class InstanceIndex:
             fib = self._fibres[v] = {w: tuple(gs) for w, gs in grouped.items()}
         return fib
 
-    def session_grid(self, v: int) -> tuple[int, Iterator[tuple[int, int, int]]]:
-        """The forward grid from point v, one key per (A, orbit point):
-        (v.A, v2, v2.A^-1) for every v2 in the orbit, each standing for
-        the |Stab(v)| replies B with v.A.B == v2. Returns that weight
-        and the keys; weighted, they count ``exchanges(v)`` exactly."""
-        fib = self.fibres(v)
-        orbit = tuple(fib)
-        n = len(orbit)
-        keys = chain.from_iterable(
-            zip(repeat(row[v], n), orbit, map(inv_row.__getitem__, orbit))
-            for row, inv_row in zip(self.act_table, self.inv_rows)
-        )
-        return len(fib[v]), keys
+    @cached_property
+    def pair_classes(self) -> tuple[tuple[PairClass, ...], dict[int, int]]:
+        """The G-orbits of message pairs (v1, v2) with v2 in the orbit of
+        v1, built on first use: the classes, and each pair's class keyed
+        by v1 * n_points + v2.
+
+        Fixing h in G, (t, A, B) -> (t, A.h, h^-1.B.h) keeps s and v3 and
+        moves (v1, v2) to (v1.h, v2.h), so witness counts and covered
+        secrets depend on (v1, v2) only through its class. Each class is
+        (r, w): r the least point of its orbit, w a Stab(r)-orbit
+        representative, and the class is that Stab(r)-orbit moved along
+        one mask per orbit point. Raises TriplePassError unless every
+        orbit pair lands in exactly one class and the class sizes sum to
+        the sum of |orbit|^2."""
+        n = self.n_points
+        classes: list[PairClass] = []
+        class_of: dict[int, int] = {}
+        placed: set[int] = set()
+        total = 0
+        for r in range(n):
+            if r in placed:
+                continue
+            fib = self.fibres(r)
+            placed.update(fib)
+            total += len(fib) ** 2
+            stab = fib[r]
+            movers = [(u, self.act_table[gs[0]]) for u, gs in fib.items()]
+            for w in sorted(fib):
+                if r * n + w in class_of:
+                    continue
+                cell = {self.act_table[h][w] for h in stab}
+                c = len(classes)
+                classes.append(PairClass(r, w, len(fib) * len(cell), len(stab)))
+                for u, row in movers:
+                    for x in cell:
+                        key = u * n + row[x]
+                        if key in class_of or row[x] not in fib:
+                            raise TriplePassError(
+                                f"pair ({u}, {row[x]}) does not fall in exactly one orbit class"
+                            )
+                        class_of[key] = c
+        if len(class_of) != total or sum(c.size for c in classes) != total:
+            raise TriplePassError(
+                f"orbit classes cover {len(class_of)} pairs, not the {total} orbit pairs"
+            )
+        return tuple(classes), class_of
+
+    def class_unmaskings(self, cls: PairClass) -> Iterator[tuple[int, int]]:
+        """(r.A^-1, w.A^-1) for every mask A in group order: the start
+        point Alice's A would unmask the class representative onto, and
+        the third message it would send."""
+        r, w = cls.r, cls.w
+        return ((inv_row[r], inv_row[w]) for inv_row in self.inv_rows)
 
     def exchanges(self, v: int) -> Iterator[tuple[int, int, int]]:
         """The wire messages (v1, v2, v3) of every session from point v;
         the k-th item has masks (A, B) = divmod(k, n_group). Only scans
         that need the masks themselves use it; counts come from
-        ``session_grid``."""
+        ``pair_classes``."""
         table = self.act_table
         for row, inv_row in zip(table, self.inv_rows):
             v1 = row[v]
@@ -310,14 +366,11 @@ class InstanceIndex:
                 v2 = b_row[v1]
                 yield v1, v2, inv_row[v2]
 
-    def unmaskings(
-        self, v1: int, v2: int, v3: int, pairs: Optional[dict] = None
-    ) -> list[tuple[int, tuple[int, int]]]:
+    def unmaskings(self, v1: int, v2: int, v3: int) -> list[tuple[int, tuple[int, int]]]:
         """Alice's candidates: every (A, (s, t)) with v2.A^-1 == v3 and
-        v1.A^-1 encoding a pair of ``pairs`` (default ``pair_of_point``),
-        in group order. The masks A with v3.A == v2 are one fibre of v3."""
-        if pairs is None:
-            pairs = self.pair_of_point
+        v1.A^-1 encoding a pair of S x T, in group order. The masks A
+        with v3.A == v2 are one fibre of v3."""
+        pairs = self.pair_of_point
         out = []
         for a_i in self.fibres(v3).get(v2, ()):
             pair = pairs.get(self.inv_rows[a_i][v1])
@@ -704,33 +757,55 @@ def check_transcript_equivalence(
     are computed; the check passes when every candidate secret s' admits
     a blinding value t' (from the secret domain) and masks A', B'
     reproducing the same three points exactly.
+
+    The covered secrets of a transcript depend on (v1, v2) only through
+    its pair class (``InstanceIndex.pair_classes``), so they are found
+    with one pass over G per class; a transcript is reachable from the
+    secret square exactly when its covered set is nonempty. ``work``
+    keeps the units of the direct scan: |G| per distinct reachable
+    transcript plus one per (session, candidate) test. A pass derives it
+    from the class sizes; a failure scans sessions in (s, t), then A,
+    then B order up to the first uncovered candidate, one class lookup
+    per session.
     """
     group = _require_finite(instance, CONDITION_TRANSCRIPT)
     cap = DEFAULT_WORK_CAP if cap is None else cap
     idx = instance_index(instance)
     n_s, n_g = len(idx.s_res), idx.n_group
-    # Outer grid times the worst cache-miss scan plus coverage checks.
-    estimate = n_s**2 * n_g**2 * (n_g + n_s)
+    # The class kernel, then at worst every session with one lookup and
+    # n_s candidate tests.
+    estimate = _class_kernel_estimate(idx) + n_s**2 * n_g**2 * (n_s + 1)
     if estimate > cap:
         raise WorkCapExceeded(CONDITION_TRANSCRIPT, estimate, cap)
 
+    classes, class_of = idx.pair_classes
+    square = idx.secret_pair_of_point
+    covered: dict[tuple[int, int], set[int]] = {}
+    for c, cls in enumerate(classes):
+        for u, v3 in idx.class_unmaskings(cls):
+            pair = square.get(u)
+            if pair is not None:
+                # B' always exists: w lies in the orbit of r.
+                covered.setdefault((c, v3), set()).add(pair[0])
+    secrets = set(idx.s_res)
+    if all(got == secrets for got in covered.values()):
+        reachable = sum(classes[c].size for c, _ in covered)
+        work = n_g * reachable + n_s**2 * n_g**2 * n_s
+        return ConditionReport(instance.name, CONDITION_TRANSCRIPT, True, None, work)
+
     work = 0
-    covered_cache: dict[tuple[int, int, int], frozenset[int]] = {}
+    n = idx.n_points
+    seen: set[tuple[int, int, int]] = set()
     for (s, t), v in idx.square.items():
         for k, key in enumerate(idx.exchanges(v)):
-            covered = covered_cache.get(key)
-            if covered is None:
-                # A candidate A' must unmask v2 onto v3 and pull v1 back
-                # into the secret square; B' then always exists because
-                # B itself reproduces v1 -> v2.
+            if key not in seen:
+                seen.add(key)
                 work += n_g
-                covered = frozenset(
-                    pair[0] for _, pair in idx.unmaskings(*key, idx.secret_pair_of_point)
-                )
-                covered_cache[key] = covered
+            v1, v2, v3 = key
+            got = covered[(class_of[v1 * n + v2], v3)]
             for s_prime in idx.s_res:
                 work += 1
-                if s_prime not in covered:
+                if s_prime not in got:
                     a_i, b_i = divmod(k, n_g)
                     return ConditionReport(
                         instance.name,
@@ -745,7 +820,7 @@ def check_transcript_equivalence(
                         },
                         work,
                     )
-    return ConditionReport(instance.name, CONDITION_TRANSCRIPT, True, None, work)
+    raise AssertionError("a class misses a secret but no session reaches it")
 
 
 def recheck_counterexample(instance: ActionInstance, report: ConditionReport) -> bool:

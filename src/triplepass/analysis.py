@@ -27,6 +27,7 @@ from .actions import (
     DEFAULT_WORK_CAP,
     InstanceIndex,
     Point,
+    _class_kernel_estimate,
     _require_finite,
     build_instance,
     check_masking_coverage,
@@ -291,12 +292,16 @@ def mutual_information_bits(
     joint_counts: Mapping[tuple, int],
     prior: Mapping[object, Fraction],
     completions_per_secret: int,
+    multiplicity: Optional[Mapping[object, int]] = None,
 ) -> tuple[float, bool, int]:
     """Mutual information in bits from exact joint counts.
 
     ``joint_counts`` maps (transcript key, secret key) to the number of
     nuisance completions; every secret has exactly
-    ``completions_per_secret`` of them in total. Terms are grouped by
+    ``completions_per_secret`` of them in total. A transcript key may
+    stand for several transcripts with the same counts: ``multiplicity``
+    maps it to how many (default 1), which weighs the key's counts and
+    transcripts as if each were listed separately. Terms are grouped by
     the exact rational ratio p(s,v)/(p(s)p(v)) and logs are taken only
     per distinct ratio, so zero leakage yields exactly 0.0 and a total
     break on a uniform prior over 2^k secrets yields exactly k.
@@ -306,15 +311,16 @@ def mutual_information_bits(
     count c has ratio c*D / T and weight n_s*c / (D * completions).
 
     Returns (bits, zero_leakage, transcripts_examined). Raises
-    ValueError on a count that is not a nonnegative int, a prior that is
-    not a distribution, or a secret whose counts do not total
-    ``completions_per_secret``.
+    ValueError on a count or multiplicity that is not a nonnegative
+    (positive) int, a prior that is not a distribution, or a secret
+    whose counts do not total ``completions_per_secret``.
     """
     masses = {s: Fraction(m) for s, m in prior.items()}
     if any(m < 0 for m in masses.values()) or sum(masses.values()) != 1:
         raise ValueError("prior masses must be nonnegative and sum to exactly 1")
     denom = math.lcm(*(m.denominator for m in masses.values()))
     scaled = {s: m.numerator * (denom // m.denominator) for s, m in masses.items()}
+    multiplicity = {} if multiplicity is None else multiplicity
 
     totals = dict.fromkeys(scaled, 0)
     t_mass: dict[tuple, int] = {}
@@ -323,7 +329,10 @@ def mutual_information_bits(
             raise ValueError(f"joint count {count!r} is not a nonnegative int")
         if s_key not in totals:
             raise ValueError(f"joint counts name secret {s_key!r}, which has no prior mass")
-        totals[s_key] += count
+        size = multiplicity.get(t_key, 1)
+        if type(size) is not int or size < 1:
+            raise ValueError(f"multiplicity {size!r} is not a positive int")
+        totals[s_key] += count * size
         t_mass[t_key] = t_mass.get(t_key, 0) + scaled[s_key] * count
     if any(total != completions_per_secret for total in totals.values()):
         raise ValueError(f"each secret's counts must total {completions_per_secret}")
@@ -346,14 +355,15 @@ def mutual_information_bits(
             continue  # zero-probability cell: contributes nothing
         g = math.gcd(num, den)
         ratio = (num // g, den // g)
-        ratio_weights[ratio] = ratio_weights.get(ratio, 0) + n_s * count
+        weight = n_s * count * multiplicity.get(t_key, 1)
+        ratio_weights[ratio] = ratio_weights.get(ratio, 0) + weight
 
     scale = denom * completions_per_secret
     bits = 0.0
     for num, den in sorted(ratio_weights, key=lambda r: Fraction(*r)):
         weight = Fraction(ratio_weights[(num, den)], scale)
         bits += float(weight) * (math.log2(num) - math.log2(den))
-    return bits, zero_leakage, len(t_mass)
+    return bits, zero_leakage, sum(multiplicity.get(t_key, 1) for t_key in t_mass)
 
 
 def exact_mutual_information(
@@ -365,36 +375,38 @@ def exact_mutual_information(
     """I(secret; transcript) from a full exact joint enumeration.
 
     The blinding value and both masks are uniform; the secret follows
-    the prior. Only realizable transcripts carry weight. Each start
-    point's sessions come from its weighted grid
-    (``InstanceIndex.session_grid``): one key per (A, orbit point)
-    weighted by the stabilizer size, which counts every (A, B) pair
-    exactly once at |G| * |orbit| instead of |G|^2 steps.
+    the prior. Only realizable transcripts carry weight. For each v3 the
+    per-secret count is constant on a G-orbit of (v1, v2), so transcripts
+    are counted once per class of ``InstanceIndex.pair_classes``: at the
+    class representative (r, w), mask A unmasks r onto u = r.A^-1 and
+    sends v3 = w.A^-1; when u encodes (s, t), that adds the |Stab(r)|
+    replies B with r.B == w to the cell ((class, v3), s). The reduction
+    weighs each key by its class size, which counts every (t, A, B)
+    exactly once in one pass over G per class.
     """
     _require_finite(instance, "leakage analysis")
     prior = uniform_prior(instance) if prior is None else _validate_prior(instance, prior)
     cap = DEFAULT_WORK_CAP if cap is None else cap
     idx = instance_index(instance)
-    support = [s for s in sorted(prior, key=lambda x: x.value) if prior[s] > 0]
-    estimate = len(support) * len(idx.t_res) * idx.n_group**2
+    estimate = _class_kernel_estimate(idx)
     if estimate > cap:
         raise WorkCapExceeded("leakage-analysis", estimate, cap)
 
-    # Keys are counted per stabilizer weight, then scaled once per key.
+    prior_by_res = {s.value: mass for s, mass in prior.items() if mass > 0}
+    classes, _ = idx.pair_classes
     counts: dict[tuple, int] = {}
-    for s in support:
-        grids: dict[int, Counter] = {}
-        for t_res in idx.t_res:
-            weight, keys = idx.session_grid(idx.point_of_pair[(s.value, t_res)])
-            grids.setdefault(weight, Counter()).update(keys)
-        for weight, grid in grids.items():
-            for key, n in grid.items():
-                cell = (key, s.value)
-                counts[cell] = counts.get(cell, 0) + n * weight
+    for c, cls in enumerate(classes):
+        for u, v3 in idx.class_unmaskings(cls):
+            pair = idx.pair_of_point.get(u)
+            if pair is not None and pair[0] in prior_by_res:
+                cell = ((c, v3), pair[0])
+                counts[cell] = counts.get(cell, 0) + cls.stab
+    sizes = {key: classes[key[0]].size for key, _ in counts}
 
-    prior_by_res = {s.value: prior[s] for s in support}
     completions = len(idx.t_res) * idx.n_group**2
-    bits, zero_leakage, examined = mutual_information_bits(counts, prior_by_res, completions)
+    bits, zero_leakage, examined = mutual_information_bits(
+        counts, prior_by_res, completions, multiplicity=sizes
+    )
     return LeakageReport(
         instance=instance.name,
         mutual_information_bits=bits,

@@ -266,9 +266,11 @@ def cmd_demo(args: argparse.Namespace) -> int:
     instance = _resolve_instance(args, missing=None)
     rng = random.Random(args.seed)
 
+    if instance is None and args.sessions is not None:
+        raise UsageError("--sessions needs --instance or --rational; the scripted demo is fixed")
     if instance is not None and not instance.is_finite:
         consistent = True
-        for i in range(args.sessions):
+        for i in range(3 if args.sessions is None else args.sessions):
             s = sample_rational_scalar(rng, nonzero=True)
             outcome = run_session(instance, s, rng, session_id=i)
             truth = outcome.transcript.ground_truth
@@ -281,11 +283,17 @@ def cmd_demo(args: argparse.Namespace) -> int:
         return EXIT_OK if consistent else EXIT_FAIL
 
     if instance is not None:
-        s = instance.secret_domain[rng.randrange(len(instance.secret_domain))]
-        outcome = run_session(instance, s, rng)
+        # Without --sessions: one session, shown without a session line.
         print(f"three-pass demo: {instance.name}")
-        _print_session(outcome)
-        return EXIT_OK if outcome.success else EXIT_FAIL
+        success = True
+        for i in range(1 if args.sessions is None else args.sessions):
+            s = instance.secret_domain[rng.randrange(len(instance.secret_domain))]
+            outcome = run_session(instance, s, rng, session_id=i)
+            if args.sessions is not None:
+                print(f"session {i}: secret s = {s}")
+            _print_session(outcome)
+            success = success and outcome.success
+        return EXIT_OK if success else EXIT_FAIL
 
     # Scripted default: the general-linear failure, then a commuting success.
     gl2 = build_instance("general-linear", 2)
@@ -538,8 +546,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(demo)
     _add_instance_flags(demo)
     demo.add_argument("--rational", action="store_true", help="bounded rational matrix demo")
-    demo.add_argument("--sessions", type=int, default=3, help="rational demo session count")
-    demo.set_defaults(func=cmd_demo)
+    demo.add_argument("--sessions", type=int, default=None,
+                      help="session count of an --instance demo (default 1; rational 3)")
+    demo.set_defaults(func=cmd_demo, format="human")
 
     run = sub.add_parser("run", help="run seeded sessions and write transcripts")
     _add_common(run)
@@ -582,8 +591,10 @@ def main(argv: Optional[list[str]] = None) -> int:
             raise UsageError("work cap must be positive")
         if args.workers < 1:
             raise UsageError("--workers must be at least 1")
-        if getattr(args, "sessions", 0) < 0:
+        if (getattr(args, "sessions", 0) or 0) < 0:
             raise UsageError("--sessions must not be negative")
+        if args.command == "demo" and args.format != "human":
+            raise UsageError("demo prints text only; --format json and csv are not available")
         if args.format == "csv" and args.command != "run":
             raise UsageError("csv output is only available for per-session run tables")
         if args.command == "demo" and args.out is not None:

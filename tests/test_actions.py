@@ -230,13 +230,48 @@ def test_fibres_partition_the_group_by_orbit_point(request, fixture):
 
 @pytest.mark.parametrize("fixture", KERNEL_INSTANCES)
 def test_weighted_grid_counts_every_exchange(request, fixture):
-    idx = instance_index(request.getfixturevalue(fixture))
-    for v in range(idx.n_points):
-        weight, keys = idx.session_grid(v)
-        weighted = Counter()
-        for key in keys:
-            weighted[key] += weight
-        assert weighted == Counter(idx.exchanges(v))
+    # The pair-class table: every orbit pair falls in exactly one class,
+    # the sizes sum to the sum of |orbit|^2, and from every start point
+    # the class counts, spread over their pairs, give every exchange.
+    idx = InstanceIndex(request.getfixturevalue(fixture))
+    assert "pair_classes" not in vars(idx)  # built on first use only
+    classes, class_of = idx.pair_classes
+    n, table = idx.n_points, idx.act_table
+    orbits = {frozenset(row[v] for row in table) for v in range(n)}
+    assert set(class_of) == {v1 * n + v2 for orb in orbits for v1 in orb for v2 in orb}
+    members = {c: set() for c in range(len(classes))}
+    for key, c in class_of.items():
+        members[c].add(divmod(key, n))
+    for c, cls in enumerate(classes):
+        assert members[c] == {(row[cls.r], row[cls.w]) for row in table}
+        assert cls.r == min(next(orb for orb in orbits if cls.r in orb))
+        assert cls.size == len(members[c])
+        assert cls.stab == sum(row[cls.r] == cls.w for row in table)
+    assert sum(cls.size for cls in classes) == sum(len(orb) ** 2 for orb in orbits)
+
+    for v in range(n):
+        per_class = Counter()
+        for c, cls in enumerate(classes):
+            for u, v3 in idx.class_unmaskings(cls):
+                if u == v:
+                    per_class[(c, v3)] += cls.stab
+        weighted = Counter({key: n * classes[key[0]].size for key, n in per_class.items()})
+        brute = Counter()
+        for (v1, v2, v3), count in Counter(idx.exchanges(v)).items():
+            assert per_class[(class_of[v1 * n + v2], v3)] == count
+            brute[(class_of[v1 * n + v2], v3)] += count
+        assert weighted == brute
+
+
+def test_a_pair_in_two_classes_is_refused_explicitly(diag5):
+    idx = InstanceIndex(diag5)
+    v = idx.point_index(pt(F5, 1, 1))
+    # A forged orbit {v, v + 1} for v, fixed by the identity alone: the
+    # true orbit of v + 1 then puts pairs at v into a second class.
+    identity = (idx.group.index_of(Mat2.identity(F5)),)
+    idx._fibres[v] = {v: identity, v + 1: identity}
+    with pytest.raises(TriplePassError, match="exactly one orbit class"):
+        idx.pair_classes
 
 
 @pytest.mark.parametrize("fixture", KERNEL_INSTANCES)
@@ -246,14 +281,14 @@ def test_reverse_scans_match_a_brute_scan(request, fixture):
     for v1 in range(idx.n_points):
         for v2 in range(idx.n_points):
             assert idx.replies(v1, v2) == [b for b, row in enumerate(table) if row[v1] == v2]
-            for pairs in (idx.pair_of_point, idx.secret_pair_of_point):
-                for v3 in range(idx.n_points):
-                    brute = [
-                        (a, pairs[inv_rows[a][v1]])
-                        for a in range(idx.n_group)
-                        if inv_rows[a][v2] == v3 and inv_rows[a][v1] in pairs
-                    ]
-                    assert idx.unmaskings(v1, v2, v3, pairs) == brute
+            pairs = idx.pair_of_point
+            for v3 in range(idx.n_points):
+                brute = [
+                    (a, pairs[inv_rows[a][v1]])
+                    for a in range(idx.n_group)
+                    if inv_rows[a][v2] == v3 and inv_rows[a][v1] in pairs
+                ]
+                assert idx.unmaskings(v1, v2, v3) == brute
 
 
 def test_a_broken_action_row_is_refused_explicitly(diag5):
@@ -472,6 +507,8 @@ class TestTranscriptEquivalence:
         ("rotation", 7, 290, 10),
         ("borel-embedded", 7, 1008, 254),
         ("general-linear", 3, 192, 50),
+        ("general-linear", 5, 7680, 482),
+        ("borel-embedded", 3, 12, 192),
         ("scalar", 5, 64, 6),
         ("trivial", 5, 1, 2),
     ],
@@ -482,6 +519,20 @@ def test_checker_work_is_pinned(kind, p, masking_work, transcript_work):
     inst = trivial_instance(p) if kind == "trivial" else build_instance(kind, p)
     assert check_masking_coverage(inst).work == masking_work
     assert check_transcript_equivalence(inst).work == transcript_work
+
+
+def test_failure_work_counts_each_repeated_transcript_once():
+    # Sessions before this counterexample repeat transcripts: the scan
+    # charges |G| for the first sight of each, and 1 per candidate test.
+    inst = build_instance(
+        "custom", 5, generators=["[[0,4],[2,3]]@F5", "[[4,3],[4,4]]@F5"], secret_domain=[3, 4]
+    )
+    report = check_transcript_equivalence(inst)
+    assert (report.passed, report.work) == (False, 514)
+    assert report.counterexample == {
+        "s": "3", "t": "3", "A": "[[0,1],[1,3]]@F5", "B": "[[1,0],[0,1]]@F5", "s_prime": "4"
+    }
+    assert recheck_counterexample(inst, report)
 
 
 class TestDescriptors:

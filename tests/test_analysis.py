@@ -447,20 +447,27 @@ class TestMutualInformationHelper:
 
 
 def _captured_reduction(monkeypatch, instance, prior=None):
-    """The report of exact_mutual_information and the one
-    (joint, prior, completions) call it made to mutual_information_bits."""
+    """The report of exact_mutual_information and the (joint, prior,
+    completions) of the one call it made to mutual_information_bits,
+    with every key of multiplicity m listed as m separate transcripts."""
     calls = []
     reduce = analysis.mutual_information_bits
 
-    def spy(*args):
-        calls.append(args)
-        return reduce(*args)
+    def spy(joint, prior, completions, multiplicity=None):
+        calls.append((joint, prior, completions, multiplicity or {}))
+        return reduce(joint, prior, completions, multiplicity)
 
     monkeypatch.setattr(analysis, "mutual_information_bits", spy)
     report = exact_mutual_information(instance, prior)
     monkeypatch.undo()
     assert len(calls) == 1
-    return report, calls[0]
+    joint, prior, completions, multiplicity = calls[0]
+    listed = {
+        ((t_key, i), s_key): count
+        for (t_key, s_key), count in joint.items()
+        for i in range(multiplicity.get(t_key, 1))
+    }
+    return report, (listed, prior, completions)
 
 
 def _test_priors(secrets):
@@ -536,6 +543,29 @@ class TestMutualInformationOracle:
             # has no defined posterior; the reference divides by zero there.
             reject()
         assert mutual_information_bits(joint, prior, completions) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(_random_joints(), st.data())
+    def test_a_multiplicity_reads_like_repeated_transcripts(self, case, data):
+        joint, prior, completions = case
+        mult = {t: data.draw(st.integers(1, 3)) for t, _ in joint}
+        # Each count is scaled by L / m so every secret still totals L * completions.
+        lcm = math.lcm(*mult.values())
+        weighted = {(t, s): c * (lcm // mult[t]) for (t, s), c in joint.items()}
+        listed = {((t, i), s): c for (t, s), c in weighted.items() for i in range(mult[t])}
+        total = lcm * completions
+        try:
+            expected = oracles.mutual_information(listed, prior, total)
+        except ZeroDivisionError:
+            reject()
+        assert mutual_information_bits(weighted, prior, total, multiplicity=mult) == expected
+
+    @pytest.mark.parametrize("size", [0, -1, True, 2.0])
+    def test_rejects_a_malformed_multiplicity(self, size):
+        joint = {("t0", "a"): 2, ("t0", "b"): 2}
+        prior = {"a": Fraction(1, 2), "b": Fraction(1, 2)}
+        with pytest.raises(ValueError, match="multiplicity"):
+            mutual_information_bits(joint, prior, 4, multiplicity={"t0": size})
 
 
 class TestQuotientAttack:

@@ -10,7 +10,12 @@ from pathlib import Path
 import pytest
 
 import triplepass
-from triplepass.actions import build_instance, instance_to_descriptor
+from triplepass.actions import (
+    ConditionReport,
+    build_instance,
+    instance_to_descriptor,
+    recheck_counterexample,
+)
 from triplepass.cli import main
 from triplepass.matrices import Mat2, format_matrix, parse_matrix
 
@@ -47,6 +52,44 @@ class TestDemo:
         assert code == 0
         assert "@Q" in out
         assert "masks commute" in out
+
+    def test_finite_demo_prints_every_session(self, capsys):
+        code, out, _ = run_cli(capsys, "demo", "--instance", "diagonal", "--sessions", "4")
+        assert code == 0
+        assert out.count("pass 1") == out.count("round trip: OK") == 4
+        assert [line.split(":")[0] for line in out.splitlines() if line.startswith("session")] == [
+            f"session {i}" for i in range(4)
+        ]
+
+    def test_finite_demo_without_sessions_keeps_its_one_session(self, capsys):
+        _, default, _ = run_cli(capsys, "demo", "--instance", "diagonal")
+        assert default == (
+            "three-pass demo: diagonal-f5\n"
+            "  v  = (s=4, t=3)\n"
+            "  A  = [[1,0],[0,2]]@F5\n"
+            "  B  = [[3,0],[0,1]]@F5\n"
+            "  pass 1  alice -> bob    v1 = [4,1]@F5\n"
+            "  pass 2  bob   -> alice  v2 = [2,1]@F5\n"
+            "  pass 3  alice -> bob    v3 = [2,3]@F5\n"
+            "  pass 4  bob unmasks     v4 = [4,3]@F5\n"
+            "  round trip: OK (v4 = v)\n"
+        )
+        # More sessions continue the same seeded draws after the first.
+        _, more, _ = run_cli(capsys, "demo", "--instance", "diagonal", "--sessions", "2")
+        header, first, second = more.split("session ")
+        assert header + "".join(first.splitlines(keepends=True)[1:]) == default
+        assert second.startswith("1: secret s = ")
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_demo_refuses_machine_formats(self, capsys, fmt):
+        code, out, err = run_cli(capsys, "demo", "--instance", "diagonal", "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: demo prints text only") and err.count("\n") == 1
+
+    def test_scripted_demo_refuses_sessions(self, capsys):
+        code, out, err = run_cli(capsys, "demo", "--sessions", "2")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --sessions") and err.count("\n") == 1
 
     def test_instance_rational_runs_the_rational_demo(self, capsys):
         flags = ("--seed", "7", "--sessions", "2")
@@ -553,6 +596,23 @@ class TestCheck:
         code, _, err = run_cli(capsys, "check", "--instance", "diagonal", "--p", "5")
         assert code == 3
         assert "exceeds cap" in err
+
+    def test_general_linear_f5_fails_equivalence_with_a_confirmed_counterexample(
+        self, capsys, tmp_path
+    ):
+        out_file = tmp_path / "check.json"
+        code, _, _ = run_cli(capsys, "check", "--instance", "general-linear", "--p", "5",
+                             "--out", str(out_file))
+        assert code == 1
+        (report,) = [
+            r for r in json.loads(out_file.read_text())["reports"]
+            if r["condition"] == "transcript-equivalence"
+        ]
+        swap = "[[0,1],[1,0]]@F5"
+        assert report["counterexample"] == {"s": "1", "t": "1", "A": swap, "B": swap, "s_prime": "2"}
+        failed = ConditionReport(report["instance"], report["condition"], False,
+                                 report["counterexample"], report["work"])
+        assert recheck_counterexample(build_instance("general-linear", 5), failed)
 
     def test_descriptor_file_instance(self, capsys, tmp_path):
         from triplepass.actions import build_instance, instance_to_descriptor
