@@ -2,12 +2,12 @@
 
 An instance bundles a carrier plane, a finite matrix group acting on it
 by right multiplication, an explicit secret domain, and optionally an
-injection of secret pairs into the carrier. The checkers decide, by
-exhaustion, whether a single masked point can explain every candidate
+injection of secret pairs into the carrier. The checkers decide,
+exactly, whether a single masked point can explain every candidate
 secret (masking coverage) and whether a full three-message exchange can
-(transcript equivalence). Verdicts are deterministic: scans run in one
-canonical order and a failing report carries the lexicographically
-smallest counterexample, re-checkable from the report alone.
+(transcript equivalence). Verdicts are deterministic: a failing report
+carries the counterexample a scan in lexicographic order finds first,
+re-checkable from the report alone.
 """
 
 from __future__ import annotations
@@ -206,14 +206,6 @@ class PairClass(NamedTuple):
     stab: int  # |Stab(r)|: the replies B with r.B == w
 
 
-def _class_kernel_estimate(idx: "InstanceIndex") -> int:
-    """Steps of the pair-class kernel, bounded before it runs. Each of
-    the at most p^2 orbits costs one fibre scan of |G|, its pairs number
-    |orbit|^2 <= |orbit| * |G|, and each of the at most p^2 classes
-    costs one pass over G."""
-    return 3 * idx.n_group * idx.n_points
-
-
 class InstanceIndex:
     """Integer tables for one finite instance; the hot-loop backend.
 
@@ -307,8 +299,8 @@ class InstanceIndex:
         by v1 * n_points + v2.
 
         Fixing h in G, (t, A, B) -> (t, A.h, h^-1.B.h) keeps s and v3 and
-        moves (v1, v2) to (v1.h, v2.h), so witness counts and covered
-        secrets depend on (v1, v2) only through its class. Each class is
+        moves (v1, v2) to (v1.h, v2.h), so per-secret witness counts
+        depend on (v1, v2) only through its class. Each class is
         (r, w): r the least point of its orbit, w a Stab(r)-orbit
         representative, and the class is that Stab(r)-orbit moved along
         one mask per orbit point. Raises TriplePassError unless every
@@ -356,9 +348,8 @@ class InstanceIndex:
 
     def exchanges(self, v: int) -> Iterator[tuple[int, int, int]]:
         """The wire messages (v1, v2, v3) of every session from point v;
-        the k-th item has masks (A, B) = divmod(k, n_group). Only scans
-        that need the masks themselves use it; counts come from
-        ``pair_classes``."""
+        the k-th item has masks (A, B) = divmod(k, n_group). The round
+        trip uses it; leakage counts come from ``pair_classes``."""
         table = self.act_table
         for row, inv_row in zip(table, self.inv_rows):
             v1 = row[v]
@@ -586,7 +577,8 @@ class ConditionReport:
     ``counterexample`` holds the lexicographically smallest violating
     tuple as literal strings, so a failing report is re-checkable
     without the original in-memory objects. ``work`` counts the inner
-    evaluations the verdict actually performed.
+    evaluations of a direct lexicographic scan up to the verdict, which
+    a checker may derive instead of performing.
     """
 
     instance: str
@@ -706,46 +698,43 @@ def check_masking_coverage(
     Passes when for every secret pair, mask, and candidate secret s'
     there are a blinding value t' (drawn from the secret domain) and a
     mask g' landing (s', t') on the same carrier point.
+
+    A masked point (s, t).g lies in the orbit of (s, t), so s' explains
+    it exactly when that orbit holds a square point of s', whatever g
+    is. ``work`` keeps the direct scan's units: |G| per square point,
+    then one per (square point, g, s') test up to the first violation,
+    whose g is therefore the first group element.
     """
     group = _require_finite(instance, CONDITION_MASKING)
     cap = DEFAULT_WORK_CAP if cap is None else cap
     idx = instance_index(instance)
     n_s, n_g = len(idx.s_res), idx.n_group
-    # Reach-set construction plus, on failure, the lexicographic scan.
-    estimate = n_s**2 * n_g * (n_s + 1)
+    estimate = n_s**2 * n_g
     if estimate > cap:
         raise WorkCapExceeded(CONDITION_MASKING, estimate, cap)
 
-    reach: dict[int, set[int]] = {s: set() for s in idx.s_res}
+    orbit_of = {start: min(idx.fibres(start)) for start in idx.square.values()}
+    seen: dict[int, set[int]] = {}
     for (s, _t), start in idx.square.items():
-        reach[s].update(row[start] for row in idx.act_table)
+        seen.setdefault(orbit_of[start], set()).add(s)
     work = len(idx.square) * n_g
-
-    first = reach[idx.s_res[0]]
-    if all(reach[s] == first for s in idx.s_res):
-        return ConditionReport(instance.name, CONDITION_MASKING, True, None, work)
-
-    # Reach sets differ, so a violation exists; scan in lexicographic
-    # order to report the smallest one.
-    for (s, t), start in idx.square.items():
-        for g, row in enumerate(idx.act_table):
-            w = row[start]
-            for s_prime in idx.s_res:
-                work += 1
-                if w not in reach[s_prime]:
-                    return ConditionReport(
-                        instance.name,
-                        CONDITION_MASKING,
-                        False,
-                        {
-                            "s": str(s),
-                            "t": str(t),
-                            "g": format_matrix(group.elements[g]),
-                            "s_prime": str(s_prime),
-                        },
-                        work,
-                    )
-    raise AssertionError("reach sets differ but no violation was found")
+    for i, ((s, t), start) in enumerate(idx.square.items()):
+        got = seen[orbit_of[start]]
+        for j, s_prime in enumerate(idx.s_res):
+            if s_prime not in got:
+                return ConditionReport(
+                    instance.name,
+                    CONDITION_MASKING,
+                    False,
+                    {
+                        "s": str(s),
+                        "t": str(t),
+                        "g": format_matrix(group.elements[0]),
+                        "s_prime": str(s_prime),
+                    },
+                    work + i * n_g * n_s + j + 1,
+                )
+    return ConditionReport(instance.name, CONDITION_MASKING, True, None, work)
 
 
 def check_transcript_equivalence(
@@ -758,69 +747,65 @@ def check_transcript_equivalence(
     a blinding value t' (from the secret domain) and masks A', B'
     reproducing the same three points exactly.
 
-    The covered secrets of a transcript depend on (v1, v2) only through
-    its pair class (``InstanceIndex.pair_classes``), so they are found
-    with one pass over G per class; a transcript is reachable from the
-    secret square exactly when its covered set is nonempty. ``work``
-    keeps the units of the direct scan: |G| per distinct reachable
-    transcript plus one per (session, candidate) test. A pass derives it
-    from the class sizes; a failure scans sessions in (s, t), then A,
-    then B order up to the first uncovered candidate, one class lookup
-    per session.
+    A reply B that fixes v1 (the identity always does) sends v3 = v,
+    which only the secret of v explains, so the check passes exactly
+    when |S| = 1. Else the first failure has the first start point v and
+    A the first group element, as (v, A, B) and (v, 1, A.B.A^-1) have
+    the same explaining secrets. ``work`` keeps the direct scan's units:
+    |G| per distinct transcript plus one per (session, s') test. A pass
+    has |G| * R + |G|^2, where R = sum over x in orbit(v) of
+    |G| / |Stab(v) & Stab(x)| counts the transcripts (v.A, x.A, x).
     """
     group = _require_finite(instance, CONDITION_TRANSCRIPT)
     cap = DEFAULT_WORK_CAP if cap is None else cap
     idx = instance_index(instance)
     n_s, n_g = len(idx.s_res), idx.n_group
-    # The class kernel, then at worst every session with one lookup and
-    # n_s candidate tests.
-    estimate = _class_kernel_estimate(idx) + n_s**2 * n_g**2 * (n_s + 1)
+    # One fibre table per orbit point, then at worst one stabilizer pass
+    # and n_s candidate tests per reply.
+    estimate = n_g * (n_g + n_s + idx.n_points)
     if estimate > cap:
         raise WorkCapExceeded(CONDITION_TRANSCRIPT, estimate, cap)
 
-    classes, class_of = idx.pair_classes
-    square = idx.secret_pair_of_point
-    covered: dict[tuple[int, int], set[int]] = {}
-    for c, cls in enumerate(classes):
-        for u, v3 in idx.class_unmaskings(cls):
-            pair = square.get(u)
-            if pair is not None:
-                # B' always exists: w lies in the orbit of r.
-                covered.setdefault((c, v3), set()).add(pair[0])
-    secrets = set(idx.s_res)
-    if all(got == secrets for got in covered.values()):
-        reachable = sum(classes[c].size for c, _ in covered)
-        work = n_g * reachable + n_s**2 * n_g**2 * n_s
-        return ConditionReport(instance.name, CONDITION_TRANSCRIPT, True, None, work)
+    table = idx.act_table
+    (s, t), v = next(iter(idx.square.items()))
+    if n_s == 1:
+        orbit = idx.fibres(v)
+        stab = orbit[v]
+        reachable = sum(n_g // sum(1 for h in stab if table[h][x] == x) for x in orbit)
+        return ConditionReport(
+            instance.name, CONDITION_TRANSCRIPT, True, None, n_g * reachable + n_g**2
+        )
 
+    v1 = table[0][v]
+    square = idx.secret_pair_of_point
     work = 0
-    n = idx.n_points
-    seen: set[tuple[int, int, int]] = set()
-    for (s, t), v in idx.square.items():
-        for k, key in enumerate(idx.exchanges(v)):
-            if key not in seen:
-                seen.add(key)
-                work += n_g
-            v1, v2, v3 = key
-            got = covered[(class_of[v1 * n + v2], v3)]
-            for s_prime in idx.s_res:
-                work += 1
-                if s_prime not in got:
-                    a_i, b_i = divmod(k, n_g)
-                    return ConditionReport(
-                        instance.name,
-                        CONDITION_TRANSCRIPT,
-                        False,
-                        {
-                            "s": str(s),
-                            "t": str(t),
-                            "A": format_matrix(group.elements[a_i]),
-                            "B": format_matrix(group.elements[b_i]),
-                            "s_prime": str(s_prime),
-                        },
-                        work,
-                    )
-    raise AssertionError("a class misses a secret but no session reaches it")
+    seen: set[int] = set()
+    for b_i, row in enumerate(table):
+        v2 = row[v1]
+        if v2 not in seen:
+            seen.add(v2)
+            work += n_g
+        v3 = idx.inv_rows[0][v2]
+        # Each A' with v3.A' == v2 unmasks v1 onto v1.A'^-1; B' exists.
+        starts = (idx.inv_rows[a_i][v1] for a_i in idx.fibres(v3)[v2])
+        got = {square[u][0] for u in starts if u in square}
+        for s_prime in idx.s_res:
+            work += 1
+            if s_prime not in got:
+                return ConditionReport(
+                    instance.name,
+                    CONDITION_TRANSCRIPT,
+                    False,
+                    {
+                        "s": str(s),
+                        "t": str(t),
+                        "A": format_matrix(group.elements[0]),
+                        "B": format_matrix(group.elements[b_i]),
+                        "s_prime": str(s_prime),
+                    },
+                    work,
+                )
+    raise AssertionError("a reply fixing v1 leaves one secret, yet no session failed")
 
 
 def recheck_counterexample(instance: ActionInstance, report: ConditionReport) -> bool:

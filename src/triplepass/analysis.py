@@ -27,7 +27,6 @@ from .actions import (
     DEFAULT_WORK_CAP,
     InstanceIndex,
     Point,
-    _class_kernel_estimate,
     _require_finite,
     build_instance,
     check_masking_coverage,
@@ -123,13 +122,13 @@ def _factors(
     alone, so the witnesses (s, t, A, B) are exactly the product of
     Alice's factor ``unmaskings`` and Bob's factor ``replies``. Every
     factor entry re-derives its messages from the action tables; a
-    mismatch raises. With ``cap``, a witness scan estimated above it is
-    refused first.
+    mismatch raises. With ``cap``, a scan of the two fibre tables,
+    2 * |G| steps, is refused first when that exceeds it.
     """
     _require_finite(instance, what)
     idx = instance_index(instance)
     if cap is not None:
-        estimate = len(idx.s_res) * len(idx.t_res) * idx.n_group**2
+        estimate = 2 * idx.n_group
         if estimate > cap:
             raise WorkCapExceeded("witness-enumeration", estimate, cap)
     v1, v2, v3 = _transcript_indices(idx, transcript)
@@ -172,10 +171,13 @@ def enumerate_consistent(
     ``_factors``): Alice's (A, (s, t)) candidates and Bob's B replies,
     listed A-major in group order. The factored set equals the naive
     four-deep scan. A recorded ground truth outside a nonempty witness
-    set raises ``InconsistentTranscriptError``.
+    set raises ``InconsistentTranscriptError``. A product of more than
+    ``cap`` witnesses is refused before it is listed.
     """
     cap = DEFAULT_WORK_CAP if cap is None else cap
     idx, alice, bob = _factors(transcript, instance, "witness enumeration", cap)
+    if len(alice) * len(bob) > cap:
+        raise WorkCapExceeded("witness-enumeration", len(alice) * len(bob), cap)
     _require_truth(idx, transcript, alice, bob)
     elements = idx.group.elements
     witnesses = tuple(
@@ -364,6 +366,14 @@ def mutual_information_bits(
         weight = Fraction(ratio_weights[(num, den)], scale)
         bits += float(weight) * (math.log2(num) - math.log2(den))
     return bits, zero_leakage, sum(multiplicity.get(t_key, 1) for t_key in t_mass)
+
+
+def _class_kernel_estimate(idx: InstanceIndex) -> int:
+    """Steps of the pair-class kernel, bounded before it runs. Each of
+    the at most p^2 orbits costs one fibre scan of |G|, its pairs number
+    |orbit|^2 <= |orbit| * |G|, and each of the at most p^2 classes
+    costs one pass over G."""
+    return 3 * idx.n_group * idx.n_points
 
 
 def exact_mutual_information(

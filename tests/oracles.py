@@ -164,22 +164,49 @@ def mutual_information(joint, prior, completions):
     return bits, zero_leakage, len(by_transcript)
 
 
+def first_masking_violation(p: int, secrets, elems):
+    """(first (s, t, g, s'), work) in sorted-residue order such that no
+    blinding t' in ``secrets`` and mask g' in ``elems`` send (s', t') to
+    the masked point (s, t).g; the violation is None when there is none.
+    ``work`` counts |G| per start point to build the reach sets, then one
+    per (s, t, g, s') test, the units the masking-coverage check reports;
+    a pass costs the reach sets alone.
+    """
+    secrets = sorted(secrets)
+    elems = sorted(elems)
+    reach = {s: {act(p, (s, t), g) for t in secrets for g in elems} for s in secrets}
+    work = reach_work = len(secrets) ** 2 * len(elems)
+    for s in secrets:
+        for t in secrets:
+            for g in elems:
+                w = act(p, (s, t), g)
+                for s2 in secrets:
+                    work += 1
+                    if w not in reach[s2]:
+                        return (s, t, g, s2), work
+    return None, reach_work
+
+
 def first_transcript_violation(p: int, secrets, elems):
-    """First (s, t, A, B, s') in sorted-residue order such that no
+    """(first (s, t, A, B, s'), work) in sorted-residue order such that no
     blinding t' in ``secrets`` and masks A', B' in ``elems`` reproduce
-    the three messages of the session (s, t, A, B) from (s', t'); None
-    when every candidate secret explains every session. Start points
-    range over the secret square, as in the transcript-equivalence check.
+    the three messages of the session (s, t, A, B) from (s', t'); the
+    violation is None when every candidate secret explains every session.
+    Start points range over the secret square, as in the
+    transcript-equivalence check. ``work`` counts |G| per distinct
+    transcript and one per (session, s') test, as that check reports.
     """
     secrets = sorted(secrets)
     elems = sorted(elems)
     explained: dict = {}
+    work = 0
     for s in secrets:
         for t in secrets:
             for a in elems:
                 for b in elems:
                     tau = session(p, (s, t), a, b)[:3]
                     if tau not in explained:
+                        work += len(elems)
                         v1, v2, v3 = tau
                         reply = any(act(p, v1, b2) == v2 for b2 in elems)
                         explained[tau] = {
@@ -192,6 +219,7 @@ def first_transcript_violation(p: int, secrets, elems):
                             and act(p, v2, minv(p, a2)) == v3
                         }
                     for s2 in secrets:
+                        work += 1
                         if s2 not in explained[tau]:
-                            return s, t, a, b, s2
-    return None
+                            return (s, t, a, b, s2), work
+    return None, work

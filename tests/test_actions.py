@@ -508,6 +508,7 @@ class TestTranscriptEquivalence:
         ("borel-embedded", 7, 1008, 254),
         ("general-linear", 3, 192, 50),
         ("general-linear", 5, 7680, 482),
+        ("general-linear", 7, 72576, 2018),
         ("borel-embedded", 3, 12, 192),
         ("scalar", 5, 64, 6),
         ("trivial", 5, 1, 2),

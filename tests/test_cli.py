@@ -234,6 +234,21 @@ class TestAnalyze:
         for report in artifact["reports"]:
             assert len(report["support"]) == 1  # diagonal transcripts pin the secret
 
+    def test_witness_scan_cap_prices_the_two_fibre_tables(self, capsys, tmp_path):
+        # Alice's and Bob's factors are read from two fibre tables of
+        # |G| = 480, far below the cap, whatever |S| * |T| * |G|^2 is.
+        run_file = tmp_path / "run.json"
+        run_cli(capsys, "run", "--instance", "general-linear", "--p", "5", "--sessions", "1",
+                "--seed", "0", "--out", str(run_file))
+        capped, default = tmp_path / "capped.json", tmp_path / "default.json"
+        code, _, err = run_cli(capsys, "analyze", "--transcripts", str(run_file),
+                               "--cap", "1000000", "--out", str(capped))
+        assert (code, err) == (0, "")
+        run_cli(capsys, "analyze", "--transcripts", str(run_file), "--out", str(default))
+        (report,) = json.loads(capped.read_text())["reports"]
+        assert report == json.loads(default.read_text())["reports"][0]
+        assert report["witness_count"] == 320
+
     def test_corrupted_transcript_is_reported(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps([
@@ -613,6 +628,20 @@ class TestCheck:
         failed = ConditionReport(report["instance"], report["condition"], False,
                                  report["counterexample"], report["work"])
         assert recheck_counterexample(build_instance("general-linear", 5), failed)
+
+    def test_general_linear_f7_is_checked_under_the_default_cap(self, capsys, tmp_path):
+        out_file = tmp_path / "check.json"
+        code, _, err = run_cli(capsys, "check", "--instance", "general-linear", "--p", "7",
+                               "--out", str(out_file))
+        assert (code, err) == (1, "")
+        by_condition = {r["condition"]: r for r in json.loads(out_file.read_text())["reports"]}
+        assert by_condition["masking-coverage"]["verdict"] == "pass"
+        report = by_condition["transcript-equivalence"]
+        swap = "[[0,1],[1,0]]@F7"
+        assert report["counterexample"] == {"s": "1", "t": "1", "A": swap, "B": swap, "s_prime": "2"}
+        failed = ConditionReport(report["instance"], report["condition"], False,
+                                 report["counterexample"], report["work"])
+        assert recheck_counterexample(build_instance("general-linear", 7), failed)
 
     def test_descriptor_file_instance(self, capsys, tmp_path):
         from triplepass.actions import build_instance, instance_to_descriptor

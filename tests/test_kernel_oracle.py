@@ -9,18 +9,26 @@ which imports nothing from the package. Three things must agree exactly:
   joint counts over every session;
 - for sampled transcripts, the witness set, its per-secret counts, the
   posterior, ``witness_count`` and ``find_witness``;
-- the transcript-equivalence verdict and its counterexample.
+- both condition checkers' verdicts, counterexamples and ``work``, which
+  the package derives from orbit identities and the oracles count by a
+  direct scan over every session.
 """
 
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from triplepass.actions import Point, build_instance, check_transcript_equivalence
+from triplepass.actions import (
+    Point,
+    build_instance,
+    check_masking_coverage,
+    check_transcript_equivalence,
+)
 from triplepass.analysis import (
     enumerate_consistent,
     exact_mutual_information,
@@ -127,10 +135,38 @@ def test_kernel_matches_brute_force_oracles(case, data):
                 earliest = min((w for w in brute if w[0] == x), key=lambda w: (w[2], w[3]))
                 assert (x, t2.value, a2.residues(), b2.residues()) == earliest
 
-    # Transcript equivalence: verdict and the lex-first counterexample.
+    _assert_checkers_match_oracles(instance, p, secrets, elems)
+
+
+@pytest.mark.parametrize(
+    "p, literals, secrets, t_values",
+    [
+        # The masking violation is at the second square point, (1, 2).
+        (3, ["[[0,2],[2,0]]@F3"], [1, 2], [1, 2]),
+        # Replies repeat a v2 before the first failing session, so the
+        # scan charges |G| per distinct transcript, not per session.
+        (5, ["[[0,4],[4,3]]@F5", "[[1,2],[4,2]]@F5"], [1, 3], [1]),
+    ],
+)
+def test_checkers_match_oracles_on_pinned_instances(p, literals, secrets, t_values):
+    instance = _build(p, secrets, t_values, literals)
+    elems = sorted(m.residues() for m in instance.group)
+    _assert_checkers_match_oracles(instance, p, secrets, elems)
+
+
+def _assert_checkers_match_oracles(instance, p, secrets, elems):
+    """Both checkers: verdict, the lex-first counterexample and work."""
+    check = check_masking_coverage(instance)
+    first, work = oracles.first_masking_violation(p, secrets, elems)
+    assert (check.passed, check.work) == (first is None, work)
+    if first is not None:
+        ce = check.counterexample
+        reported = (int(ce["s"]), int(ce["t"]), parse_matrix(ce["g"]).residues(), int(ce["s_prime"]))
+        assert reported == first
+
     check = check_transcript_equivalence(instance)
-    first = oracles.first_transcript_violation(p, secrets, elems)
-    assert check.passed == (first is None)
+    first, work = oracles.first_transcript_violation(p, secrets, elems)
+    assert (check.passed, check.work) == (first is None, work)
     if first is not None:
         ce = check.counterexample
         reported = (
