@@ -293,10 +293,9 @@ class InstanceIndex:
         return fib
 
     @cached_property
-    def pair_classes(self) -> tuple[tuple[PairClass, ...], dict[int, int]]:
+    def pair_classes(self) -> tuple[PairClass, ...]:
         """The G-orbits of message pairs (v1, v2) with v2 in the orbit of
-        v1, built on first use: the classes, and each pair's class keyed
-        by v1 * n_points + v2.
+        v1, built on first use.
 
         Fixing h in G, (t, A, B) -> (t, A.h, h^-1.B.h) keeps s and v3 and
         moves (v1, v2) to (v1.h, v2.h), so per-secret witness counts
@@ -308,7 +307,8 @@ class InstanceIndex:
         the sum of |orbit|^2."""
         n = self.n_points
         classes: list[PairClass] = []
-        class_of: dict[int, int] = {}
+        # Pairs placed so far, keyed v1 * n_points + v2.
+        placed_pairs: set[int] = set()
         placed: set[int] = set()
         total = 0
         for r in range(n):
@@ -320,24 +320,23 @@ class InstanceIndex:
             stab = fib[r]
             movers = [(u, self.act_table[gs[0]]) for u, gs in fib.items()]
             for w in sorted(fib):
-                if r * n + w in class_of:
+                if r * n + w in placed_pairs:
                     continue
                 cell = {self.act_table[h][w] for h in stab}
-                c = len(classes)
                 classes.append(PairClass(r, w, len(fib) * len(cell), len(stab)))
                 for u, row in movers:
                     for x in cell:
                         key = u * n + row[x]
-                        if key in class_of or row[x] not in fib:
+                        if key in placed_pairs or row[x] not in fib:
                             raise TriplePassError(
                                 f"pair ({u}, {row[x]}) does not fall in exactly one orbit class"
                             )
-                        class_of[key] = c
-        if len(class_of) != total or sum(c.size for c in classes) != total:
+                        placed_pairs.add(key)
+        if len(placed_pairs) != total or sum(c.size for c in classes) != total:
             raise TriplePassError(
-                f"orbit classes cover {len(class_of)} pairs, not the {total} orbit pairs"
+                f"orbit classes cover {len(placed_pairs)} pairs, not the {total} orbit pairs"
             )
-        return tuple(classes), class_of
+        return tuple(classes)
 
     def class_unmaskings(self, cls: PairClass) -> Iterator[tuple[int, int]]:
         """(r.A^-1, w.A^-1) for every mask A in group order: the start
@@ -383,6 +382,12 @@ class InstanceIndex:
     def bayes_memo(self) -> dict:
         """Exact Bayes steps of ``analysis.posterior_from_transcript``,
         keyed by prior and count signature; empty until a posterior runs."""
+        return {}
+
+    @cached_property
+    def mask_literals(self) -> dict:
+        """Group index (None outside the group) of each matrix literal
+        ``protocol.transcript_from_dict`` has read into this index."""
         return {}
 
     def point_index(self, pt: Point) -> int:

@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional, Union
 
 from .actions import (
     ActionInstance,
@@ -52,11 +52,13 @@ from .groups import (
     residue_closure,
 )
 from .matrices import Mat2
-from .protocol import Transcript
+from .protocol import Transcript, WireTranscript
 
 __all__ = [
     "WitnessSet",
     "PosteriorReport",
+    "PosteriorPrior",
+    "BayesStep",
     "LeakageReport",
     "SearchEntry",
     "SearchReport",
@@ -64,6 +66,7 @@ __all__ = [
     "enumerate_consistent",
     "find_witness",
     "posterior_from_transcript",
+    "posterior_prior",
     "exact_mutual_information",
     "mutual_information_bits",
     "quotient_attack",
@@ -103,19 +106,36 @@ class WitnessSet:
     counts_by_secret: dict[Scalar, int]
 
 
-def _transcript_indices(idx: InstanceIndex, transcript: Transcript) -> tuple[int, int, int]:
+def _transcript_indices(idx: InstanceIndex, transcript: Transcript) -> WireTranscript:
+    """A transcript object in the form ``transcript_from_dict`` reads its
+    wire form into an index: the messages as point indices and the
+    ground truth with its masks located by residues in the group."""
     if transcript.instance != idx.name:
         raise TriplePassError(f"transcript is for {transcript.instance!r}, not {idx.name!r}")
-    return (
+    truth = transcript.ground_truth
+    if truth is not None:
+        group = idx.group
+        truth = (truth.s.value, truth.t.value, group.index_of(truth.mask_a), group.index_of(truth.mask_b))
+    return WireTranscript(
         idx.point_index(transcript.v1),
         idx.point_index(transcript.v2),
         idx.point_index(transcript.v3),
+        truth,
+        transcript.session_id,
     )
 
 
+def _indexed(
+    transcript: Transcript, instance: ActionInstance, what: str
+) -> tuple[InstanceIndex, WireTranscript]:
+    _require_finite(instance, what)
+    idx = instance_index(instance)
+    return idx, _transcript_indices(idx, transcript)
+
+
 def _factors(
-    transcript: Transcript, instance: ActionInstance, what: str, cap: Optional[int] = None
-) -> tuple[InstanceIndex, list[tuple[int, tuple[int, int]]], list[int]]:
+    idx: InstanceIndex, wire: WireTranscript, cap: Optional[int] = None
+) -> tuple[list[tuple[int, tuple[int, int]]], list[int]]:
     """The two factors of a transcript's witnesses, each re-validated.
 
     v1 and v3 constrain (s, t, A) alone and, given v1, v2 constrains B
@@ -125,13 +145,11 @@ def _factors(
     mismatch raises. With ``cap``, a scan of the two fibre tables,
     2 * |G| steps, is refused first when that exceeds it.
     """
-    _require_finite(instance, what)
-    idx = instance_index(instance)
     if cap is not None:
         estimate = 2 * idx.n_group
         if estimate > cap:
             raise WorkCapExceeded("witness-enumeration", estimate, cap)
-    v1, v2, v3 = _transcript_indices(idx, transcript)
+    v1, v2, v3 = wire.v1, wire.v2, wire.v3
     alice = idx.unmaskings(v1, v2, v3)
     bob = idx.replies(v1, v2)
     table, inv_rows = idx.act_table, idx.inv_rows
@@ -141,24 +159,19 @@ def _factors(
     for b_i in bob:
         if table[b_i][v1] != v2:
             raise AssertionError("Bob's witness factor failed direct re-validation")
-    return idx, alice, bob
+    return alice, bob
 
 
-def _require_truth(
-    idx: InstanceIndex, transcript: Transcript, alice: list, bob: list
-) -> None:
+def _require_truth(wire: WireTranscript, alice: list, bob: list) -> None:
     """A recorded ground truth must be a witness whenever there is one:
-    its masks are located by residues in the group, then looked up in
-    the factors."""
-    truth = transcript.ground_truth
-    if truth is None or not alice or not bob:
+    its (s, t, A) must be in Alice's factor and its B in Bob's."""
+    if wire.truth is None or not alice or not bob:
         return
-    a_i = idx.group.index_of(truth.mask_a)
-    b_i = idx.group.index_of(truth.mask_b)
-    if (a_i, (truth.s.value, truth.t.value)) not in alice or b_i not in bob:
+    s, t, a_i, b_i = wire.truth
+    if (a_i, (s, t)) not in alice or b_i not in bob:
         raise InconsistentTranscriptError(
             "inconsistent transcript: its recorded ground truth is not among the witnesses"
-            f" (session {transcript.session_id})"
+            f" (session {wire.session_id})"
         )
 
 
@@ -175,10 +188,11 @@ def enumerate_consistent(
     ``cap`` witnesses is refused before it is listed.
     """
     cap = DEFAULT_WORK_CAP if cap is None else cap
-    idx, alice, bob = _factors(transcript, instance, "witness enumeration", cap)
+    idx, wire = _indexed(transcript, instance, "witness enumeration")
+    alice, bob = _factors(idx, wire, cap)
     if len(alice) * len(bob) > cap:
         raise WorkCapExceeded("witness-enumeration", len(alice) * len(bob), cap)
-    _require_truth(idx, transcript, alice, bob)
+    _require_truth(wire, alice, bob)
     elements = idx.group.elements
     witnesses = tuple(
         (idx.field.scalar(s), idx.field.scalar(t), elements[a_i], elements[b_i])
@@ -195,7 +209,8 @@ def find_witness(
 ) -> Optional[tuple[Scalar, Mat2, Mat2]]:
     """One (t', A', B') explaining the transcript with secret s_prime,
     or None after an exhaustive search finds nothing."""
-    idx, alice, bob = _factors(transcript, instance, "witness search")
+    idx, wire = _indexed(transcript, instance, "witness search")
+    alice, bob = _factors(idx, wire)
     a_cands = [(a_i, t) for a_i, (s, t) in alice if s == s_prime.value]
     # Bob's candidates do not depend on A, so any reply completes any A.
     if not a_cands or not bob:
@@ -216,67 +231,111 @@ class PosteriorReport:
     witness_count: int
 
 
+class PosteriorPrior(NamedTuple):
+    """A prior validated for posteriors on one finite instance: its index,
+    the masses as given, the same masses keyed by residue in residue
+    order, and their key in the index's ``bayes_memo``."""
+
+    index: InstanceIndex
+    masses: dict[Scalar, Fraction]
+    by_residue: dict[int, Fraction]
+    key: tuple[tuple[int, int, int], ...]
+
+
+def posterior_prior(
+    instance: ActionInstance, prior: Optional[Mapping[Scalar, Fraction]] = None
+) -> PosteriorPrior:
+    """Validate ``prior`` (uniform when None) for posteriors on a finite
+    instance, once for any number of transcripts."""
+    _require_finite(instance, "witness enumeration")
+    masses = uniform_prior(instance) if prior is None else _validate_prior(instance, prior)
+    by_residue = dict(sorted((s.value, mass) for s, mass in masses.items()))
+    key = tuple((s, mass.numerator, mass.denominator) for s, mass in by_residue.items())
+    return PosteriorPrior(instance_index(instance), masses, by_residue, key)
+
+
+@dataclass(frozen=True, eq=False)
+class BayesStep:
+    """The exact posterior of one prior and count signature, over
+    residues, with the witness count the signature fixes. Each is
+    computed once and kept in the index's ``bayes_memo``, so equal steps
+    are one object."""
+
+    posterior: tuple[tuple[int, Fraction], ...]  # in residue order
+    support: tuple[int, ...]
+    uniform: bool
+    witness_count: int
+
+
 def posterior_from_transcript(
-    transcript: Transcript,
+    transcript: Union[Transcript, WireTranscript],
     instance: ActionInstance,
-    prior: Optional[Mapping[Scalar, Fraction]] = None,
+    prior: Union[None, Mapping[Scalar, Fraction], PosteriorPrior] = None,
     *,
     cap: Optional[int] = None,
-) -> PosteriorReport:
+) -> Union[PosteriorReport, BayesStep]:
     """Bayes over exact witness counts: posterior(s) is proportional to
     prior(s) times the number of (t, A, B) completions.
 
     The count for s is its entries in Alice's factor times Bob's, so no
-    witness is materialised; the factors are re-validated and checked
-    against a recorded ground truth as in ``enumerate_consistent``,
-    under the same cap, for every transcript. The Bayes step itself
-    depends only on the prior and the count signature (the per-secret
-    counts of Alice's factor and the size of Bob's), so it is computed
-    once per signature and kept in the index's ``bayes_memo``; each
-    report still gets its own dicts.
+    witness is materialised. The factors are re-validated under the
+    witness-scan cap and checked against a recorded ground truth, for
+    every transcript (see ``_factors``). The Bayes step depends only on
+    the prior and the count signature (the per-secret counts of Alice's
+    factor and the size of Bob's), so it is computed once per signature.
+
+    A ``Transcript`` gets a ``PosteriorReport`` with its own dicts. A
+    ``WireTranscript``, read by ``transcript_from_dict`` into this
+    instance's index, gets the shared ``BayesStep`` itself, and no
+    object is built. ``prior`` may be a ``posterior_prior`` of this
+    instance, validated once for many transcripts.
     """
-    _require_finite(instance, "witness enumeration")
-    prior = uniform_prior(instance) if prior is None else _validate_prior(instance, prior)
+    if not isinstance(prior, PosteriorPrior):
+        prior = posterior_prior(instance, prior)
+    elif getattr(instance, "_index", None) is not prior.index:
+        raise ValueError("the prior was validated for another instance")
     cap = DEFAULT_WORK_CAP if cap is None else cap
-    idx, alice, bob = _factors(transcript, instance, "witness enumeration", cap)
-    _require_truth(idx, transcript, alice, bob)
+    idx = prior.index
+    if isinstance(transcript, WireTranscript):
+        wire = transcript
+    else:
+        wire = _transcript_indices(idx, transcript)
+    alice, bob = _factors(idx, wire, cap)
+    _require_truth(wire, alice, bob)
     per_secret = Counter(s for _, (s, _) in alice)
-    key = (
-        tuple((s.value, mass.numerator, mass.denominator) for s, mass in prior.items()),
-        tuple(sorted(per_secret.items())),
-        len(bob),
-    )
-    bayes = idx.bayes_memo.get(key)
-    if bayes is None:
-        assert instance.secret_domain is not None
-        bayes = idx.bayes_memo[key] = _bayes(prior, per_secret, len(bob), instance.secret_domain)
-    posterior, support, uniform = bayes
+    key = (prior.key, tuple(sorted(per_secret.items())), len(bob))
+    step = idx.bayes_memo.get(key)
+    if step is None:
+        step = idx.bayes_memo[key] = _bayes(prior.by_residue, per_secret, len(bob), idx.s_res)
+    if wire is transcript:
+        return step
+    scalars = {s.value: s for s in prior.masses}
     return PosteriorReport(
         transcript=transcript,
-        prior=dict(prior),
-        posterior=dict(posterior),
-        support=support,
-        uniform=uniform,
-        witness_count=len(alice) * len(bob),
+        prior=dict(prior.masses),
+        posterior={scalars[s]: mass for s, mass in step.posterior},
+        support=tuple(scalars[s] for s in step.support),
+        uniform=step.uniform,
+        witness_count=step.witness_count,
     )
 
 
 def _bayes(
-    prior: Mapping[Scalar, Fraction], per_secret: Counter, n_bob: int, secrets: tuple[Scalar, ...]
-) -> tuple[tuple[tuple[Scalar, Fraction], ...], tuple[Scalar, ...], bool]:
-    """(posterior items in residue order, support, uniform) from the
-    prior and a transcript's count signature."""
-    weights = {s: mass * (per_secret[s.value] * n_bob) for s, mass in prior.items()}
+    prior: Mapping[int, Fraction], per_secret: Counter, n_bob: int, secrets: list[int]
+) -> BayesStep:
+    """The Bayes step from a residue-keyed prior in residue order and a
+    transcript's count signature."""
+    weights = {s: mass * (per_secret[s] * n_bob) for s, mass in prior.items()}
     total = sum(weights.values(), Fraction(0))
     if total == 0:
         raise InconsistentTranscriptError(
             "inconsistent transcript: no witness reproduces it under this prior"
         )
-    posterior = tuple((s, weights[s] / total) for s in sorted(prior, key=lambda x: x.value))
+    posterior = tuple((s, weight / total) for s, weight in weights.items())
     support = tuple(s for s, mass in posterior if mass > 0)
     masses = {mass for _, mass in posterior if mass > 0}
     uniform = len(masses) == 1 and set(support) == set(secrets)
-    return posterior, support, uniform
+    return BayesStep(posterior, support, uniform, sum(per_secret.values()) * n_bob)
 
 
 @dataclass(frozen=True)
@@ -403,7 +462,7 @@ def exact_mutual_information(
         raise WorkCapExceeded("leakage-analysis", estimate, cap)
 
     prior_by_res = {s.value: mass for s, mass in prior.items() if mass > 0}
-    classes, _ = idx.pair_classes
+    classes = idx.pair_classes
     counts: dict[tuple, int] = {}
     for c, cls in enumerate(classes):
         for u, v3 in idx.class_unmaskings(cls):

@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Optional
 
@@ -38,11 +40,13 @@ from .actions import (
     trivial_instance,
 )
 from .analysis import (
+    BayesStep,
     LeakageReport,
-    PosteriorReport,
+    PosteriorPrior,
     SearchReport,
     exact_mutual_information,
     posterior_from_transcript,
+    posterior_prior,
 )
 from .errors import TriplePassError, WorkCapExceeded
 from .fields import PrimeField, Scalar, parse_scalar
@@ -161,8 +165,68 @@ def _emit(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+def _json_text(payload) -> str:
+    """``json.dumps(payload, indent=2) + "\n"``, byte for byte, for the
+    artifacts this program writes: str-keyed dicts, lists and tuples,
+    str, int, float, bool and None. Any other key or value raises
+    TypeError. The stdlib encoder runs in pure Python once ``indent`` is
+    set; this writer is a faster one for the same layout, and it writes
+    a container shared by several parents, at one depth, only once.
+    """
+    memo: dict[tuple[int, str], str] = {}
+
+    def text(obj, nl: str) -> str:
+        kind = type(obj)
+        if kind is str:
+            return _quote(obj)
+        if kind is int:
+            return int.__repr__(obj)
+        if kind is dict or kind is list:
+            key = (id(obj), nl)
+            done = memo.get(key)
+            if done is None:
+                done = memo[key] = container(obj, nl)
+            return done
+        if obj is None:
+            return "null"
+        if obj is True:
+            return "true"
+        if obj is False:
+            return "false"
+        if isinstance(obj, str):
+            return _quote(obj)
+        if isinstance(obj, int):
+            return int.__repr__(obj)
+        if isinstance(obj, float):
+            return _float_text(obj)
+        if isinstance(obj, (dict, list, tuple)):
+            return container(obj, nl)
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+    def container(obj, nl: str) -> str:
+        inner = nl + "  "
+        if isinstance(obj, dict):
+            if not obj:
+                return "{}"
+            items = []
+            for k, v in obj.items():
+                if not isinstance(k, str):
+                    raise TypeError(f"keys must be str, not {type(k).__name__}")
+                items.append(_quote(k) + ": " + text(v, inner))
+            return "{" + inner + ("," + inner).join(items) + nl + "}"
+        if not obj:
+            return "[]"
+        return "[" + inner + ("," + inner).join([text(v, inner) for v in obj]) + nl + "]"
+
+    return text(payload, "\n") + "\n"
+
+
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x in (math.inf, -math.inf):
+        return "Infinity" if x > 0 else "-Infinity"
+    return float.__repr__(x)
 
 
 def _prior_json(prior: dict) -> dict:
@@ -209,17 +273,39 @@ def _leakage_dict(report: LeakageReport) -> dict:
     }
 
 
-def _posterior_dict(report: PosteriorReport) -> dict:
-    posterior = sorted(report.posterior.items(), key=lambda kv: kv[0].value)
-    return {
-        "transcript": transcript_to_dict(report.transcript),
-        "prior": _prior_json(report.prior),
-        "posterior": {str(s.value): str(mass) for s, mass in posterior},
-        "posterior_float": {str(s.value): float(mass) for s, mass in posterior},
-        "support": [s.value for s in report.support],
-        "uniform": report.uniform,
-        "witness_count": report.witness_count,
-    }
+def _posterior_reports(
+    transcript_dicts: list, instance: ActionInstance, prior: PosteriorPrior, cap: int
+) -> list[dict]:
+    """The posterior report of every wire transcript, each read into the
+    instance's index and run to its shared ``BayesStep``.
+
+    Reports with one step share all their fields but the transcript, and
+    transcripts share the [x, y] list of each point, so ``_json_text``
+    writes each of those once.
+    """
+    idx = prior.index
+    p = idx.p
+    points = [[x, y] for x in range(p) for y in range(p)]
+    prior_json = {str(s): str(mass) for s, mass in prior.by_residue.items()}
+    by_step: dict[BayesStep, dict] = {}
+    reports = []
+    for i, d in enumerate(transcript_dicts):
+        wire = transcript_from_dict(d, i, index=idx)
+        step = posterior_from_transcript(wire, instance, prior, cap=cap)
+        shared = by_step.get(step)
+        if shared is None:
+            shared = by_step[step] = {
+                "prior": prior_json,
+                "posterior": {str(s): str(mass) for s, mass in step.posterior},
+                "posterior_float": {str(s): float(mass) for s, mass in step.posterior},
+                "support": list(step.support),
+                "uniform": step.uniform,
+                "witness_count": step.witness_count,
+            }
+        transcript = {"instance": idx.name, "p": p, "v1": points[wire.v1],
+                      "v2": points[wire.v2], "v3": points[wire.v3]}
+        reports.append({"transcript": transcript, **shared})
+    return reports
 
 
 def _search_dict(report: SearchReport) -> dict:
@@ -401,13 +487,16 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         instance = _resolve_instance(
             args, descriptor, "transcript file carries no instance descriptor; pass --instance"
         )
-        prior = _load_prior(args.prior, instance)
-
-        reports = []
-        for i, d in enumerate(transcript_dicts):
-            transcript = transcript_from_dict(d, session_id=i)
-            reports.append(posterior_from_transcript(transcript, instance, prior, cap=cap))
-
+        validated = posterior_prior(instance, _load_prior(args.prior, instance))
+        reports = _posterior_reports(transcript_dicts, instance, validated, cap)
+        if args.format == "human":
+            lines = [
+                f"transcript {r['transcript']}: support {{{','.join(map(str, r['support']))}}},"
+                f" uniform={r['uniform']}, witnesses={r['witness_count']}"
+                for r in reports
+            ]
+            _emit("\n".join(lines) + "\n", args.out)
+            return EXIT_OK
         artifact = _artifact(
             "triplepass/posterior/v1",
             args,
@@ -416,18 +505,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             descriptor=instance_to_descriptor(instance),
             transcripts=args.transcripts,
         )
-        artifact["reports"] = [_posterior_dict(r) for r in reports]
-        if args.format == "human":
-            lines = []
-            for r in reports:
-                support = ",".join(str(s.value) for s in r.support)
-                lines.append(
-                    f"transcript {transcript_to_dict(r.transcript)}: support {{{support}}},"
-                    f" uniform={r.uniform}, witnesses={r.witness_count}"
-                )
-            _emit("\n".join(lines) + "\n", args.out)
-        else:
-            _emit(_json_text(artifact), args.out)
+        artifact["reports"] = reports
+        _emit(_json_text(artifact), args.out)
         return EXIT_OK
 
     instance = _resolve_instance(args)

@@ -10,12 +10,14 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Union
 
 from .errors import DomainMismatchError
 
 __all__ = [
     "PrimeField",
+    "prime_field",
     "Rationals",
     "RATIONALS",
     "Scalar",
@@ -25,6 +27,7 @@ __all__ = [
     "domain_from_label",
     "format_scalar",
     "parse_scalar",
+    "parse_value",
     "scalar_to_json",
     "scalar_from_json",
 ]
@@ -101,6 +104,13 @@ class PrimeField:
         if b % self.p == 0:
             raise ZeroDivisionError(f"division by zero in {self.label}")
         return (a * pow(b, -1, self.p)) % self.p
+
+
+@lru_cache(maxsize=64, typed=True)
+def prime_field(p: int) -> PrimeField:
+    """``PrimeField(p)``, shared per modulus: a modulus that arrives with
+    every transcript or matrix literal is tested for primality once."""
+    return PrimeField(p)
 
 
 @dataclass(frozen=True)
@@ -189,7 +199,7 @@ def domain_from_label(label: str) -> Domain:
     if label == "Q":
         return RATIONALS
     if label.startswith("F"):
-        return PrimeField(int(label[1:]))
+        return prime_field(int(label[1:]))
     raise ValueError(f"unknown scalar domain {label!r}")
 
 
@@ -198,15 +208,20 @@ def format_scalar(s: Scalar) -> str:
     return str(s.value)
 
 
-def parse_scalar(text: str, domain: Domain) -> Scalar:
+def parse_value(text: str, domain: Domain) -> Union[int, Fraction]:
+    """The value of a scalar literal: a residue in [0, p) or a Fraction."""
     text = text.strip()
     if isinstance(domain, PrimeField):
         if not _RESIDUE_RE.match(text):
             raise ValueError(f"invalid {domain.label} scalar literal {text!r}")
-        return domain.scalar(int(text))
+        return int(text) % domain.p
     if not _RATIONAL_RE.match(text):
         raise ValueError(f"invalid rational literal {text!r}")
-    return domain.scalar(Fraction(text))
+    return Fraction(text)
+
+
+def parse_scalar(text: str, domain: Domain) -> Scalar:
+    return Scalar(domain, parse_value(text, domain))
 
 
 def scalar_to_json(s: Scalar) -> Union[int, str]:

@@ -16,13 +16,14 @@ from .fields import (
     Scalar,
     domain_from_label,
     format_scalar,
-    parse_scalar,
+    parse_value,
 )
 
 __all__ = [
     "Mat2",
     "format_matrix",
     "parse_matrix",
+    "parse_matrix_values",
 ]
 
 
@@ -103,12 +104,19 @@ def format_matrix(m: Mat2) -> str:
     return f"[[{a},{b}],[{c},{d}]]@{m.domain.label}"
 
 
-def parse_matrix(text: str) -> Mat2:
+def parse_matrix_values(text: str) -> tuple[Domain, tuple]:
+    """The domain of a matrix literal and its entry values in row-major
+    order: residues in [0, p), or Fractions over Q."""
     if not isinstance(text, str):
         raise ValueError(f"invalid matrix literal {text!r}")
     match = _MATRIX_RE.match(text.replace(" ", ""))
     if not match:
         raise ValueError(f"invalid matrix literal {text!r}")
-    a, b, c, d, label = match.groups()
+    *entries, label = match.groups()
     domain = domain_from_label(label)
-    return Mat2(*(parse_scalar(e, domain) for e in (a, b, c, d)))
+    return domain, tuple(parse_value(e, domain) for e in entries)
+
+
+def parse_matrix(text: str) -> Mat2:
+    domain, values = parse_matrix_values(text)
+    return Mat2(*(Scalar(domain, v) for v in values))

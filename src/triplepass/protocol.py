@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .actions import (
     ActionInstance,
     ConditionReport,
     DEFAULT_WORK_CAP,
+    InstanceIndex,
     Point,
     _require_finite,
     act,
@@ -30,9 +31,9 @@ from .actions import (
     secret_square_points,
 )
 from .errors import TriplePassError, WorkCapExceeded
-from .fields import PrimeField, RATIONALS, Scalar, scalar_from_json, scalar_to_json
+from .fields import PrimeField, RATIONALS, Scalar, prime_field, scalar_from_json, scalar_to_json
 from .groups import _mul
-from .matrices import Mat2, format_matrix, parse_matrix
+from .matrices import Mat2, format_matrix, parse_matrix, parse_matrix_values
 
 __all__ = [
     "SecretEncoding",
@@ -48,6 +49,7 @@ __all__ = [
     "sample_rational_matrix",
     "transcript_to_dict",
     "transcript_from_dict",
+    "WireTranscript",
 ]
 
 ROUNDTRIP_CONDITION = "roundtrip-comm-fixed"
@@ -350,31 +352,82 @@ def transcript_to_dict(transcript: Transcript, *, lab_view: bool = False) -> dic
     return d
 
 
-def transcript_from_dict(d: dict, session_id: int = 0) -> Transcript:
-    """Parse the wire form, rejecting malformed input with ValueError."""
+def _wire_modulus(d) -> Union[int, str]:
+    """The ``p`` of a wire transcript, once its required keys are checked."""
     if not isinstance(d, dict) or not {"instance", "p", "v1", "v2", "v3"} <= d.keys():
         raise ValueError("a transcript must be an object with instance, p, v1, v2 and v3")
     p = d["p"]
     if p != "Q" and type(p) is not int:
         raise ValueError(f"transcript p must be a prime or \"Q\", got {p!r}")
-    domain = RATIONALS if p == "Q" else PrimeField(p)
+    return p
 
-    def scalar(value) -> Scalar:
-        # Wire residues are canonical; anything outside [0, p) is corrupt.
-        if isinstance(domain, PrimeField) and isinstance(value, int) and not 0 <= value < p:
-            raise ValueError(f"residue {value!r} is outside [0, {p})")
-        return scalar_from_json(domain, value)
 
-    def point(values: list) -> Point:
-        if not isinstance(values, list) or len(values) != 2:
-            raise ValueError(f"a point must be a two-element list, got {values!r}")
-        return Point(scalar(values[0]), scalar(values[1]))
+def _wire_truth(d: dict) -> dict:
+    t = d["truth"]
+    if not isinstance(t, dict) or not {"s", "t", "A", "B"} <= t.keys():
+        raise ValueError("a transcript truth must be an object with s, t, A and B")
+    return t
+
+
+def _wire_pair(values) -> list:
+    if not isinstance(values, list) or len(values) != 2:
+        raise ValueError(f"a point must be a two-element list, got {values!r}")
+    return values
+
+
+def _wire_residue(value, p: int) -> int:
+    # Wire residues are canonical; anything outside [0, p) is corrupt.
+    if isinstance(value, int) and not 0 <= value < p:
+        raise ValueError(f"residue {value!r} is outside [0, {p})")
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(f"expected an integer or a string scalar, got {value!r}")
+    if not isinstance(value, int):
+        raise ValueError(f"expected integer residue, got {value!r}")
+    return value
+
+
+class WireTranscript(NamedTuple):
+    """A wire transcript read into one instance's index tables: the three
+    messages as point indices and, from a lab view, the ground truth as
+    (s, t, A, B), residues and group indices (None outside the group)."""
+
+    v1: int
+    v2: int
+    v3: int
+    truth: Optional[tuple[int, int, Optional[int], Optional[int]]]
+    session_id: int = 0
+
+
+def transcript_from_dict(
+    d: dict, session_id: int = 0, *, index: Optional[InstanceIndex] = None
+) -> Union[Transcript, WireTranscript]:
+    """Parse the wire form, rejecting malformed input with ValueError.
+
+    With ``index``, the transcript is read straight into that instance's
+    tables as a ``WireTranscript``, with no scalar, point or matrix built
+    on the way: it is validated the same way, with the same messages,
+    and must also be over the instance's modulus and name the instance
+    (``TriplePassError`` otherwise).
+    """
+    p = _wire_modulus(d)
+    if index is not None:
+        return _indexed_transcript(d, p, session_id, index)
+    if p == "Q":
+        def scalar(value) -> Scalar:
+            return scalar_from_json(RATIONALS, value)
+    else:
+        field = prime_field(p)
+
+        def scalar(value) -> Scalar:
+            return Scalar(field, _wire_residue(value, p))
+
+    def point(values) -> Point:
+        x, y = _wire_pair(values)
+        return Point(scalar(x), scalar(y))
 
     truth = None
     if "truth" in d:
-        t = d["truth"]
-        if not isinstance(t, dict) or not {"s", "t", "A", "B"} <= t.keys():
-            raise ValueError("a transcript truth must be an object with s, t, A and B")
+        t = _wire_truth(d)
         truth = GroundTruth(
             scalar(t["s"]),
             scalar(t["t"]),
@@ -389,3 +442,33 @@ def transcript_from_dict(d: dict, session_id: int = 0) -> Transcript:
         session_id=session_id,
         ground_truth=truth,
     )
+
+
+def _indexed_transcript(d: dict, p, session_id: int, idx: InstanceIndex) -> WireTranscript:
+    """``transcript_from_dict`` into index tables, checks in the same order."""
+    if p != idx.p:
+        if p != "Q":
+            prime_field(p)  # a modulus that is not prime is refused as such
+        raise TriplePassError(f"transcript p {p!r} is not the instance modulus {idx.p}")
+
+    def point(values) -> int:
+        x, y = _wire_pair(values)
+        return _wire_residue(x, p) * p + _wire_residue(y, p)
+
+    def mask(text) -> Optional[int]:
+        # Each distinct literal is parsed once per index.
+        memo = idx.mask_literals
+        if isinstance(text, str) and text in memo:
+            return memo[text]
+        domain, values = parse_matrix_values(text)
+        memo[text] = idx.group._residue_index.get(values) if domain == idx.field else None
+        return memo[text]
+
+    truth = None
+    if "truth" in d:
+        t = _wire_truth(d)
+        truth = (_wire_residue(t["s"], p), _wire_residue(t["t"], p), mask(t["A"]), mask(t["B"]))
+    v1, v2, v3 = point(d["v1"]), point(d["v2"]), point(d["v3"])
+    if d["instance"] != idx.name:
+        raise TriplePassError(f"transcript is for {d['instance']!r}, not {idx.name!r}")
+    return WireTranscript(v1, v2, v3, truth, session_id)

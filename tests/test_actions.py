@@ -235,15 +235,18 @@ def test_weighted_grid_counts_every_exchange(request, fixture):
     # the class counts, spread over their pairs, give every exchange.
     idx = InstanceIndex(request.getfixturevalue(fixture))
     assert "pair_classes" not in vars(idx)  # built on first use only
-    classes, class_of = idx.pair_classes
+    classes = idx.pair_classes
     n, table = idx.n_points, idx.act_table
     orbits = {frozenset(row[v] for row in table) for v in range(n)}
+    # Each class is the G-orbit of its representative pair, by brute force.
+    members = {c: {(row[cls.r], row[cls.w]) for row in table} for c, cls in enumerate(classes)}
+    class_of = {}
+    for c, pairs in members.items():
+        for v1, v2 in pairs:
+            assert v1 * n + v2 not in class_of
+            class_of[v1 * n + v2] = c
     assert set(class_of) == {v1 * n + v2 for orb in orbits for v1 in orb for v2 in orb}
-    members = {c: set() for c in range(len(classes))}
-    for key, c in class_of.items():
-        members[c].add(divmod(key, n))
     for c, cls in enumerate(classes):
-        assert members[c] == {(row[cls.r], row[cls.w]) for row in table}
         assert cls.r == min(next(orb for orb in orbits if cls.r in orb))
         assert cls.size == len(members[c])
         assert cls.stab == sum(row[cls.r] == cls.w for row in table)

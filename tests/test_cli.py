@@ -151,7 +151,9 @@ class TestRun:
     # of the `reports` field of `analyze --transcripts` on that file (its
     # config names the input path), as written by version 0.1.0 before
     # sessions and posteriors moved onto the index tables. The run digest
-    # covers the whole artifact, the tool version included.
+    # covers the whole artifact, the tool version included. The reports
+    # digest re-serialises through `json`, so both files are also checked
+    # to be the stdlib's own indent-2 text.
     PINNED_DIGESTS = {
         ("diagonal", "7"): (
             "e7ce9e520a727d62a3baf390802c05760ef231f48e7838e258ed4d7c4b1163fc",
@@ -184,6 +186,9 @@ class TestRun:
             hashlib.sha256(json.dumps(reports, indent=2).encode()).hexdigest(),
         )
         assert digests == self.PINNED_DIGESTS[(kind, p)]
+        for path in (run_file, analyze_file):
+            written = path.read_bytes()
+            assert written == (json.dumps(json.loads(written), indent=2) + "\n").encode()
 
     def test_csv_success_table(self, capsys, tmp_path):
         out_file = tmp_path / "run.csv"

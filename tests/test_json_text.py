@@ -1,0 +1,80 @@
+"""Property test: the artifact writer ``cli._json_text`` writes exactly
+the text of ``json.dumps(x, indent=2) + "\\n"``, and refuses what the
+program never writes with TypeError."""
+
+import json
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from triplepass.cli import _json_text
+
+FLOATS = [0.1, 1e16, 5e-324, -0.0, 0.16666666666666666, float("inf"), float("nan")]
+STRINGS = ["", '"', "\\", "/", "\n\r\t\b\f", "\x00\x1f\x7f", "é", " ", "😀", "\ud800"]
+
+scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**40), max_value=10**40)
+    | st.floats()
+    | st.sampled_from(FLOATS)
+    | st.text()
+    | st.sampled_from(STRINGS)
+)
+keys = st.text(max_size=8) | st.sampled_from(STRINGS)
+trees = st.recursive(
+    scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(keys, inner, max_size=4),
+    max_leaves=40,
+)
+
+
+def stdlib(x) -> str:
+    return json.dumps(x, indent=2) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(trees)
+def test_writer_matches_the_stdlib(tree):
+    assert _json_text(tree) == stdlib(tree)
+
+
+@settings(max_examples=60, deadline=None)
+@given(trees, trees)
+def test_shared_containers_are_written_at_each_depth(shared, other):
+    # One object under several parents, at equal and at different depths.
+    payload = {"a": shared, "b": [shared, other, shared], "c": {"d": [shared]}, "e": shared}
+    assert _json_text(payload) == stdlib(payload)
+
+
+def test_deeply_nested_and_empty_containers():
+    deep = []
+    for i in range(200):
+        deep = [deep, {}] if i % 2 else {"k": deep, "empty": []}
+    for payload in (deep, [], {}, [[]], {"": {}}, ((),)):
+        assert _json_text(payload) == stdlib(payload)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [{1: "a"}, {None: 1}, {(1, 2): 1}, {"a": {2.5: 1}}, {True: 0}],
+    ids=["int-key", "none-key", "tuple-key", "nested-float-key", "bool-key"],
+)
+def test_a_key_that_is_not_a_string_is_refused(payload):
+    with pytest.raises(TypeError):
+        _json_text(payload)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [Fraction(1, 3), {"a": [set()]}, [b"bytes"], {"a": object()}, [1j]],
+    ids=["fraction", "set", "bytes", "object", "complex"],
+)
+def test_an_unsupported_value_is_refused(payload):
+    with pytest.raises(TypeError):
+        _json_text(payload)

@@ -376,6 +376,21 @@ class TestTranscriptWireFormat:
         assert back.v1 == out.transcript.v1
         assert back.ground_truth == out.transcript.ground_truth
 
+    def test_one_prime_field_per_modulus(self, diag5, monkeypatch):
+        # A transcript and each of its matrix literals name their modulus;
+        # the field of a modulus is built, and tested for primality, once.
+        out = run_session(diag5, F5.scalar(2), random.Random(1))
+        d = transcript_to_dict(out.transcript, lab_view=True)
+        first = transcript_from_dict(d)
+
+        def refuse(n):
+            raise AssertionError(f"primality of {n} tested again")
+
+        monkeypatch.setattr(triplepass.fields, "is_prime", refuse)
+        again = transcript_from_dict(d, 1)
+        truth = again.ground_truth
+        assert again.v1.domain is first.v1.domain is truth.mask_a.domain is truth.mask_b.domain
+
     def test_lab_view_requires_truth(self, diag5):
         out = run_session(diag5, F5.scalar(2), random.Random(1))
         bare = transcript_from_dict(transcript_to_dict(out.transcript))
