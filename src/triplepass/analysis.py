@@ -106,31 +106,28 @@ class WitnessSet:
     counts_by_secret: dict[Scalar, int]
 
 
-def _transcript_indices(idx: InstanceIndex, transcript: Transcript) -> WireTranscript:
-    """A transcript object in the form ``transcript_from_dict`` reads its
-    wire form into an index: the messages as point indices and the
-    ground truth with its masks located by residues in the group."""
+def _indexed(
+    transcript: Transcript, instance: ActionInstance, what: str
+) -> tuple[InstanceIndex, WireTranscript]:
+    """The instance's index and the transcript in the form
+    ``transcript_from_dict`` reads a wire transcript into it: messages as
+    point indices, the ground truth's masks located by residues."""
+    _require_finite(instance, what)
+    idx = instance_index(instance)
     if transcript.instance != idx.name:
         raise TriplePassError(f"transcript is for {transcript.instance!r}, not {idx.name!r}")
     truth = transcript.ground_truth
     if truth is not None:
         group = idx.group
         truth = (truth.s.value, truth.t.value, group.index_of(truth.mask_a), group.index_of(truth.mask_b))
-    return WireTranscript(
+    wire = WireTranscript(
         idx.point_index(transcript.v1),
         idx.point_index(transcript.v2),
         idx.point_index(transcript.v3),
         truth,
         transcript.session_id,
     )
-
-
-def _indexed(
-    transcript: Transcript, instance: ActionInstance, what: str
-) -> tuple[InstanceIndex, WireTranscript]:
-    _require_finite(instance, what)
-    idx = instance_index(instance)
-    return idx, _transcript_indices(idx, transcript)
+    return idx, wire
 
 
 def _factors(
@@ -299,7 +296,7 @@ def posterior_from_transcript(
     if isinstance(transcript, WireTranscript):
         wire = transcript
     else:
-        wire = _transcript_indices(idx, transcript)
+        _, wire = _indexed(transcript, instance, "witness enumeration")
     alice, bob = _factors(idx, wire, cap)
     _require_truth(wire, alice, bob)
     per_secret = Counter(s for _, (s, _) in alice)

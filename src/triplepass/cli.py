@@ -165,13 +165,16 @@ def _emit(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
+_NONFINITE = {math.inf: "Infinity", -math.inf: "-Infinity"}
+
+
 def _json_text(payload) -> str:
     """``json.dumps(payload, indent=2) + "\n"``, byte for byte, for the
-    artifacts this program writes: str-keyed dicts, lists and tuples,
-    str, int, float, bool and None. Any other key or value raises
+    values artifacts hold: dicts with str keys, lists, tuples, str, int,
+    float, bool and None, of exactly those types. Anything else raises
     TypeError. The stdlib encoder runs in pure Python once ``indent`` is
-    set; this writer is a faster one for the same layout, and it writes
-    a container shared by several parents, at one depth, only once.
+    set; this one is faster, and writes a container that several parents
+    share once per depth.
     """
     memo: dict[tuple[int, str], str] = {}
 
@@ -180,53 +183,34 @@ def _json_text(payload) -> str:
         if kind is str:
             return _quote(obj)
         if kind is int:
-            return int.__repr__(obj)
-        if kind is dict or kind is list:
-            key = (id(obj), nl)
-            done = memo.get(key)
-            if done is None:
-                done = memo[key] = container(obj, nl)
-            return done
+            return repr(obj)
+        if kind is float:
+            return repr(obj) if math.isfinite(obj) else _NONFINITE.get(obj, "NaN")
         if obj is None:
             return "null"
-        if obj is True:
-            return "true"
-        if obj is False:
-            return "false"
-        if isinstance(obj, str):
-            return _quote(obj)
-        if isinstance(obj, int):
-            return int.__repr__(obj)
-        if isinstance(obj, float):
-            return _float_text(obj)
-        if isinstance(obj, (dict, list, tuple)):
-            return container(obj, nl)
-        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+        if kind is bool:
+            return "true" if obj else "false"
+        if kind is not dict and kind is not list and kind is not tuple:
+            raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+        key = (id(obj), nl)
+        done = memo.get(key)
+        if done is None:
+            done = memo[key] = container(obj, nl)
+        return done
 
     def container(obj, nl: str) -> str:
-        inner = nl + "  "
-        if isinstance(obj, dict):
-            if not obj:
-                return "{}"
-            items = []
-            for k, v in obj.items():
-                if not isinstance(k, str):
-                    raise TypeError(f"keys must be str, not {type(k).__name__}")
-                items.append(_quote(k) + ": " + text(v, inner))
-            return "{" + inner + ("," + inner).join(items) + nl + "}"
+        brackets = "{}" if type(obj) is dict else "[]"
         if not obj:
-            return "[]"
-        return "[" + inner + ("," + inner).join([text(v, inner) for v in obj]) + nl + "]"
+            return brackets
+        inner = nl + "  "
+        if brackets == "{}":
+            # _quote raises TypeError on a key that is not a str.
+            items = [_quote(k) + ": " + text(v, inner) for k, v in obj.items()]
+        else:
+            items = [text(v, inner) for v in obj]
+        return brackets[0] + inner + ("," + inner).join(items) + nl + brackets[1]
 
     return text(payload, "\n") + "\n"
-
-
-def _float_text(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x in (math.inf, -math.inf):
-        return "Infinity" if x > 0 else "-Infinity"
-    return float.__repr__(x)
 
 
 def _prior_json(prior: dict) -> dict:

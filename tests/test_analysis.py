@@ -306,6 +306,14 @@ class TestBayesMemo:
         assert third.posterior == second.posterior and third.posterior[F5.scalar(2)] == 1
         assert third.prior == second.prior
 
+    def test_a_prior_validated_once_serves_only_its_own_instance(self, diag5, rot7):
+        transcript = lab_transcript(diag5, 2, 3, (2, 0, 0, 1), (3, 0, 0, 4))
+        validated = analysis.posterior_prior(diag5)
+        report = posterior_from_transcript(transcript, diag5, validated)
+        assert report.posterior == posterior_from_transcript(transcript, diag5).posterior
+        with pytest.raises(ValueError, match="another instance"):
+            posterior_from_transcript(transcript, rot7, validated)
+
     def test_a_tampered_truth_is_refused_after_its_signature_is_memoized(self):
         inst = build_instance("diagonal", 7)
         genuine = run_session(inst, F7.scalar(3), random.Random(4)).transcript
