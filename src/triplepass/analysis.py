@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Mapping, NamedTuple, Optional, Union
+from typing import Mapping, Optional, Union
 
 from .actions import (
     ActionInstance,
@@ -228,15 +228,18 @@ class PosteriorReport:
     witness_count: int
 
 
-class PosteriorPrior(NamedTuple):
+class PosteriorPrior:
     """A prior validated for posteriors on one finite instance: its index,
     the masses as given, the same masses keyed by residue in residue
     order, and their key in the index's ``bayes_memo``."""
 
-    index: InstanceIndex
-    masses: dict[Scalar, Fraction]
-    by_residue: dict[int, Fraction]
-    key: tuple[tuple[int, int, int], ...]
+    __slots__ = ("index", "masses", "by_residue", "key")
+
+    def __init__(self, index: InstanceIndex, masses: dict[Scalar, Fraction]):
+        self.index = index
+        self.masses = masses
+        self.by_residue: dict[int, Fraction] = dict(sorted((s.value, m) for s, m in masses.items()))
+        self.key = tuple((s, m.numerator, m.denominator) for s, m in self.by_residue.items())
 
 
 def posterior_prior(
@@ -246,22 +249,22 @@ def posterior_prior(
     instance, once for any number of transcripts."""
     _require_finite(instance, "witness enumeration")
     masses = uniform_prior(instance) if prior is None else _validate_prior(instance, prior)
-    by_residue = dict(sorted((s.value, mass) for s, mass in masses.items()))
-    key = tuple((s, mass.numerator, mass.denominator) for s, mass in by_residue.items())
-    return PosteriorPrior(instance_index(instance), masses, by_residue, key)
+    return PosteriorPrior(instance_index(instance), masses)
 
 
-@dataclass(frozen=True, eq=False)
 class BayesStep:
     """The exact posterior of one prior and count signature, over
     residues, with the witness count the signature fixes. Each is
     computed once and kept in the index's ``bayes_memo``, so equal steps
-    are one object."""
+    are one object, and steps compare and hash by identity."""
 
-    posterior: tuple[tuple[int, Fraction], ...]  # in residue order
-    support: tuple[int, ...]
-    uniform: bool
-    witness_count: int
+    __slots__ = ("posterior", "support", "uniform", "witness_count")
+
+    def __init__(self, posterior: tuple, support: tuple, uniform: bool, witness_count: int):
+        self.posterior = posterior  # (s, mass) pairs in residue order
+        self.support = support
+        self.uniform = uniform
+        self.witness_count = witness_count
 
 
 def posterior_from_transcript(

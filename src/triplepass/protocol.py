@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Union
+from typing import Optional, Union
 
 from .actions import (
     ActionInstance,
@@ -386,16 +386,17 @@ def _wire_residue(value, p: int) -> int:
     return value
 
 
-class WireTranscript(NamedTuple):
+class WireTranscript:
     """A wire transcript read into one instance's index tables: the three
     messages as point indices and, from a lab view, the ground truth as
     (s, t, A, B), residues and group indices (None outside the group)."""
 
-    v1: int
-    v2: int
-    v3: int
-    truth: Optional[tuple[int, int, Optional[int], Optional[int]]]
-    session_id: int = 0
+    __slots__ = ("v1", "v2", "v3", "truth", "session_id")
+
+    def __init__(self, v1: int, v2: int, v3: int, truth: Optional[tuple], session_id: int = 0):
+        self.v1, self.v2, self.v3 = v1, v2, v3
+        self.truth = truth
+        self.session_id = session_id
 
 
 def transcript_from_dict(
