@@ -271,6 +271,12 @@ class InstanceIndex:
         # tables share one int object per group index.
         self._fibres: dict[int, dict[int, tuple[int, ...]]] = {}
         self._group_indices = list(range(self.n_group))
+        # Exact Bayes steps of ``analysis.posterior_from_transcript``,
+        # keyed by prior and count signature.
+        self.bayes_memo: dict = {}
+        # Group index (None outside the group) of each matrix literal
+        # ``protocol.transcript_from_dict`` has read into this index.
+        self.mask_literals: dict[str, Optional[int]] = {}
 
     def fibres(self, v: int) -> dict[int, tuple[int, ...]]:
         """Orbit-stabilizer table of point v, built on first use: each
@@ -377,18 +383,6 @@ class InstanceIndex:
         """Every carrier point, by index; built on first use."""
         scalars = self.field.elements()
         return tuple(Point(x, y) for x in scalars for y in scalars)
-
-    @cached_property
-    def bayes_memo(self) -> dict:
-        """Exact Bayes steps of ``analysis.posterior_from_transcript``,
-        keyed by prior and count signature; empty until a posterior runs."""
-        return {}
-
-    @cached_property
-    def mask_literals(self) -> dict:
-        """Group index (None outside the group) of each matrix literal
-        ``protocol.transcript_from_dict`` has read into this index."""
-        return {}
 
     def point_index(self, pt: Point) -> int:
         if pt.domain != self.field:

@@ -32,7 +32,6 @@ from .actions import (
     check_masking_coverage,
     check_transcript_equivalence,
     commutator_fixed_carrier_points,
-    instance_from_descriptor,
     instance_index,
     instance_to_descriptor,
     is_commutator_fixed_set,
@@ -427,14 +426,6 @@ def mutual_information_bits(
     return bits, zero_leakage, sum(multiplicity.get(t_key, 1) for t_key in t_mass)
 
 
-def _class_kernel_estimate(idx: InstanceIndex) -> int:
-    """Steps of the pair-class kernel, bounded before it runs. Each of
-    the at most p^2 orbits costs one fibre scan of |G|, its pairs number
-    |orbit|^2 <= |orbit| * |G|, and each of the at most p^2 classes
-    costs one pass over G."""
-    return 3 * idx.n_group * idx.n_points
-
-
 def exact_mutual_information(
     instance: ActionInstance,
     prior: Optional[Mapping[Scalar, Fraction]] = None,
@@ -457,7 +448,11 @@ def exact_mutual_information(
     prior = uniform_prior(instance) if prior is None else _validate_prior(instance, prior)
     cap = DEFAULT_WORK_CAP if cap is None else cap
     idx = instance_index(instance)
-    estimate = _class_kernel_estimate(idx)
+    # Steps of the pair-class kernel, bounded before it runs. Each of the
+    # at most p^2 orbits costs one fibre scan of |G|, its pairs number
+    # |orbit|^2 <= |orbit| * |G|, and each of the at most p^2 classes
+    # costs one pass over G.
+    estimate = 3 * idx.n_group * idx.n_points
     if estimate > cap:
         raise WorkCapExceeded("leakage-analysis", estimate, cap)
 
@@ -568,25 +563,6 @@ def _entry_for_instance(
     )
 
 
-def _revalidate_entry(entry: SearchEntry, cap: int) -> None:
-    """Rebuild the instance from its descriptor and re-run every check;
-    any verdict drift is an internal error."""
-    instance = instance_from_descriptor(entry.descriptor, work_cap=cap)
-    fresh = _entry_for_instance(instance, cap, entry.leakage is not None or bool(entry.skipped))
-    old = [(r.condition, r.passed, r.counterexample) for r in entry.reports]
-    new = [(r.condition, r.passed, r.counterexample) for r in fresh.reports]
-    if old != new or fresh.candidate != entry.candidate:
-        raise AssertionError(f"search entry for {entry.descriptor['name']} did not re-validate")
-    if (entry.leakage is None) != (fresh.leakage is None):
-        raise AssertionError("leakage availability drifted on re-validation")
-    if entry.leakage is not None and fresh.leakage is not None:
-        if (
-            entry.leakage.zero_leakage != fresh.leakage.zero_leakage
-            or entry.leakage.mutual_information_bits != fresh.leakage.mutual_information_bits
-        ):
-            raise AssertionError("leakage report drifted on re-validation")
-
-
 def search_instances(
     p: int,
     max_generators: int = 2,
@@ -600,10 +576,12 @@ def search_instances(
     Subgroups are deduplicated by element set. Each subgroup yields a
     full-plane instance; when its commutators fix at least four nonzero
     carrier points, an embedded variant places a secret square on those
-    fixed points. Candidates must pass every check, leak nothing, and
-    have more than one secret; each one is re-validated from scratch.
-    A cap-exhausted run returns the entries finished so far, flagged
-    incomplete.
+    fixed points. A candidate would pass every check, leak nothing, and
+    have more than one secret. None can exist: transcript equivalence
+    passes only when |S| = 1, because a reply that fixes v1 sends v3
+    back to v. A candidate therefore raises AssertionError, an internal
+    error rather than a finding. A cap-exhausted run returns the entries
+    finished so far, flagged incomplete.
     """
     if max_generators < 1:
         raise ValueError(f"max_generators must be at least 1, got {max_generators}")
@@ -658,9 +636,8 @@ def search_instances(
             entries.append(_entry_for_instance(instance, cap, with_leakage))
 
     candidates = tuple(e.descriptor["name"] for e in entries if e.candidate)
-    for entry in entries:
-        if entry.candidate:
-            _revalidate_entry(entry, cap)
+    if candidates:
+        raise AssertionError(f"search entry {candidates[0]} is a zero-leakage candidate")
 
     return SearchReport(
         p=p,

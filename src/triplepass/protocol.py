@@ -123,8 +123,10 @@ def sample_rational_matrix(rng: random.Random) -> Mat2:
 def encode_secret(instance: ActionInstance, s: Scalar, rng: random.Random) -> SecretEncoding:
     """Blind a secret with a fresh random coordinate.
 
-    The zero vector is rejected for plain (non-embedded) instances: every
-    mask fixes it, so it would reveal itself.
+    On a finite instance t is one uniform draw from the t-domain for
+    every secret, the distribution the leakage analysis counts. A plain
+    instance whose domains both hold 0 can therefore send the origin,
+    which every mask fixes; a t-domain without 0 keeps it off the wire.
     """
     if not instance.is_finite:
         if s.domain != RATIONALS:
@@ -139,13 +141,7 @@ def encode_secret(instance: ActionInstance, s: Scalar, rng: random.Random) -> Se
         if instance.multiplicative and s.is_zero:
             raise ValueError("secret must be nonzero in a multiplicative-style instance")
         raise ValueError(f"secret {s} is outside the instance secret domain")
-    if instance.embedding is None:
-        candidates = tuple(t for t in instance.t_domain if not (s.is_zero and t.is_zero))
-        if not candidates:
-            raise ValueError("no valid blinding value: the encoded point would be zero")
-    else:
-        candidates = instance.t_domain
-    t = candidates[rng.randrange(len(candidates))]
+    t = instance.t_domain[rng.randrange(len(instance.t_domain))]
     return SecretEncoding(s, t, instance.secret_pair_point(s, t))
 
 
@@ -318,27 +314,16 @@ def check_roundtrip_commutator_fixed(
     )
 
 
-def _domain_tag(pt: Point) -> Union[int, str]:
-    return pt.domain.p if isinstance(pt.domain, PrimeField) else "Q"
-
-
-def _point_json(pt: Point) -> list:
-    return [scalar_to_json(pt.x), scalar_to_json(pt.y)]
-
-
 def transcript_to_dict(transcript: Transcript, *, lab_view: bool = False) -> dict:
     """Wire form of a transcript; field order is part of the format.
 
     The adversary view carries only the instance name, the scalar domain,
     and the three messages. The lab view appends the ground truth.
     """
-    d = {
-        "instance": transcript.instance,
-        "p": _domain_tag(transcript.v1),
-        "v1": _point_json(transcript.v1),
-        "v2": _point_json(transcript.v2),
-        "v3": _point_json(transcript.v3),
-    }
+    domain = transcript.v1.domain
+    d = {"instance": transcript.instance, "p": domain.p if isinstance(domain, PrimeField) else "Q"}
+    for key, pt in (("v1", transcript.v1), ("v2", transcript.v2), ("v3", transcript.v3)):
+        d[key] = [scalar_to_json(pt.x), scalar_to_json(pt.y)]
     if lab_view:
         if transcript.ground_truth is None:
             raise ValueError("transcript has no ground truth to export")

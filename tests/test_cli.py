@@ -575,6 +575,26 @@ def test_internal_invariant_failure_exits_four(capsys, monkeypatch):
     assert err.startswith("internal error: ") and err.count("\n") == 1
 
 
+def test_a_census_candidate_is_an_internal_error(capsys, monkeypatch):
+    # Transcript equivalence passes only when |S| = 1, so no census entry
+    # can be a candidate; forcing every verdict to pass and every leakage
+    # to zero makes one. p = 3, because every p = 2 instance has |S| = 1.
+    import triplepass.analysis as analysis
+
+    def passing(*args, **kwargs):
+        return ConditionReport("forced", "forced", True, None, 0)
+
+    for checker in ("is_commutator_fixed_set", "check_masking_coverage",
+                    "check_transcript_equivalence"):
+        monkeypatch.setattr(analysis, checker, passing)
+    monkeypatch.setattr(analysis, "exact_mutual_information",
+                        lambda instance, **kwargs: analysis.LeakageReport(instance.name, 0.0, True, 0, {}))
+    code, out, err = run_cli(capsys, "search", "--p", "3")
+    assert code == 4
+    assert "Traceback" not in err
+    assert err.startswith("internal error: ") and err.count("\n") == 1
+
+
 def test_bare_internal_invariant_failure_names_itself(capsys, monkeypatch):
     import triplepass.cli
 
