@@ -518,10 +518,11 @@ def build_instance(
     t_values = _sorted_scalars(fp, t_domain) if t_domain is not None else fp.elements()
     pairs = None
     if embedding is not None:
-        pairs = {
-            (scalars[s], scalars[t]): Point(scalars[x], scalars[y])
-            for (s, t), (x, y) in embedding
-        }
+        pairs = {}
+        for (s, t), (x, y) in embedding:
+            if (scalars[s], scalars[t]) in pairs:
+                raise ValueError(f"embedding lists the pair ({s}, {t}) twice")
+            pairs[scalars[s], scalars[t]] = Point(scalars[x], scalars[y])
 
     if multiplicative is None:
         multiplicative = all(not s.is_zero for s in secrets)

@@ -1,5 +1,5 @@
 """Finite matrix groups: full general-linear enumeration, closure of a
-generating set, and the subgroup generated by commutators.
+generating set, commutators and the commutator subgroup.
 
 Every group operation here runs on residue 4-tuples ``(a, b, c, d)``
 with integer arithmetic mod p. A group holds residue tuples; its
@@ -175,12 +175,7 @@ class FiniteGroup:
 
     @cached_property
     def is_abelian(self) -> bool:
-        p, res = self.p, self.residues
-        for i, g in enumerate(res):
-            for h in res[i + 1 :]:
-                if _mul(p, g, h) != _mul(p, h, g):
-                    return False
-        return True
+        return len(commutator_subgroup(self)) == 1
 
     def __len__(self) -> int:
         return len(self.residues)
@@ -263,54 +258,43 @@ def commutator(g: Mat2, h: Mat2) -> Mat2:
     return ((h.inverse() @ g.inverse()) @ h) @ g
 
 
-def _commutator_residues(group: FiniteGroup) -> list[Residues]:
-    """Sorted distinct h^-1 g^-1 h g over all ordered element pairs."""
-    p, res = group.p, group.residues
-    pairs = list(zip(res, (res[j] for j in group.inverse_indices)))
-    out = set()
-    for (g0, g1, g2, g3), (j0, j1, j2, j3) in pairs:  # g and g^-1
-        for (h0, h1, h2, h3), (k0, k1, k2, k3) in pairs:  # h and h^-1
-            # x = h^-1 g^-1, then y = x h, then y g.
-            x0 = (k0 * j0 + k1 * j2) % p
-            x1 = (k0 * j1 + k1 * j3) % p
-            x2 = (k2 * j0 + k3 * j2) % p
-            x3 = (k2 * j1 + k3 * j3) % p
-            y0 = (x0 * h0 + x1 * h2) % p
-            y1 = (x0 * h1 + x1 * h3) % p
-            y2 = (x2 * h0 + x3 * h2) % p
-            y3 = (x2 * h1 + x3 * h3) % p
-            out.add(
-                (
-                    (y0 * g0 + y1 * g2) % p,
-                    (y0 * g1 + y1 * g3) % p,
-                    (y2 * g0 + y3 * g2) % p,
-                    (y2 * g1 + y3 * g3) % p,
-                )
-            )
-    return sorted(out)
-
-
 @lru_cache(maxsize=None)
 def distinct_commutators(group: FiniteGroup) -> tuple[Mat2, ...]:
     """Deduplicated commutators over all ordered element pairs, sorted."""
+    p, res = group.p, group.residues
+    pairs = list(zip(res, (res[j] for j in group.inverse_indices)))  # g and g^-1
+    out = {_mul(p, _mul(p, _mul(p, hi, gi), h), g) for g, gi in pairs for h, hi in pairs}
     scalars = group.domain.elements()
-    return tuple(Mat2(*(scalars[v] for v in r)) for r in _commutator_residues(group))
+    return tuple(Mat2(*(scalars[v] for v in r)) for r in sorted(out))
 
 
 @lru_cache(maxsize=None)
 def commutator_subgroup(group: FiniteGroup) -> FiniteGroup:
-    """Subgroup generated by all pairwise commutators.
+    """The commutator subgroup [G, G], as the normal closure of the
+    commutators of a generating set S of G.
 
-    The generated subgroup is normal by construction, but normality is
-    re-verified on the output rather than assumed, to guard the closure
-    implementation itself.
+    That closure lies in [G, G], and G modulo it is generated by the
+    commuting images of S, so it is abelian and the closure also
+    contains [G, G]. S keeps each element, in residue order, that the
+    elements kept so far do not reach. The generated subgroup is normal
+    by construction, but normality is re-verified on the output rather
+    than assumed, to guard the closure implementation itself.
     """
-    sub = subgroup_closure(distinct_commutators(group))
-    p, members = group.p, sub._residue_index
-    for x, xi in zip(group.residues, group.inverse_indices):
-        x_inv = group.residues[xi]
+    p, res = group.p, group.residues
+    inv = dict(zip(res, (res[j] for j in group.inverse_indices)))
+    gens: list[Residues] = []
+    reached = residue_closure(p, gens)
+    for g in res:
+        if g not in reached:
+            gens.append(g)
+            reached = residue_closure(p, gens)
+    comms = {_mul(p, _mul(p, _mul(p, inv[h], inv[g]), h), g) for g in gens for h in gens}
+    conjugates = {_mul(p, _mul(p, inv[x], c), x) for x in res for c in comms}
+    sub = FiniteGroup.from_residues(group.domain, residue_closure(p, list(conjugates)))
+    members = sub._residue_index
+    for x in res:
         for c in sub.residues:
-            if _mul(p, _mul(p, x_inv, c), x) not in members:
+            if _mul(p, _mul(p, inv[x], c), x) not in members:
                 raise AssertionError(
                     "commutator closure failed its normality check; closure is buggy"
                 )

@@ -170,6 +170,18 @@ def test_non_injective_embedding_rejected():
         )
 
 
+def test_embedding_that_repeats_a_pair_rejected():
+    with pytest.raises(ValueError, match="twice"):
+        build_instance(
+            "custom",
+            5,
+            generators=["[[2,0],[0,1]]@F5"],
+            secret_domain=[1],
+            t_domain=[1],
+            embedding=[((1, 1), (0, 1)), ((1, 1), (0, 2))],
+        )
+
+
 def test_action_axioms_exhaustive_on_standard_instances(
     diag5, rot3, rot7, gl2f2, gl2f3, borel3_embedded
 ):

@@ -487,6 +487,8 @@ CUSTOM_F5 = {
         (None, None, ["demo", "--rational", "--p", "7"]),
         (None, None, ["run", "--instance", "rational", "--p", "7"]),
         (None, None, ["demo", "--rational", "--instance", "diagonal"]),
+        ({"kind": "custom", "p": 5, "generators": ["[[2,0],[0,1]]@F5"], "secret_domain": [1],
+          "t_domain": [1], "embedding": [[[1, 1], [0, 1]], [[1, 1], [0, 2]]]}, None, None),
     ],
     ids=["no-p", "embedding-out-of-range", "embedding-shape", "generators-not-a-list",
          "string-domain", "string-p", "string-multiplicative", "no-kind", "list-descriptor",
@@ -498,7 +500,7 @@ CUSTOM_F5 = {
          "borel-embedded-foreign-domain", "generators-on-a-named-kind", "domain-on-trivial",
          "name-on-rational", "domain-on-a-descriptor-file", "zero-p", "p-on-a-transcript-file",
          "p-on-a-descriptor-file", "p-on-the-scripted-demo", "p-on-rational-demo",
-         "p-on-rational", "rational-and-instance"],
+         "p-on-rational", "rational-and-instance", "embedding-repeats-a-pair"],
 )
 def test_malformed_descriptor_or_prior_exits_two_without_traceback(
     capsys, tmp_path, monkeypatch, descriptor, prior, argv
@@ -570,6 +572,23 @@ def test_internal_invariant_failure_exits_four(capsys, monkeypatch):
 
     monkeypatch.setattr(triplepass.groups, "gl2_order", lambda p: -1)
     code, _, err = run_cli(capsys, "check", "--instance", "general-linear", "--p", "2")
+    assert code == 4
+    assert "Traceback" not in err
+    assert err.startswith("internal error: ") and err.count("\n") == 1
+
+
+def test_a_non_normal_commutator_closure_is_an_internal_error(capsys, monkeypatch):
+    # {I, diag(2, 1)} is a subgroup of GL2(F3) but not a normal one, so
+    # commutator_subgroup's normality check must refuse it.
+    import triplepass.groups as groups
+
+    monkeypatch.setattr(groups, "residue_closure",
+                        lambda p, gens, max_order=None: {(1, 0, 0, 1): None, (2, 0, 0, 1): None})
+    groups.commutator_subgroup.cache_clear()
+    try:
+        code, _, err = run_cli(capsys, "check", "--instance", "general-linear", "--p", "3")
+    finally:
+        groups.commutator_subgroup.cache_clear()
     assert code == 4
     assert "Traceback" not in err
     assert err.startswith("internal error: ") and err.count("\n") == 1

@@ -140,6 +140,13 @@ class TestCommutatorSubgroup:
         assert residue_set(sub) == oracles.comm_subgroup(2, oracles.gl2(2))
         assert len(sub) == 3
 
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_gl2_commutator_subgroup_is_sl2(self, p):
+        # Beyond p = 2, [GL2(F_p), GL2(F_p)] is SL2(F_p): no |G|^2 oracle needed.
+        sl2 = {r for r in oracles.gl2(p) if oracles.det(p, r) == 1}
+        assert len(sl2) == p * (p * p - 1)
+        assert residue_set(commutator_subgroup(enumerate_gl2(p))) == sl2
+
     def test_upper_triangular_f3_commutators_are_unipotent(self):
         gens = [
             Mat2.from_values(F3, a, b, 0, d)
@@ -212,6 +219,7 @@ def oracle_group(p, raw):
 
 NON_ABELIAN = [
     pytest.param(3, oracles.gl2, id="gl2-f3"),
+    pytest.param(5, oracles.gl2, id="gl2-f5"),
     pytest.param(7, oracles.upper_triangular_elements, id="borel-f7"),
 ]
 
