@@ -12,67 +12,35 @@ from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from .errors import (
-    AttackInapplicableError,
-    DomainMismatchError,
-    InconsistentTranscriptError,
-    SingularMatrixError,
-    TriplePassError,
-    WorkCapExceeded,
-)
-from .fields import PrimeField, RATIONALS, Rationals, Scalar, format_scalar, parse_scalar
-from .matrices import Mat2, format_matrix, parse_matrix
-from .groups import (
-    DEFAULT_PRIME_CAP,
-    FiniteGroup,
-    commutator,
-    commutator_subgroup,
-    enumerate_gl2,
-    gl2_order,
-    subgroup_closure,
-)
-from .actions import (
-    ActionInstance,
-    ConditionReport,
-    DEFAULT_WORK_CAP,
-    Point,
-    act,
-    build_instance,
-    check_masking_coverage,
-    check_transcript_equivalence,
-    format_point,
-    instance_from_descriptor,
-    instance_to_descriptor,
-    is_commutator_fixed_point,
-    is_commutator_fixed_set,
-    parse_point,
-    rational_demo_instance,
-    recheck_counterexample,
-    trivial_instance,
-)
-from .protocol import (
-    GroundTruth,
-    SecretEncoding,
-    SessionOutcome,
-    Transcript,
-    check_roundtrip_commutator_fixed,
-    encode_secret,
-    exhaustive_roundtrip,
-    run_session,
-    run_session_with,
-    transcript_from_dict,
-    transcript_to_dict,
-)
-from .analysis import (
-    LeakageReport,
-    PosteriorReport,
-    SearchReport,
-    WitnessSet,
-    enumerate_consistent,
-    exact_mutual_information,
-    find_witness,
-    posterior_from_transcript,
-    quotient_attack,
-    search_instances,
-    uniform_prior,
-)
+# Public names by defining module. Each is looked up in its module when
+# read (PEP 562), so importing the package loads no submodule and a
+# command loads only the modules it uses.
+_EXPORTS = {
+    "errors": ("AttackInapplicableError", "DomainMismatchError", "InconsistentTranscriptError",
+               "SingularMatrixError", "TriplePassError", "WorkCapExceeded"),
+    "fields": ("PrimeField", "RATIONALS", "Rationals", "Scalar", "format_scalar", "parse_scalar"),
+    "matrices": ("Mat2", "format_matrix", "parse_matrix"),
+    "groups": ("DEFAULT_PRIME_CAP", "FiniteGroup", "commutator", "commutator_subgroup",
+               "enumerate_gl2", "gl2_order", "subgroup_closure"),
+    "actions": ("ActionInstance", "ConditionReport", "DEFAULT_WORK_CAP", "Point", "act",
+                "build_instance", "check_masking_coverage", "check_transcript_equivalence",
+                "format_point", "instance_from_descriptor", "instance_to_descriptor",
+                "is_commutator_fixed_point", "is_commutator_fixed_set", "parse_point",
+                "rational_demo_instance", "recheck_counterexample", "trivial_instance"),
+    "protocol": ("GroundTruth", "SecretEncoding", "SessionOutcome", "Transcript",
+                 "check_roundtrip_commutator_fixed", "encode_secret", "exhaustive_roundtrip",
+                 "run_session", "run_session_with", "transcript_from_dict", "transcript_to_dict"),
+    "analysis": ("LeakageReport", "PosteriorReport", "SearchReport", "WitnessSet",
+                 "enumerate_consistent", "exact_mutual_information", "find_witness",
+                 "posterior_from_transcript", "quotient_attack", "search_instances",
+                 "uniform_prior"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = list(_HOME)
+
+
+def __getattr__(name: str):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(__import__(f"{__name__}.{module}", fromlist=[name]), name)

@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Literal, NamedTuple, Optional, Sequence, Union
+from typing import Iterator, Literal, Optional, Sequence, Union
 
 from .errors import SingularMatrixError, TriplePassError, WorkCapExceeded
 from .fields import (
@@ -38,6 +37,7 @@ from .groups import (
     subgroup_closure,
 )
 from .matrices import Mat2, format_matrix, parse_matrix
+from .records import Frozen, Record, setfield
 
 __all__ = [
     "DEFAULT_WORK_CAP",
@@ -85,16 +85,16 @@ CONDITION_TRANSCRIPT = "transcript-equivalence"
 CONDITION_COMM_FIXED = "comm-fixed-set"
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(Frozen):
     """A carrier point: a pair of scalars from one domain."""
 
-    x: Scalar
-    y: Scalar
+    __slots__ = _fields = ("x", "y")
 
-    def __post_init__(self) -> None:
-        if self.x.domain != self.y.domain:
+    def __init__(self, x: Scalar, y: Scalar) -> None:
+        if x.domain != y.domain:
             raise TriplePassError("point coordinates must share one scalar domain")
+        setfield(self, "x", x)
+        setfield(self, "y", y)
 
     @property
     def domain(self) -> Domain:
@@ -136,8 +136,7 @@ def parse_point(text: str) -> Point:
     return Point(parse_scalar(parts[0], domain), parse_scalar(parts[1], domain))
 
 
-@dataclass
-class ActionInstance:
+class ActionInstance(Record):
     """A named (carrier, secret domain, group, action) universe.
 
     ``group`` is either an explicit FiniteGroup or the RATIONAL_GL2 tag
@@ -147,16 +146,17 @@ class ActionInstance:
     absent a pair (s, t) is the carrier point (s, t) itself.
     """
 
-    name: str
-    field: Domain
-    group: Union[FiniteGroup, str]
-    secret_domain: Optional[tuple[Scalar, ...]]
-    t_domain: Optional[tuple[Scalar, ...]]
-    embedding: Optional[dict[tuple[Scalar, Scalar], Point]] = None
-    multiplicative: bool = True
-    kind: str = "custom"
+    _fields = ("name", "field", "group", "secret_domain", "t_domain", "embedding",
+               "multiplicative", "kind")
 
-    def __post_init__(self) -> None:
+    def __init__(self, name: str, field: Domain, group: Union[FiniteGroup, str],
+                 secret_domain: Optional[tuple[Scalar, ...]],
+                 t_domain: Optional[tuple[Scalar, ...]],
+                 embedding: Optional[dict[tuple[Scalar, Scalar], Point]] = None,
+                 multiplicative: bool = True, kind: str = "custom") -> None:
+        self.name, self.field, self.group = name, field, group
+        self.secret_domain, self.t_domain, self.embedding = secret_domain, t_domain, embedding
+        self.multiplicative, self.kind = multiplicative, kind
         if self.is_finite:
             if not self.secret_domain:
                 raise ValueError("secret domain must be nonempty")
@@ -197,13 +197,16 @@ def _require_finite(instance: ActionInstance, what: str) -> FiniteGroup:
     return instance.group
 
 
-class PairClass(NamedTuple):
+class PairClass:
     """One G-orbit of message pairs (v1, v2), by its representative."""
 
-    r: int  # v1: the least point of its orbit
-    w: int  # v2: a point in the orbit of r
-    size: int  # pairs in the class: |orbit(r)| * |Stab(r).w|
-    stab: int  # |Stab(r)|: the replies B with r.B == w
+    __slots__ = ("r", "w", "size", "stab")
+
+    def __init__(self, r: int, w: int, size: int, stab: int) -> None:
+        self.r = r  # v1: the least point of its orbit
+        self.w = w  # v2: a point in the orbit of r
+        self.size = size  # pairs in the class: |orbit(r)| * |Stab(r).w|
+        self.stab = stab  # |Stab(r)|: the replies B with r.B == w
 
 
 class InstanceIndex:
@@ -570,8 +573,7 @@ def rational_demo_instance(name: str = "rational-gl2") -> ActionInstance:
     )
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(Frozen):
     """Outcome of one exhaustive condition check.
 
     ``counterexample`` holds the lexicographically smallest violating
@@ -581,12 +583,12 @@ class ConditionReport:
     a checker may derive instead of performing.
     """
 
-    instance: str
-    condition: str
-    passed: bool
-    counterexample: Optional[dict[str, str]]
-    work: int
-    detail: Optional[dict] = None
+    __slots__ = _fields = ("instance", "condition", "passed", "counterexample", "work", "detail")
+
+    def __init__(self, instance: str, condition: str, passed: bool,
+                 counterexample: Optional[dict[str, str]], work: int,
+                 detail: Optional[dict] = None) -> None:
+        self._assign(instance, condition, passed, counterexample, work, detail)
 
     @property
     def verdict(self) -> str:
@@ -962,6 +964,15 @@ def instance_from_descriptor(desc: dict, *, work_cap: Optional[int] = None) -> A
     return build_instance("custom", p, generators=generators, embedding=embedding, **fields)
 
 
-def load_instance_file(path: str, *, work_cap: Optional[int] = None) -> ActionInstance:
+def load_json(path: str):
+    """The JSON value a file holds. Input nested too deeply to decode is
+    a ``ValueError``, as any other malformed JSON is."""
     with open(path, "r", encoding="utf-8") as fh:
-        return instance_from_descriptor(json.load(fh), work_cap=work_cap)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply to decode") from None
+
+
+def load_instance_file(path: str, *, work_cap: Optional[int] = None) -> ActionInstance:
+    return instance_from_descriptor(load_json(path), work_cap=work_cap)

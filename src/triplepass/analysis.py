@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Mapping, Optional, Union
@@ -52,6 +51,7 @@ from .groups import (
 )
 from .matrices import Mat2
 from .protocol import Transcript, WireTranscript
+from .records import Frozen
 
 __all__ = [
     "WitnessSet",
@@ -96,13 +96,15 @@ def _validate_prior(instance: ActionInstance, prior: Mapping[Scalar, Fraction]) 
     return out
 
 
-@dataclass(frozen=True)
-class WitnessSet:
+class WitnessSet(Frozen):
     """All assignments consistent with one transcript, grouped by secret."""
 
-    transcript: Transcript
-    witnesses: tuple[tuple[Scalar, Scalar, Mat2, Mat2], ...]
-    counts_by_secret: dict[Scalar, int]
+    __slots__ = _fields = ("transcript", "witnesses", "counts_by_secret")
+
+    def __init__(self, transcript: Transcript,
+                 witnesses: tuple[tuple[Scalar, Scalar, Mat2, Mat2], ...],
+                 counts_by_secret: dict[Scalar, int]) -> None:
+        self._assign(transcript, witnesses, counts_by_secret)
 
 
 def _indexed(
@@ -215,16 +217,16 @@ def find_witness(
     return idx.field.scalar(t_res), idx.group.elements[a_i], idx.group.elements[bob[0]]
 
 
-@dataclass(frozen=True)
-class PosteriorReport:
+class PosteriorReport(Frozen):
     """Exact conditional distribution over secrets given one transcript."""
 
-    transcript: Transcript
-    prior: dict[Scalar, Fraction]
-    posterior: dict[Scalar, Fraction]
-    support: tuple[Scalar, ...]
-    uniform: bool
-    witness_count: int
+    __slots__ = _fields = ("transcript", "prior", "posterior", "support", "uniform",
+                           "witness_count")
+
+    def __init__(self, transcript: Transcript, prior: dict[Scalar, Fraction],
+                 posterior: dict[Scalar, Fraction], support: tuple[Scalar, ...], uniform: bool,
+                 witness_count: int) -> None:
+        self._assign(transcript, prior, posterior, support, uniform, witness_count)
 
 
 class PosteriorPrior:
@@ -337,15 +339,15 @@ def _bayes(
     return BayesStep(posterior, support, uniform, sum(per_secret.values()) * n_bob)
 
 
-@dataclass(frozen=True)
-class LeakageReport:
+class LeakageReport(Frozen):
     """Exact-count leakage summary for a whole instance."""
 
-    instance: str
-    mutual_information_bits: float
-    zero_leakage: bool
-    transcripts_examined: int
-    prior: dict[Scalar, Fraction]
+    __slots__ = _fields = ("instance", "mutual_information_bits", "zero_leakage",
+                           "transcripts_examined", "prior")
+
+    def __init__(self, instance: str, mutual_information_bits: float, zero_leakage: bool,
+                 transcripts_examined: int, prior: dict[Scalar, Fraction]) -> None:
+        self._assign(instance, mutual_information_bits, zero_leakage, transcripts_examined, prior)
 
 
 def mutual_information_bits(
@@ -496,29 +498,27 @@ def quotient_attack(transcript: Transcript) -> Scalar:
     return v3.x / mask_estimate.x
 
 
-@dataclass(frozen=True)
-class SearchEntry:
+class SearchEntry(Frozen):
     """One examined instance: its rebuildable descriptor and verdicts."""
 
-    descriptor: dict
-    group_order: int
-    abelian: bool
-    reports: tuple[ConditionReport, ...]
-    leakage: Optional[LeakageReport]
-    skipped: dict[str, int]
-    candidate: bool
+    __slots__ = _fields = ("descriptor", "group_order", "abelian", "reports", "leakage", "skipped",
+                           "candidate")
+
+    def __init__(self, descriptor: dict, group_order: int, abelian: bool,
+                 reports: tuple[ConditionReport, ...], leakage: Optional[LeakageReport],
+                 skipped: dict[str, int], candidate: bool) -> None:
+        self._assign(descriptor, group_order, abelian, reports, leakage, skipped, candidate)
 
 
-@dataclass(frozen=True)
-class SearchReport:
+class SearchReport(Frozen):
     """Census of instances built from small generating sets."""
 
-    p: int
-    max_generators: int
-    entries: tuple[SearchEntry, ...]
-    candidates: tuple[str, ...]
-    complete: bool
-    subgroups_examined: int
+    __slots__ = _fields = ("p", "max_generators", "entries", "candidates", "complete",
+                           "subgroups_examined")
+
+    def __init__(self, p: int, max_generators: int, entries: tuple[SearchEntry, ...],
+                 candidates: tuple[str, ...], complete: bool, subgroups_examined: int) -> None:
+        self._assign(p, max_generators, entries, candidates, complete, subgroups_examined)
 
 
 def _entry_for_instance(

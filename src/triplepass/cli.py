@@ -11,7 +11,6 @@ Exit codes: 0 success/pass, 1 checked-property fail, 2 usage error,
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import random
@@ -19,47 +18,35 @@ import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
+# ``protocol`` and ``analysis`` are imported by the commands that use
+# them, which read each name from its module when they run.
 from . import __version__
 from .actions import (
     ActionInstance,
     ConditionReport,
     DEFAULT_WORK_CAP,
     INSTANCE_KINDS,
+    Point,
     build_instance,
     check_masking_coverage,
     check_transcript_equivalence,
-    format_point,
     instance_from_descriptor,
     instance_to_descriptor,
     is_commutator_fixed_set,
     load_instance_file,
+    load_json,
     rational_demo_instance,
     secret_square_points,
     trivial_instance,
 )
-from .analysis import (
-    BayesStep,
-    LeakageReport,
-    PosteriorPrior,
-    SearchReport,
-    exact_mutual_information,
-    posterior_from_transcript,
-    posterior_prior,
-)
 from .errors import TriplePassError, WorkCapExceeded
 from .fields import PrimeField, Scalar, parse_scalar
-from .matrices import Mat2, format_matrix
-from .protocol import (
-    SecretEncoding,
-    run_session,
-    run_session_with,
-    sample_rational_scalar,
-    transcript_from_dict,
-    transcript_to_dict,
-)
-from .actions import Point
+from .matrices import Mat2, parse_matrix
+
+if TYPE_CHECKING:
+    from .analysis import BayesStep, LeakageReport, PosteriorPrior, SearchReport
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -227,8 +214,7 @@ def _residue(text: str, field: PrimeField, what: str) -> Scalar:
 def _load_prior(path: Optional[str], instance: ActionInstance):
     if path is None:
         return None
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+    raw = load_json(path)
     if not isinstance(raw, dict):
         raise UsageError("a prior file must hold a JSON object mapping secrets to masses")
     for mass in raw.values():
@@ -267,6 +253,9 @@ def _posterior_reports(
     transcripts share the [x, y] list of each point, so ``_json_text``
     writes each of those once.
     """
+    from .analysis import posterior_from_transcript
+    from .protocol import transcript_from_dict
+
     idx = prior.index
     p = idx.p
     points = [[x, y] for x in range(p) for y in range(p)]
@@ -316,54 +305,59 @@ def _search_dict(report: SearchReport) -> dict:
     }
 
 
-def _print_session(outcome, file=None) -> None:
-    file = file if file is not None else sys.stdout
-    truth = outcome.transcript.ground_truth
-    print(f"  v  = (s={truth.s}, t={truth.t})", file=file)
-    print(f"  A  = {format_matrix(truth.mask_a)}", file=file)
-    print(f"  B  = {format_matrix(truth.mask_b)}", file=file)
-    print(f"  pass 1  alice -> bob    v1 = {format_point(outcome.transcript.v1)}", file=file)
-    print(f"  pass 2  bob   -> alice  v2 = {format_point(outcome.transcript.v2)}", file=file)
-    print(f"  pass 3  alice -> bob    v3 = {format_point(outcome.transcript.v3)}", file=file)
-    print(f"  pass 4  bob unmasks     v4 = {format_point(outcome.v4)}", file=file)
-    if outcome.success:
-        print("  round trip: OK (v4 = v)", file=file)
-    else:
-        print("  round trip: FAILED (v4 != v; the masks do not commute on v)", file=file)
+def _session_lines(wire: dict, v4, success: bool) -> list[str]:
+    """One session's human lines, from its lab-view wire dict and its v4
+    (a point or a point literal): every value prints as its literal."""
+    truth = wire["truth"]
+    point = "[{},{}]@" + ("Q" if wire["p"] == "Q" else f"F{wire['p']}")
+    return [
+        f"  v  = (s={truth['s']}, t={truth['t']})",
+        f"  A  = {truth['A']}",
+        f"  B  = {truth['B']}",
+        f"  pass 1  alice -> bob    v1 = {point.format(*wire['v1'])}",
+        f"  pass 2  bob   -> alice  v2 = {point.format(*wire['v2'])}",
+        f"  pass 3  alice -> bob    v3 = {point.format(*wire['v3'])}",
+        f"  pass 4  bob unmasks     v4 = {v4}",
+        "  round trip: OK (v4 = v)" if success
+        else "  round trip: FAILED (v4 != v; the masks do not commute on v)",
+    ]
+
+
+def _print_outcome(outcome) -> None:
+    from .protocol import transcript_to_dict
+
+    wire = transcript_to_dict(outcome.transcript, lab_view=True)
+    print("\n".join(_session_lines(wire, outcome.v4, outcome.success)))
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
+    from .protocol import SecretEncoding, run_session_with, wire_sessions
+
     instance = _resolve_instance(args, missing=None)
     rng = random.Random(args.seed)
 
     if instance is None and args.sessions is not None:
         raise UsageError("--sessions needs --instance or --rational; the scripted demo is fixed")
-    if instance is not None and not instance.is_finite:
-        consistent = True
-        for i in range(3 if args.sessions is None else args.sessions):
-            s = sample_rational_scalar(rng, nonzero=True)
-            outcome = run_session(instance, s, rng, session_id=i)
-            truth = outcome.transcript.ground_truth
-            commute = truth.mask_a.commutes_with(truth.mask_b)
-            print(f"rational demo session {i}: secret s = {s}")
-            _print_session(outcome)
-            print(f"  masks commute: {'yes' if commute else 'no'}")
-            if commute and not outcome.success:
-                consistent = False
-        return EXIT_OK if consistent else EXIT_FAIL
-
     if instance is not None:
-        # Without --sessions: one session, shown without a session line.
-        print(f"three-pass demo: {instance.name}")
-        success = True
-        for i in range(1 if args.sessions is None else args.sessions):
-            s = instance.secret_domain[rng.randrange(len(instance.secret_domain))]
-            outcome = run_session(instance, s, rng, session_id=i)
-            if args.sessions is not None:
-                print(f"session {i}: secret s = {s}")
-            _print_session(outcome)
-            success = success and outcome.success
-        return EXIT_OK if success else EXIT_FAIL
+        # Without --sessions: one finite session, shown without a session
+        # line, or three rational ones. Commuting masks must round-trip.
+        rational = not instance.is_finite
+        if not rational:
+            print(f"three-pass demo: {instance.name}")
+        count = args.sessions if args.sessions is not None else 3 if rational else 1
+        ok = True
+        for i, (wire, v4, success) in enumerate(wire_sessions(instance, None, rng, count)):
+            truth = wire["truth"]
+            if rational:
+                print(f"rational demo session {i}: secret s = {truth['s']}")
+            elif args.sessions is not None:
+                print(f"session {i}: secret s = {truth['s']}")
+            print("\n".join(_session_lines(wire, v4, success)))
+            if rational:
+                commute = parse_matrix(truth["A"]).commutes_with(parse_matrix(truth["B"]))
+                print(f"  masks commute: {'yes' if commute else 'no'}")
+            ok = ok and (success or (rational and not commute))
+        return EXIT_OK if ok else EXIT_FAIL
 
     # Scripted default: the general-linear failure, then a commuting success.
     gl2 = build_instance("general-linear", 2)
@@ -373,7 +367,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
     mask_b = Mat2.from_values(f2, 1, 0, 1, 1)
     failure = run_session_with(gl2, enc, mask_a, mask_b)
     print("three-pass demo: general-linear masks over F2 (round trip breaks)")
-    _print_session(failure)
+    _print_outcome(failure)
 
     diag = build_instance("diagonal", 5)
     f5 = diag.field
@@ -385,12 +379,14 @@ def cmd_demo(args: argparse.Namespace) -> int:
         Mat2.from_values(f5, 3, 0, 0, 4),
     )
     print("three-pass demo: diagonal masks over F5 (round trip holds)")
-    _print_session(success)
+    _print_outcome(success)
 
     return EXIT_OK if (not failure.success and success.success) else EXIT_FAIL
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    from .protocol import wire_sessions
+
     instance = _resolve_instance(args)
     rng = random.Random(args.seed)
     if args.secret is None:
@@ -399,16 +395,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         fixed_secret = _residue(args.secret, instance.field, "secret")
     else:
         fixed_secret = parse_scalar(args.secret, instance.field)
-
-    outcomes = []
-    for i in range(args.sessions):
-        if fixed_secret is not None:
-            s = fixed_secret
-        elif instance.is_finite:
-            s = instance.secret_domain[rng.randrange(len(instance.secret_domain))]
-        else:
-            s = sample_rational_scalar(rng, nonzero=True)
-        outcomes.append(run_session(instance, s, rng, session_id=i))
+    sessions = list(wire_sessions(instance, fixed_secret, rng, args.sessions))
 
     if args.format == "csv":
         lines = [
@@ -418,19 +405,15 @@ def cmd_run(args: argparse.Namespace) -> int:
             f"# instance: {instance.name}",
             "session,success",
         ]
-        lines += [f"{o.transcript.session_id},{str(o.success).lower()}" for o in outcomes]
+        lines += [f"{i},{str(success).lower()}" for i, (_, _, success) in enumerate(sessions)]
         _emit("\n".join(lines) + "\n", args.out)
         return EXIT_OK
 
     if args.format == "human":
-        import io
-
-        buf = io.StringIO()
-        print(f"instance {instance.name}, seed {args.seed}", file=buf)
-        for o in outcomes:
-            print(f"session {o.transcript.session_id}:", file=buf)
-            _print_session(o, file=buf)
-        _emit(buf.getvalue(), args.out)
+        lines = [f"instance {instance.name}, seed {args.seed}"]
+        for i, session in enumerate(sessions):
+            lines += [f"session {i}:", *_session_lines(*session)]
+        _emit("\n".join(lines) + "\n", args.out)
         return EXIT_OK
 
     artifact = _artifact(
@@ -442,10 +425,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         sessions=args.sessions,
         lab_view=bool(args.lab_view),
     )
-    artifact["transcripts"] = [
-        transcript_to_dict(o.transcript, lab_view=bool(args.lab_view)) for o in outcomes
-    ]
-    artifact["successes"] = [o.success for o in outcomes]
+    if not args.lab_view:
+        for wire, _, _ in sessions:
+            del wire["truth"]
+    artifact["transcripts"] = [wire for wire, _, _ in sessions]
+    artifact["successes"] = [success for _, _, success in sessions]
     _emit(_json_text(artifact), args.out)
     return EXIT_OK
 
@@ -453,9 +437,10 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     cap = args.cap
 
+    from .analysis import exact_mutual_information, posterior_prior
+
     if args.transcripts:
-        with open(args.transcripts, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        data = load_json(args.transcripts)
         if isinstance(data, dict) and "transcripts" in data:
             transcript_dicts = data["transcripts"]
             config = data.get("config", {})

@@ -8,12 +8,12 @@ rational values are reduced fractions over arbitrary-precision integers.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Union
 
 from .errors import DomainMismatchError
+from .records import Frozen, setfield
 
 __all__ = [
     "PrimeField",
@@ -67,17 +67,25 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PrimeField:
+class PrimeField(Frozen):
     """The field of integers modulo a prime, with exact residue arithmetic."""
 
-    p: int
+    __slots__ = _fields = ("p",)
 
-    def __post_init__(self) -> None:
-        if isinstance(self.p, bool) or not isinstance(self.p, int):
-            raise ValueError(f"modulus {self.p!r} is not an integer")
-        if not is_prime(self.p):
-            raise ValueError(f"modulus {self.p} is not prime")
+    def __init__(self, p: int) -> None:
+        if isinstance(p, bool) or not isinstance(p, int):
+            raise ValueError(f"modulus {p!r} is not an integer")
+        if not is_prime(p):
+            raise ValueError(f"modulus {p} is not prime")
+        setfield(self, "p", p)
+
+    def __eq__(self, other):
+        if other.__class__ is not PrimeField:
+            return NotImplemented
+        return self.p == other.p
+
+    def __hash__(self) -> int:
+        return hash((self.p,))
 
     @property
     def label(self) -> str:
@@ -113,9 +121,10 @@ def prime_field(p: int) -> PrimeField:
     return PrimeField(p)
 
 
-@dataclass(frozen=True)
-class Rationals:
+class Rationals(Frozen):
     """The rational numbers, backed by reduced big-integer fractions."""
+
+    __slots__ = ()
 
     @property
     def label(self) -> str:
@@ -143,8 +152,7 @@ RATIONALS = Rationals()
 Domain = Union[PrimeField, Rationals]
 
 
-@dataclass(frozen=True, slots=True)
-class Scalar:
+class Scalar(Frozen):
     """An exact field element tagged with its domain.
 
     Arithmetic between scalars of different domains raises
@@ -152,8 +160,20 @@ class Scalar:
     the raw values and let the domain's ``scalar`` normalise the result.
     """
 
-    domain: Domain
-    value: Union[int, Fraction]
+    __slots__ = _fields = ("domain", "value")
+
+    def __init__(self, domain: Domain, value: Union[int, Fraction]) -> None:
+        setfield(self, "domain", domain)
+        setfield(self, "value", value)
+
+    def __eq__(self, other):
+        if other.__class__ is not Scalar:
+            return NotImplemented
+        return (self.domain, self.value) == (other.domain, other.value)
+
+    def __hash__(self) -> int:
+        return hash((self.domain, self.value))
+
 
     def _same(self, other: "Scalar") -> None:
         if not isinstance(other, Scalar):

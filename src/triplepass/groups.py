@@ -12,7 +12,6 @@ trivially partitionable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
 from typing import Iterable, Iterator, Optional
@@ -20,6 +19,7 @@ from typing import Iterable, Iterator, Optional
 from .errors import SingularMatrixError, WorkCapExceeded
 from .fields import PrimeField, is_prime
 from .matrices import Mat2
+from .records import Frozen, setfield
 
 __all__ = [
     "DEFAULT_PRIME_CAP",
@@ -85,20 +85,26 @@ def residue_closure(
     return seen
 
 
-@dataclass(frozen=True)
-class FiniteGroup:
+class FiniteGroup(Frozen):
     """An explicit finite group of invertible prime-field matrices.
 
     ``residues`` holds the elements as residue 4-tuples, deduplicated and
     sorted; ``elements`` is their ``Mat2`` view, built on first use. The
     recorded generators are provenance only (empty means the group was
     enumerated as a whole family). Build groups with ``from_residues`` or
-    ``from_elements``, which validate them.
+    ``from_elements``, which validate them. The hash, the key of the
+    cached commutator helpers, is computed once, on construction.
     """
 
-    domain: PrimeField
-    residues: tuple[Residues, ...]
-    generators: tuple[Mat2, ...] = ()
+    _fields = ("domain", "residues", "generators")
+
+    def __init__(self, domain: PrimeField, residues: tuple[Residues, ...],
+                 generators: tuple[Mat2, ...] = ()) -> None:
+        self._assign(domain, residues, generators)
+        setfield(self, "_hash", hash((domain, residues, generators)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @staticmethod
     def from_elements(mats: Iterable[Mat2], generators: tuple[Mat2, ...] = ()) -> "FiniteGroup":

@@ -7,7 +7,6 @@ composition order in the package follows from that convention.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .errors import DomainMismatchError, SingularMatrixError
 from .fields import (
@@ -18,6 +17,7 @@ from .fields import (
     format_scalar,
     parse_value,
 )
+from .records import Frozen, setfield
 
 __all__ = [
     "Mat2",
@@ -27,19 +27,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Mat2:
+class Mat2(Frozen):
     """Row-major 2x2 matrix ``[[a, b], [c, d]]`` with entries in one domain."""
 
-    a: Scalar
-    b: Scalar
-    c: Scalar
-    d: Scalar
+    __slots__ = _fields = ("a", "b", "c", "d")
 
-    def __post_init__(self) -> None:
-        dom = self.a.domain
-        if not (self.b.domain == dom and self.c.domain == dom and self.d.domain == dom):
+    def __init__(self, a: Scalar, b: Scalar, c: Scalar, d: Scalar) -> None:
+        dom = a.domain
+        if not (b.domain == dom and c.domain == dom and d.domain == dom):
             raise DomainMismatchError("matrix entries must share one scalar domain")
+        setfield(self, "a", a)
+        setfield(self, "b", b)
+        setfield(self, "c", c)
+        setfield(self, "d", d)
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b, self.c, self.d))
 
     @property
     def domain(self) -> Domain:

@@ -1,12 +1,13 @@
 """The four-pass masking protocol: Alice masks, Bob masks, Alice unmasks,
 Bob unmasks, with an eavesdropper tap recording the three wire messages.
 
-A session on a finite instance runs on the instance's index tables: the
-masks are group indices, the four passes are lookups in ``act_table``
-and ``inv_rows``, and the commutator is a residue product. ``Scalar``,
-``Point`` and ``Mat2`` values appear only in the returned outcome. The
-rational demo runs the same four passes with ``act`` on ``Mat2`` masks.
-Everything is exact.
+A session on a finite instance runs on one residue core over the
+instance's index tables: the masks are group indices, the four passes
+are lookups in ``act_table`` and ``inv_rows``, and the commutator is a
+residue product. ``run_session`` builds ``Scalar``, ``Point`` and
+``Mat2`` values only for its returned outcome; ``wire_sessions``, which
+the ``run`` command writes, builds none. The rational demo runs the
+same four passes with ``act`` on ``Mat2`` masks. Everything is exact.
 The round trip returns the original point exactly when the point is
 fixed by the commutator A.B.A^-1.B^-1 of the two masks, which is why
 only commuting mask families make the trick reliable.
@@ -15,8 +16,7 @@ only commuting mask families make the trick reliable.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from .actions import (
     ActionInstance,
@@ -32,8 +32,9 @@ from .actions import (
 )
 from .errors import TriplePassError, WorkCapExceeded
 from .fields import PrimeField, RATIONALS, Scalar, prime_field, scalar_from_json, scalar_to_json
-from .groups import _mul
+from .groups import Residues, _mul
 from .matrices import Mat2, format_matrix, parse_matrix, parse_matrix_values
+from .records import Frozen
 
 __all__ = [
     "SecretEncoding",
@@ -50,51 +51,50 @@ __all__ = [
     "transcript_to_dict",
     "transcript_from_dict",
     "WireTranscript",
+    "wire_sessions",
 ]
 
 ROUNDTRIP_CONDITION = "roundtrip-comm-fixed"
 
 
-@dataclass(frozen=True)
-class SecretEncoding:
+class SecretEncoding(Frozen):
     """A secret s, its random blinding coordinate t, and the carrier
     point v that encodes the pair."""
 
-    s: Scalar
-    t: Scalar
-    v: Point
+    __slots__ = _fields = ("s", "t", "v")
+
+    def __init__(self, s: Scalar, t: Scalar, v: Point) -> None:
+        self._assign(s, t, v)
 
 
-@dataclass(frozen=True)
-class GroundTruth:
-    s: Scalar
-    t: Scalar
-    mask_a: Mat2
-    mask_b: Mat2
+class GroundTruth(Frozen):
+    __slots__ = _fields = ("s", "t", "mask_a", "mask_b")
+
+    def __init__(self, s: Scalar, t: Scalar, mask_a: Mat2, mask_b: Mat2) -> None:
+        self._assign(s, t, mask_a, mask_b)
 
 
-@dataclass(frozen=True)
-class Transcript:
+class Transcript(Frozen):
     """The eavesdropper's view of one session: the three wire messages.
 
     ``ground_truth`` is lab-side metadata; the adversary-view export
     never contains it.
     """
 
-    instance: str
-    v1: Point
-    v2: Point
-    v3: Point
-    session_id: int = 0
-    ground_truth: Optional[GroundTruth] = None
+    __slots__ = _fields = ("instance", "v1", "v2", "v3", "session_id", "ground_truth")
+
+    def __init__(self, instance: str, v1: Point, v2: Point, v3: Point, session_id: int = 0,
+                 ground_truth: Optional[GroundTruth] = None) -> None:
+        self._assign(instance, v1, v2, v3, session_id, ground_truth)
 
 
-@dataclass(frozen=True)
-class SessionOutcome:
-    transcript: Transcript
-    v4: Point
-    success: bool
-    commutator_applied: Mat2
+class SessionOutcome(Frozen):
+    __slots__ = _fields = ("transcript", "v4", "success", "commutator_applied")
+
+    def __init__(
+        self, transcript: Transcript, v4: Point, success: bool, commutator_applied: Mat2
+    ) -> None:
+        self._assign(transcript, v4, success, commutator_applied)
 
 
 def sample_rational_scalar(rng: random.Random, *, nonzero: bool = False) -> Scalar:
@@ -136,29 +136,30 @@ def encode_secret(instance: ActionInstance, s: Scalar, rng: random.Random) -> Se
         t = sample_rational_scalar(rng)
         return SecretEncoding(s, t, Point(s, t))
 
-    assert instance.secret_domain is not None and instance.t_domain is not None
-    if s not in instance.secret_domain:
-        if instance.multiplicative and s.is_zero:
-            raise ValueError("secret must be nonzero in a multiplicative-style instance")
-        raise ValueError(f"secret {s} is outside the instance secret domain")
+    assert instance.t_domain is not None
+    _require_secret(instance, s)
     t = instance.t_domain[rng.randrange(len(instance.t_domain))]
     return SecretEncoding(s, t, instance.secret_pair_point(s, t))
 
 
-def _indexed_session(
-    instance: ActionInstance, encoding: SecretEncoding, a_i: int, b_i: int, session_id: int
-) -> SessionOutcome:
-    """The four passes of a finite instance on its index tables, with the
-    masks A and B given as group indices."""
-    idx = instance_index(instance)
-    p, group = idx.p, idx.group
-    v = idx.point_index(encoding.v)
+def _require_secret(instance: ActionInstance, s: Scalar) -> None:
+    assert instance.secret_domain is not None
+    if s not in instance.secret_domain:
+        if instance.multiplicative and s.is_zero:
+            raise ValueError("secret must be nonzero in a multiplicative-style instance")
+        raise ValueError(f"secret {s} is outside the instance secret domain")
+
+
+def _passes(idx: InstanceIndex, v: int, a_i: int, b_i: int) -> tuple[int, int, int, int, Residues]:
+    """The residue session core: the four passes from point index v on
+    the index tables, with the masks A and B given as group indices.
+    Returns the messages (v1, v2, v3, v4) and the commutator's residues."""
     v1 = idx.act_table[a_i][v]
     v2 = idx.act_table[b_i][v1]
     v3 = idx.inv_rows[a_i][v2]
     v4 = idx.inv_rows[b_i][v3]
 
-    res, inverse = group.residues, group.inverse_indices
+    p, res, inverse = idx.p, idx.group.residues, idx.inverse
     comm = _mul(p, _mul(p, _mul(p, res[a_i], res[b_i]), res[inverse[a_i]]), res[inverse[b_i]])
     # The four passes compose to exactly this element; kept as an always-on
     # consistency check because everything downstream relies on it.
@@ -166,8 +167,17 @@ def _indexed_session(
     a, b, c, d = comm
     if ((x * a + y * c) % p) * p + (x * b + y * d) % p != v4:
         raise AssertionError("the four passes do not compose to the mask commutator")
+    return v1, v2, v3, v4, comm
 
-    points, masks = idx.points, group.elements
+
+def _indexed_session(
+    instance: ActionInstance, encoding: SecretEncoding, a_i: int, b_i: int, session_id: int
+) -> SessionOutcome:
+    """A finite instance's session from the residue core, as objects."""
+    idx = instance_index(instance)
+    v = idx.point_index(encoding.v)
+    v1, v2, v3, v4, comm = _passes(idx, v, a_i, b_i)
+    points, masks = idx.points, idx.group.elements
     transcript = Transcript(
         instance=instance.name,
         v1=points[v1],
@@ -241,6 +251,42 @@ def run_session(
     mask_a = sample_rational_matrix(rng)
     mask_b = sample_rational_matrix(rng)
     return run_session_with(instance, encoding, mask_a, mask_b, session_id)
+
+
+def wire_sessions(
+    instance: ActionInstance, secret: Optional[Scalar], rng: random.Random, count: int
+) -> Iterator[tuple[dict, Union[str, Point], bool]]:
+    """Run ``count`` seeded sessions and yield each as (lab-view wire
+    dict, v4, success). Each draws its secret, unless ``secret`` is given,
+    then what ``run_session`` draws. A finite instance's sessions run on
+    the residue core and are written from residues, one shared [x, y]
+    list per point, with v4 as a point literal; no object is built.
+    """
+    if not instance.is_finite:
+        for i in range(count):
+            s = secret if secret is not None else sample_rational_scalar(rng, nonzero=True)
+            outcome = run_session(instance, s, rng, session_id=i)
+            yield transcript_to_dict(outcome.transcript, lab_view=True), outcome.v4, outcome.success
+        return
+    if count and secret is not None:
+        _require_secret(instance, secret)
+    idx = instance_index(instance)
+    p, name, n = idx.p, instance.name, idx.n_group
+    secrets, t_domain = instance.secret_domain, instance.t_domain
+    points = [[x, y] for x in range(p) for y in range(p)]
+    labels = [f"[{x},{y}]@F{p}" for x in range(p) for y in range(p)]
+    masks = [f"[[{a},{b}],[{c},{d}]]@F{p}" for a, b, c, d in idx.group.residues]
+    for _ in range(count):
+        s = (secret if secret is not None else secrets[rng.randrange(len(secrets))]).value
+        t = t_domain[rng.randrange(len(t_domain))].value
+        a_i = rng.randrange(n)
+        b_i = rng.randrange(n)
+        v = idx.point_of_pair[(s, t)]
+        v1, v2, v3, v4, _ = _passes(idx, v, a_i, b_i)
+        truth = {"s": s, "t": t, "A": masks[a_i], "B": masks[b_i]}
+        wire = {"instance": name, "p": p, "v1": points[v1], "v2": points[v2], "v3": points[v3],
+                "truth": truth}
+        yield wire, labels[v4], v4 == v
 
 
 def exhaustive_roundtrip(

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -34,7 +33,13 @@ from triplepass.errors import (
 )
 from triplepass.fields import PrimeField
 from triplepass.matrices import Mat2, parse_matrix
-from triplepass.protocol import SecretEncoding, Transcript, run_session, run_session_with
+from triplepass.protocol import (
+    GroundTruth,
+    SecretEncoding,
+    Transcript,
+    run_session,
+    run_session_with,
+)
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -322,8 +327,9 @@ class TestBayesMemo:
         truth = genuine.ground_truth
         a, b, c, d = truth.mask_b.residues()
         doubled = Mat2.from_values(F7, 2 * a, b, c, 2 * d)  # v1.B' = 2.v2, never v2
-        tampered = dataclasses.replace(
-            genuine, ground_truth=dataclasses.replace(truth, mask_b=doubled)
+        tampered = Transcript(
+            genuine.instance, genuine.v1, genuine.v2, genuine.v3, genuine.session_id,
+            GroundTruth(truth.s, truth.t, truth.mask_a, doubled),
         )
         with pytest.raises(InconsistentTranscriptError, match="ground truth"):
             posterior_from_transcript(tampered, inst)

@@ -524,6 +524,22 @@ def test_malformed_descriptor_or_prior_exits_two_without_traceback(
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("text", ["[" * 200_000 + "]" * 200_000,
+                                  '{"a":' * 200_000 + "0" + "}" * 200_000], ids=["array", "object"])
+@pytest.mark.parametrize("argv", [["analyze", "--transcripts"],
+                                  ["analyze", "--instance", "diagonal", "--p", "3", "--prior"],
+                                  ["check", "--instance"]], ids=["transcripts", "prior", "instance"])
+def test_json_nested_too_deeply_to_decode_exits_two_without_traceback(capsys, tmp_path, text, argv):
+    # The decoder recurses once per level and gives up with RecursionError,
+    # which must read as malformed input, not crash the command.
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    code, _, err = run_cli(capsys, *argv, str(path))
+    assert code == 2
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("kind", ["diagonal", "rotation", "scalar", "borel-embedded", "trivial"])
 def test_instance_construction_is_capped(capsys, kind):
     start = time.perf_counter()

@@ -14,6 +14,7 @@ which imports nothing from the package. Three things must agree exactly:
   direct scan over every session.
 """
 
+import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -136,6 +137,21 @@ def test_kernel_matches_brute_force_oracles(case, data):
                 assert (x, t2.value, a2.residues(), b2.residues()) == earliest
 
     _assert_checkers_match_oracles(instance, p, secrets, elems)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_instances())
+def test_identity_replies_bound_the_leak_from_below(case):
+    # A reply that fixes v1 (v2 = v1) makes the third message the start
+    # point, so that transcript names its secret: a point mass. Under a
+    # uniform prior, I(S; V1V2V3) >= Pr[v2 = v1] * log2 |S|, met with
+    # equality by some instances, hence the tolerance.
+    p, elems, secrets, t_values, literals = case
+    sessions = [oracles.session(p, (s, t), a, b)
+                for s in secrets for t in t_values for a in elems for b in elems]
+    bound = sum(v2 == v1 for v1, v2, _, _ in sessions) / len(sessions) * math.log2(len(secrets))
+    report = exact_mutual_information(_build(p, secrets, t_values, literals))
+    assert report.mutual_information_bits >= bound - 1e-12
 
 
 @pytest.mark.parametrize(

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import pytest
 
-from triplepass import cli
+from triplepass import analysis, cli
 from triplepass.actions import Point, instance_from_descriptor
 from triplepass.analysis import PosteriorReport, posterior_from_transcript, posterior_prior
 from triplepass.cli import main
@@ -200,7 +200,7 @@ def test_analyze_builds_no_object_per_transcript(runs, tmp_path, monkeypatch, fm
     # point, matrix, transcript or report object, in either format.
     runs_file = tmp_path / "runs.json"
     runs_file.write_text(json.dumps(runs[("general-linear", 5)]))
-    validate = cli.posterior_prior
+    validate = analysis.posterior_prior
 
     def refuse(self, *args, **kwargs):
         raise RuntimeError(f"{type(self).__name__} built on the residue path")
@@ -211,7 +211,7 @@ def test_analyze_builds_no_object_per_transcript(runs, tmp_path, monkeypatch, fm
             monkeypatch.setattr(cls, "__init__", refuse)
         return validated
 
-    monkeypatch.setattr(cli, "posterior_prior", guarded)
+    monkeypatch.setattr(analysis, "posterior_prior", guarded)
     out = tmp_path / "out.txt"
     assert main(["analyze", "--transcripts", str(runs_file), "--format", fmt,
                  "--out", str(out)]) == 0
