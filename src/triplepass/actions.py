@@ -52,6 +52,7 @@ __all__ = [
     "trivial_instance",
     "InstanceIndex",
     "instance_index",
+    "WireTranscript",
     "ConditionReport",
     "is_commutator_fixed_point",
     "is_commutator_fixed_set",
@@ -400,6 +401,19 @@ def instance_index(instance: ActionInstance) -> InstanceIndex:
         cached = InstanceIndex(instance)
         instance._index = cached  # type: ignore[attr-defined]
     return cached
+
+
+class WireTranscript:
+    """A wire transcript read into one instance's index tables: the three
+    messages as point indices and, from a lab view, the ground truth as
+    (s, t, A, B), residues and group indices (None outside the group)."""
+
+    __slots__ = ("v1", "v2", "v3", "truth", "session_id")
+
+    def __init__(self, v1: int, v2: int, v3: int, truth: Optional[tuple], session_id: int = 0):
+        self.v1, self.v2, self.v3 = v1, v2, v3
+        self.truth = truth
+        self.session_id = session_id
 
 
 def _sorted_scalars(fp: PrimeField, values) -> tuple[Scalar, ...]:

@@ -18,7 +18,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
-from typing import Mapping, Optional, Union
+from typing import TYPE_CHECKING, Mapping, Optional, Union
 
 from .actions import (
     ActionInstance,
@@ -26,6 +26,7 @@ from .actions import (
     DEFAULT_WORK_CAP,
     InstanceIndex,
     Point,
+    WireTranscript,
     _require_finite,
     build_instance,
     check_masking_coverage,
@@ -50,8 +51,10 @@ from .groups import (
     residue_closure,
 )
 from .matrices import Mat2
-from .protocol import Transcript, WireTranscript
 from .records import Frozen
+
+if TYPE_CHECKING:
+    from .protocol import Transcript
 
 __all__ = [
     "WitnessSet",

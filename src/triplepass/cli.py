@@ -28,7 +28,6 @@ from .actions import (
     ConditionReport,
     DEFAULT_WORK_CAP,
     INSTANCE_KINDS,
-    Point,
     build_instance,
     check_masking_coverage,
     check_transcript_equivalence,
@@ -42,8 +41,8 @@ from .actions import (
     trivial_instance,
 )
 from .errors import TriplePassError, WorkCapExceeded
-from .fields import PrimeField, Scalar, parse_scalar
-from .matrices import Mat2, parse_matrix
+from .fields import PrimeField, Scalar, parse_scalar, scalar_to_json
+from .matrices import parse_matrix
 
 if TYPE_CHECKING:
     from .analysis import BayesStep, LeakageReport, PosteriorPrior, SearchReport
@@ -250,15 +249,14 @@ def _posterior_reports(
     instance's index and run to its shared ``BayesStep``.
 
     Reports with one step share all their fields but the transcript, and
-    transcripts share the [x, y] list of each point, so ``_json_text``
-    writes each of those once.
+    one ``WireWriter`` writes the transcripts, so ``_json_text`` writes
+    each shared field and point once.
     """
     from .analysis import posterior_from_transcript
-    from .protocol import transcript_from_dict
+    from .protocol import WireWriter, transcript_from_dict
 
     idx = prior.index
-    p = idx.p
-    points = [[x, y] for x in range(p) for y in range(p)]
+    writer = WireWriter(instance)
     prior_json = {str(s): str(mass) for s, mass in prior.by_residue.items()}
     by_step: dict[BayesStep, dict] = {}
     reports = []
@@ -275,9 +273,7 @@ def _posterior_reports(
                 "uniform": step.uniform,
                 "witness_count": step.witness_count,
             }
-        transcript = {"instance": idx.name, "p": p, "v1": points[wire.v1],
-                      "v2": points[wire.v2], "v3": points[wire.v3]}
-        reports.append({"transcript": transcript, **shared})
+        reports.append({"transcript": writer.transcript(wire.v1, wire.v2, wire.v3), **shared})
     return reports
 
 
@@ -323,15 +319,18 @@ def _session_lines(wire: dict, v4, success: bool) -> list[str]:
     ]
 
 
-def _print_outcome(outcome) -> None:
-    from .protocol import transcript_to_dict
-
-    wire = transcript_to_dict(outcome.transcript, lab_view=True)
-    print("\n".join(_session_lines(wire, outcome.v4, outcome.success)))
+# The scripted demo: (kind, p, title, s, t, A, B), a general-linear
+# failure, then a commuting success.
+_SCRIPT = (
+    ("general-linear", 2, "general-linear masks over F2 (round trip breaks)",
+     1, 0, "[[1,1],[0,1]]@F2", "[[1,0],[1,1]]@F2"),
+    ("diagonal", 5, "diagonal masks over F5 (round trip holds)",
+     2, 3, "[[2,0],[0,1]]@F5", "[[3,0],[0,4]]@F5"),
+)
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
-    from .protocol import SecretEncoding, run_session_with, wire_sessions
+    from .protocol import WireWriter, wire_sessions
 
     instance = _resolve_instance(args, missing=None)
     rng = random.Random(args.seed)
@@ -359,29 +358,14 @@ def cmd_demo(args: argparse.Namespace) -> int:
             ok = ok and (success or (rational and not commute))
         return EXIT_OK if ok else EXIT_FAIL
 
-    # Scripted default: the general-linear failure, then a commuting success.
-    gl2 = build_instance("general-linear", 2)
-    f2 = gl2.field
-    enc = SecretEncoding(f2.one, f2.zero, Point(f2.one, f2.zero))
-    mask_a = Mat2.from_values(f2, 1, 1, 0, 1)
-    mask_b = Mat2.from_values(f2, 1, 0, 1, 1)
-    failure = run_session_with(gl2, enc, mask_a, mask_b)
-    print("three-pass demo: general-linear masks over F2 (round trip breaks)")
-    _print_outcome(failure)
-
-    diag = build_instance("diagonal", 5)
-    f5 = diag.field
-    enc5 = SecretEncoding(f5.scalar(2), f5.scalar(3), Point(f5.scalar(2), f5.scalar(3)))
-    success = run_session_with(
-        diag,
-        enc5,
-        Mat2.from_values(f5, 2, 0, 0, 1),
-        Mat2.from_values(f5, 3, 0, 0, 4),
-    )
-    print("three-pass demo: diagonal masks over F5 (round trip holds)")
-    _print_outcome(success)
-
-    return EXIT_OK if (not failure.success and success.success) else EXIT_FAIL
+    successes = []
+    for kind, p, title, s, t, mask_a, mask_b in _SCRIPT:
+        writer = WireWriter(build_instance(kind, p))
+        wire, v4, success = writer.session(s, t, writer.masks.index(mask_a), writer.masks.index(mask_b))
+        print(f"three-pass demo: {title}")
+        print("\n".join(_session_lines(wire, v4, success)))
+        successes.append(success)
+    return EXIT_OK if successes == [False, True] else EXIT_FAIL
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -423,6 +407,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         instance=instance.name,
         descriptor=instance_to_descriptor(instance),
         sessions=args.sessions,
+        secret=None if fixed_secret is None else scalar_to_json(fixed_secret),
         lab_view=bool(args.lab_view),
     )
     if not args.lab_view:

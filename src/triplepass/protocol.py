@@ -5,9 +5,11 @@ A session on a finite instance runs on one residue core over the
 instance's index tables: the masks are group indices, the four passes
 are lookups in ``act_table`` and ``inv_rows``, and the commutator is a
 residue product. ``run_session`` builds ``Scalar``, ``Point`` and
-``Mat2`` values only for its returned outcome; ``wire_sessions``, which
-the ``run`` command writes, builds none. The rational demo runs the
-same four passes with ``act`` on ``Mat2`` masks. Everything is exact.
+``Mat2`` values only for its returned outcome. ``WireWriter`` writes a
+finite instance's wire dicts straight from residues and builds none:
+``wire_sessions`` feeds it seeded sessions, the scripted demo its fixed
+ones, and posterior reports their transcripts. The rational demo runs
+the same four passes with ``act`` on ``Mat2`` masks. Everything is exact.
 The round trip returns the original point exactly when the point is
 fixed by the commutator A.B.A^-1.B^-1 of the two masks, which is why
 only commuting mask families make the trick reliable.
@@ -16,6 +18,7 @@ only commuting mask families make the trick reliable.
 from __future__ import annotations
 
 import random
+from functools import cached_property
 from typing import Iterator, Optional, Union
 
 from .actions import (
@@ -24,6 +27,7 @@ from .actions import (
     DEFAULT_WORK_CAP,
     InstanceIndex,
     Point,
+    WireTranscript,
     _require_finite,
     act,
     instance_index,
@@ -50,7 +54,7 @@ __all__ = [
     "sample_rational_matrix",
     "transcript_to_dict",
     "transcript_from_dict",
-    "WireTranscript",
+    "WireWriter",
     "wire_sessions",
 ]
 
@@ -128,21 +132,24 @@ def encode_secret(instance: ActionInstance, s: Scalar, rng: random.Random) -> Se
     instance whose domains both hold 0 can therefore send the origin,
     which every mask fixes; a t-domain without 0 keeps it off the wire.
     """
+    _require_secret(instance, s)
     if not instance.is_finite:
-        if s.domain != RATIONALS:
-            raise TriplePassError("rational instance requires a rational secret")
-        if s.is_zero:
-            raise ValueError("secret must be nonzero in a multiplicative-style instance")
         t = sample_rational_scalar(rng)
         return SecretEncoding(s, t, Point(s, t))
 
     assert instance.t_domain is not None
-    _require_secret(instance, s)
     t = instance.t_domain[rng.randrange(len(instance.t_domain))]
     return SecretEncoding(s, t, instance.secret_pair_point(s, t))
 
 
 def _require_secret(instance: ActionInstance, s: Scalar) -> None:
+    """Refuse a secret the instance cannot send."""
+    if not instance.is_finite:
+        if s.domain != RATIONALS:
+            raise TriplePassError("rational instance requires a rational secret")
+        if s.is_zero:
+            raise ValueError("secret must be nonzero in a multiplicative-style instance")
+        return
     assert instance.secret_domain is not None
     if s not in instance.secret_domain:
         if instance.multiplicative and s.is_zero:
@@ -253,40 +260,69 @@ def run_session(
     return run_session_with(instance, encoding, mask_a, mask_b, session_id)
 
 
+class WireWriter:
+    """The wire format of one finite instance, written from residues.
+
+    Every dict it returns shares one [x, y] list per point, so
+    ``cli._json_text`` writes each once, and each point and mask literal
+    is formatted once per writer. No ``Scalar``, ``Point`` or ``Mat2``
+    is built.
+    """
+
+    def __init__(self, instance: ActionInstance) -> None:
+        self.index = idx = instance_index(instance)
+        self.points = [[x, y] for x in range(idx.p) for y in range(idx.p)]
+        self.labels = [f"[{x},{y}]@F{idx.p}" for x, y in self.points]
+
+    @cached_property
+    def masks(self) -> list[str]:
+        """The matrix literal of each group element, by group index; built
+        on first use, since posterior reports write no mask."""
+        p = self.index.p
+        return [f"[[{a},{b}],[{c},{d}]]@F{p}" for a, b, c, d in self.index.group.residues]
+
+    def transcript(self, v1: int, v2: int, v3: int) -> dict:
+        """The adversary view of the messages with point indices v1, v2, v3."""
+        points = self.points
+        return {"instance": self.index.name, "p": self.index.p,
+                "v1": points[v1], "v2": points[v2], "v3": points[v3]}
+
+    def session(self, s: int, t: int, a_i: int, b_i: int) -> tuple[dict, str, bool]:
+        """Run the session of the secret pair (s, t), residues, under the
+        masks with group indices a_i and b_i on the residue core. Returns
+        its lab-view wire dict, the literal of v4 and whether v4 = v."""
+        v = self.index.point_of_pair[(s, t)]
+        v1, v2, v3, v4, _ = _passes(self.index, v, a_i, b_i)
+        wire = self.transcript(v1, v2, v3)
+        wire["truth"] = {"s": s, "t": t, "A": self.masks[a_i], "B": self.masks[b_i]}
+        return wire, self.labels[v4], v4 == v
+
+
 def wire_sessions(
     instance: ActionInstance, secret: Optional[Scalar], rng: random.Random, count: int
 ) -> Iterator[tuple[dict, Union[str, Point], bool]]:
     """Run ``count`` seeded sessions and yield each as (lab-view wire
-    dict, v4, success). Each draws its secret, unless ``secret`` is given,
-    then what ``run_session`` draws. A finite instance's sessions run on
-    the residue core and are written from residues, one shared [x, y]
-    list per point, with v4 as a point literal; no object is built.
+    dict, v4, success). A given ``secret`` is checked first, whatever the
+    count. Each session draws its secret, unless ``secret`` is given,
+    then what ``run_session`` draws. A finite instance's sessions are
+    written by one ``WireWriter``, with v4 as a point literal.
     """
+    if secret is not None:
+        _require_secret(instance, secret)
     if not instance.is_finite:
         for i in range(count):
             s = secret if secret is not None else sample_rational_scalar(rng, nonzero=True)
             outcome = run_session(instance, s, rng, session_id=i)
             yield transcript_to_dict(outcome.transcript, lab_view=True), outcome.v4, outcome.success
         return
-    if count and secret is not None:
-        _require_secret(instance, secret)
-    idx = instance_index(instance)
-    p, name, n = idx.p, instance.name, idx.n_group
-    secrets, t_domain = instance.secret_domain, instance.t_domain
-    points = [[x, y] for x in range(p) for y in range(p)]
-    labels = [f"[{x},{y}]@F{p}" for x in range(p) for y in range(p)]
-    masks = [f"[[{a},{b}],[{c},{d}]]@F{p}" for a, b, c, d in idx.group.residues]
+    writer = WireWriter(instance)
+    secrets, t_domain, n = instance.secret_domain, instance.t_domain, writer.index.n_group
     for _ in range(count):
         s = (secret if secret is not None else secrets[rng.randrange(len(secrets))]).value
         t = t_domain[rng.randrange(len(t_domain))].value
         a_i = rng.randrange(n)
         b_i = rng.randrange(n)
-        v = idx.point_of_pair[(s, t)]
-        v1, v2, v3, v4, _ = _passes(idx, v, a_i, b_i)
-        truth = {"s": s, "t": t, "A": masks[a_i], "B": masks[b_i]}
-        wire = {"instance": name, "p": p, "v1": points[v1], "v2": points[v2], "v3": points[v3],
-                "truth": truth}
-        yield wire, labels[v4], v4 == v
+        yield writer.session(s, t, a_i, b_i)
 
 
 def exhaustive_roundtrip(
@@ -383,29 +419,6 @@ def transcript_to_dict(transcript: Transcript, *, lab_view: bool = False) -> dic
     return d
 
 
-def _wire_modulus(d) -> Union[int, str]:
-    """The ``p`` of a wire transcript, once its required keys are checked."""
-    if not isinstance(d, dict) or not {"instance", "p", "v1", "v2", "v3"} <= d.keys():
-        raise ValueError("a transcript must be an object with instance, p, v1, v2 and v3")
-    p = d["p"]
-    if p != "Q" and type(p) is not int:
-        raise ValueError(f"transcript p must be a prime or \"Q\", got {p!r}")
-    return p
-
-
-def _wire_truth(d: dict) -> dict:
-    t = d["truth"]
-    if not isinstance(t, dict) or not {"s", "t", "A", "B"} <= t.keys():
-        raise ValueError("a transcript truth must be an object with s, t, A and B")
-    return t
-
-
-def _wire_pair(values) -> list:
-    if not isinstance(values, list) or len(values) != 2:
-        raise ValueError(f"a point must be a two-element list, got {values!r}")
-    return values
-
-
 def _wire_residue(value, p: int) -> int:
     # Wire residues are canonical; anything outside [0, p) is corrupt.
     if isinstance(value, int) and not 0 <= value < p:
@@ -417,19 +430,6 @@ def _wire_residue(value, p: int) -> int:
     return value
 
 
-class WireTranscript:
-    """A wire transcript read into one instance's index tables: the three
-    messages as point indices and, from a lab view, the ground truth as
-    (s, t, A, B), residues and group indices (None outside the group)."""
-
-    __slots__ = ("v1", "v2", "v3", "truth", "session_id")
-
-    def __init__(self, v1: int, v2: int, v3: int, truth: Optional[tuple], session_id: int = 0):
-        self.v1, self.v2, self.v3 = v1, v2, v3
-        self.truth = truth
-        self.session_id = session_id
-
-
 def transcript_from_dict(
     d: dict, session_id: int = 0, *, index: Optional[InstanceIndex] = None
 ) -> Union[Transcript, WireTranscript]:
@@ -439,68 +439,63 @@ def transcript_from_dict(
     tables as a ``WireTranscript``, with no scalar, point or matrix built
     on the way: it is validated the same way, with the same messages,
     and must also be over the instance's modulus and name the instance
-    (``TriplePassError`` otherwise).
+    (``TriplePassError`` otherwise). Both forms walk the same fields in
+    the same order; they differ only in how a scalar, a point and a mask
+    are made.
     """
-    p = _wire_modulus(d)
+    if not isinstance(d, dict) or not {"instance", "p", "v1", "v2", "v3"} <= d.keys():
+        raise ValueError("a transcript must be an object with instance, p, v1, v2 and v3")
+    p = d["p"]
+    if p != "Q" and type(p) is not int:
+        raise ValueError(f"transcript p must be a prime or \"Q\", got {p!r}")
     if index is not None:
-        return _indexed_transcript(d, p, session_id, index)
-    if p == "Q":
-        def scalar(value) -> Scalar:
-            return scalar_from_json(RATIONALS, value)
-    else:
-        field = prime_field(p)
+        if p != index.p:
+            if p != "Q":
+                prime_field(p)  # a modulus that is not prime is refused as such
+            raise TriplePassError(f"transcript p {p!r} is not the instance modulus {index.p}")
+        memo = index.mask_literals
 
-        def scalar(value) -> Scalar:
-            return Scalar(field, _wire_residue(value, p))
+        def scalar(value) -> int:
+            return _wire_residue(value, p)
 
-    def point(values) -> Point:
-        x, y = _wire_pair(values)
-        return Point(scalar(x), scalar(y))
+        def point(x: int, y: int) -> int:
+            return x * p + y
 
-    truth = None
-    if "truth" in d:
-        t = _wire_truth(d)
-        truth = GroundTruth(
-            scalar(t["s"]),
-            scalar(t["t"]),
-            parse_matrix(t["A"]),
-            parse_matrix(t["B"]),
-        )
-    return Transcript(
-        instance=d["instance"],
-        v1=point(d["v1"]),
-        v2=point(d["v2"]),
-        v3=point(d["v3"]),
-        session_id=session_id,
-        ground_truth=truth,
-    )
-
-
-def _indexed_transcript(d: dict, p, session_id: int, idx: InstanceIndex) -> WireTranscript:
-    """``transcript_from_dict`` into index tables, checks in the same order."""
-    if p != idx.p:
-        if p != "Q":
-            prime_field(p)  # a modulus that is not prime is refused as such
-        raise TriplePassError(f"transcript p {p!r} is not the instance modulus {idx.p}")
-
-    def point(values) -> int:
-        x, y = _wire_pair(values)
-        return _wire_residue(x, p) * p + _wire_residue(y, p)
-
-    def mask(text) -> Optional[int]:
-        # Each distinct literal is parsed once per index.
-        memo = idx.mask_literals
-        if isinstance(text, str) and text in memo:
+        def mask(text) -> Optional[int]:
+            # Each distinct literal is parsed once per index.
+            if isinstance(text, str) and text in memo:
+                return memo[text]
+            domain, values = parse_matrix_values(text)
+            memo[text] = index.group._residue_index.get(values) if domain == index.field else None
             return memo[text]
-        domain, values = parse_matrix_values(text)
-        memo[text] = idx.group._residue_index.get(values) if domain == idx.field else None
-        return memo[text]
+    else:
+        point, mask = Point, parse_matrix
+        if p == "Q":
+            def scalar(value) -> Scalar:
+                return scalar_from_json(RATIONALS, value)
+        else:
+            field = prime_field(p)
+
+            def scalar(value) -> Scalar:
+                return Scalar(field, _wire_residue(value, p))
 
     truth = None
     if "truth" in d:
-        t = _wire_truth(d)
-        truth = (_wire_residue(t["s"], p), _wire_residue(t["t"], p), mask(t["A"]), mask(t["B"]))
-    v1, v2, v3 = point(d["v1"]), point(d["v2"]), point(d["v3"])
-    if d["instance"] != idx.name:
-        raise TriplePassError(f"transcript is for {d['instance']!r}, not {idx.name!r}")
+        t = d["truth"]
+        if not isinstance(t, dict) or not {"s", "t", "A", "B"} <= t.keys():
+            raise ValueError("a transcript truth must be an object with s, t, A and B")
+        truth = (scalar(t["s"]), scalar(t["t"]), mask(t["A"]), mask(t["B"]))
+
+    def message(key: str):
+        values = d[key]
+        if not isinstance(values, list) or len(values) != 2:
+            raise ValueError(f"a point must be a two-element list, got {values!r}")
+        return point(scalar(values[0]), scalar(values[1]))
+
+    v1, v2, v3 = message("v1"), message("v2"), message("v3")
+    if index is None:
+        ground_truth = None if truth is None else GroundTruth(*truth)
+        return Transcript(d["instance"], v1, v2, v3, session_id, ground_truth)
+    if d["instance"] != index.name:
+        raise TriplePassError(f"transcript is for {d['instance']!r}, not {index.name!r}")
     return WireTranscript(v1, v2, v3, truth, session_id)

@@ -32,15 +32,27 @@ def run_cli(capsys, *argv):
 
 class TestDemo:
     def test_default_demo_shows_failure_then_success(self, capsys):
-        code, out, _ = run_cli(capsys, "demo")
-        assert code == 0
-        assert "v1 = [1,1]@F2" in out
-        assert "v2 = [0,1]@F2" in out
-        assert "v3 = [0,1]@F2" in out
-        assert "v4 = [1,1]@F2" in out
-        assert "round trip: FAILED" in out
-        assert "v4 = [2,3]@F5" in out
-        assert "round trip: OK" in out
+        # The whole output, byte for byte.
+        assert run_cli(capsys, "demo") == (0, (
+            "three-pass demo: general-linear masks over F2 (round trip breaks)\n"
+            "  v  = (s=1, t=0)\n"
+            "  A  = [[1,1],[0,1]]@F2\n"
+            "  B  = [[1,0],[1,1]]@F2\n"
+            "  pass 1  alice -> bob    v1 = [1,1]@F2\n"
+            "  pass 2  bob   -> alice  v2 = [0,1]@F2\n"
+            "  pass 3  alice -> bob    v3 = [0,1]@F2\n"
+            "  pass 4  bob unmasks     v4 = [1,1]@F2\n"
+            "  round trip: FAILED (v4 != v; the masks do not commute on v)\n"
+            "three-pass demo: diagonal masks over F5 (round trip holds)\n"
+            "  v  = (s=2, t=3)\n"
+            "  A  = [[2,0],[0,1]]@F5\n"
+            "  B  = [[3,0],[0,4]]@F5\n"
+            "  pass 1  alice -> bob    v1 = [4,3]@F5\n"
+            "  pass 2  bob   -> alice  v2 = [2,2]@F5\n"
+            "  pass 3  alice -> bob    v3 = [1,2]@F5\n"
+            "  pass 4  bob unmasks     v4 = [2,3]@F5\n"
+            "  round trip: OK (v4 = v)\n"
+        ), "")
 
     def test_diagonal_demo_succeeds(self, capsys):
         code, out, _ = run_cli(capsys, "demo", "--instance", "diagonal", "--p", "5")
@@ -151,9 +163,11 @@ class TestRun:
     # of the `reports` field of `analyze --transcripts` on that file (its
     # config names the input path), as written by version 0.1.0 before
     # sessions and posteriors moved onto the index tables. The run digest
-    # covers the whole artifact, the tool version included. The reports
-    # digest re-serialises through `json`, so both files are also checked
-    # to be the stdlib's own indent-2 text.
+    # covers the whole artifact, the tool version included, except the
+    # `config.secret` line that run artifacts gained later: it is checked
+    # to be `null` and taken out before hashing. The reports digest
+    # re-serialises through `json`, so both files are also checked to be
+    # the stdlib's own indent-2 text.
     PINNED_DIGESTS = {
         ("diagonal", "7"): (
             "e7ce9e520a727d62a3baf390802c05760ef231f48e7838e258ed4d7c4b1163fc",
@@ -181,8 +195,11 @@ class TestRun:
         assert run_cli(capsys, "analyze", "--transcripts", str(run_file),
                        "--out", str(analyze_file))[0] == 0
         reports = json.loads(analyze_file.read_text())["reports"]
+        secret_line = b'\n    "secret": null,\n'
+        run_bytes = run_file.read_bytes()
+        assert run_bytes.count(secret_line) == 1
         digests = (
-            hashlib.sha256(run_file.read_bytes()).hexdigest(),
+            hashlib.sha256(run_bytes.replace(secret_line, b"\n")).hexdigest(),
             hashlib.sha256(json.dumps(reports, indent=2).encode()).hexdigest(),
         )
         assert digests == self.PINNED_DIGESTS[(kind, p)]
@@ -205,6 +222,35 @@ class TestRun:
                 "--seed", "3", "--secret", "2", "--lab-view", "--out", str(out_file))
         artifact = json.loads(out_file.read_text())
         assert all(t["truth"]["s"] == 2 for t in artifact["transcripts"])
+
+    @pytest.mark.parametrize("instance,secret,literal", [
+        (["--instance", "diagonal", "--p", "5"], "2", 2),
+        (["--instance", "diagonal", "--p", "5"], None, None),
+        (["--instance", "rational"], "6/8", "3/4"),
+        (["--instance", "rational"], None, None),
+    ], ids=["finite", "finite-drawn", "rational", "rational-drawn"])
+    def test_config_records_the_secret(self, capsys, tmp_path, instance, secret, literal):
+        # The secret's wire literal when it is fixed, null when it is drawn.
+        out_file = tmp_path / "run.json"
+        flags = [] if secret is None else ["--secret", secret]
+        assert run_cli(capsys, "run", *instance, "--sessions", "2", *flags,
+                       "--out", str(out_file))[0] == 0
+        config = json.loads(out_file.read_text())["config"]
+        assert config["secret"] == literal
+        assert list(config)[-3:] == ["sessions", "secret", "lab_view"]
+
+    @pytest.mark.parametrize("instance,secret,message", [
+        (["--instance", "diagonal", "--p", "5"], "0", "secret must be nonzero"),
+        (["--instance", "borel-embedded", "--p", "7"], "3", "secret 3 is outside"),
+        (["--instance", "rational"], "0", "secret must be nonzero"),
+    ], ids=["diagonal-zero", "borel-embedded-outside", "rational-zero"])
+    @pytest.mark.parametrize("sessions", ["0", "1"])
+    def test_a_fixed_secret_is_checked_for_every_count(self, capsys, instance, secret, message,
+                                                       sessions):
+        code, out, err = run_cli(capsys, "run", *instance, "--sessions", sessions,
+                                 "--secret", secret)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {message}")
 
 
 class TestAnalyze:

@@ -2,7 +2,8 @@
 
 Start-up is most of a short command's time, so importing the package
 loads no submodule, ``check`` loads neither ``protocol`` nor
-``analysis``, ``run`` loads no ``analysis``, and nothing loads
+``analysis``, ``run`` loads no ``analysis``, ``analyze --instance`` and
+``search`` load no ``protocol``, and nothing loads
 ``dataclasses`` (whose import pulls in ``inspect``). Each case runs a
 fresh interpreter under ``-X importtime``, which names every module the
 process imports.
@@ -63,6 +64,25 @@ def test_run_loads_no_analysis(tmp_path):
                       "--out", str(tmp_path / "run.json")])
     assert package_modules(modules) == CORE | {"cli", "protocol"}
     assert not modules & HEAVY
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--instance", "diagonal", "--p", "3"],
+    ["search", "--p", "2"],
+], ids=" ".join)
+def test_analysis_without_transcripts_loads_no_protocol(tmp_path, argv):
+    modules = loaded(["-m", "triplepass", *argv, "--out", str(tmp_path / "out.json")])
+    assert package_modules(modules) == CORE | {"cli", "analysis"}
+    assert not modules & HEAVY
+
+
+def test_the_index_reader_type_lives_beside_the_index():
+    from triplepass import actions, analysis, protocol
+
+    assert "WireTranscript" in actions.__all__
+    assert "WireTranscript" not in protocol.__all__
+    assert "WireTranscript" not in triplepass.__all__
+    assert analysis.WireTranscript is actions.WireTranscript
 
 
 @pytest.mark.parametrize("argv,exit_code", [
