@@ -12,7 +12,6 @@ re-checkable from the report alone.
 
 from __future__ import annotations
 
-import json
 import math
 from functools import cached_property
 from typing import Iterator, Literal, Optional, Sequence, Union
@@ -36,7 +35,7 @@ from .groups import (
     gl2_order,
     subgroup_closure,
 )
-from .matrices import Mat2, format_matrix, parse_matrix
+from .matrices import Mat2, format_matrix, format_residues, parse_matrix
 from .records import Frozen, Record, setfield
 
 __all__ = [
@@ -232,18 +231,7 @@ class InstanceIndex:
         self.group = group
         self.n_group = len(group)
 
-        self.act_table: list[list[int]] = []
-        for g, (a, b, c, d) in enumerate(group.residues):
-            row = [0] * self.n_points
-            for x in range(p):
-                xa = x * a
-                xb = x * b
-                base = x * p
-                for y in range(p):
-                    row[base + y] = ((xa + y * c) % p) * p + ((xb + y * d) % p)
-            if len(set(row)) != self.n_points:
-                raise TriplePassError(f"group element {group.elements[g]} does not act bijectively")
-            self.act_table.append(row)
+        self.act_table = list(group._point_rows)
         self.inverse = list(group.inverse_indices)
         # inv_rows[g] moves a point by the inverse of group element g.
         self.inv_rows = [self.act_table[j] for j in self.inverse]
@@ -251,25 +239,22 @@ class InstanceIndex:
         assert instance.secret_domain is not None and instance.t_domain is not None
         self.s_res = sorted(s.value for s in instance.secret_domain)
         self.t_res = sorted(t.value for t in instance.t_domain)
-        scalars = fp.elements()
+
+        def point_index(s: int, t: int) -> int:
+            if instance.embedding is None:
+                return s * p + t
+            pt = instance.secret_pair_point(fp.scalar(s), fp.scalar(t))
+            return pt.x.value * p + pt.y.value
 
         # (s, t) residue pair -> carrier point index, over S x T.
-        self.point_of_pair: dict[tuple[int, int], int] = {}
-        for s in self.s_res:
-            for t in self.t_res:
-                pt = instance.secret_pair_point(scalars[s], scalars[t])
-                self.point_of_pair[(s, t)] = pt.x.value * p + pt.y.value
+        self.point_of_pair = {(s, t): point_index(s, t) for s in self.s_res for t in self.t_res}
         if len(set(self.point_of_pair.values())) != len(self.point_of_pair):
             raise TriplePassError("secret pairs do not map to distinct carrier points")
         self.pair_of_point = {v: k for k, v in self.point_of_pair.items()}
         # The secret square S x S in lexicographic pair order: the start
         # points of the condition checkers, whose candidate blinding
         # values range over the secret domain itself.
-        self.square: dict[tuple[int, int], int] = {}
-        for s in self.s_res:
-            for t in self.s_res:
-                pt = instance.secret_pair_point(scalars[s], scalars[t])
-                self.square[(s, t)] = pt.x.value * p + pt.y.value
+        self.square = {(s, t): point_index(s, t) for s in self.s_res for t in self.s_res}
         self.secret_pair_of_point = {v: k for k, v in self.square.items()}
         # Point -> its fibre table, filled lazily by ``fibres``; the
         # tables share one int object per group index.
@@ -484,7 +469,6 @@ def build_instance(
     estimate = (1 if kind == "custom" else _named_group_order(kind, p)) * p * p
     if estimate > work_cap:
         raise WorkCapExceeded("instance-construction", estimate, work_cap)
-    scalars = fp.elements()
 
     if kind == "general-linear":
         group = enumerate_gl2(p)
@@ -530,9 +514,26 @@ def build_instance(
         secret_domain = t_domain = own
         targets = iter(range(1, p))
         embedding = [((s, t), (0, next(targets))) for s in own for t in own]
+    return _instance_on(group, kind, secret_domain, t_domain, embedding, multiplicative, name)
 
-    secrets = _sorted_scalars(fp, secret_domain) if secret_domain is not None else fp.nonzero_elements()
-    t_values = _sorted_scalars(fp, t_domain) if t_domain is not None else fp.elements()
+
+def _instance_on(
+    group: FiniteGroup,
+    kind: str,
+    secret_domain: Optional[Sequence[Union[Scalar, int]]] = None,
+    t_domain: Optional[Sequence[Union[Scalar, int]]] = None,
+    embedding: Optional[Sequence] = None,
+    multiplicative: Optional[bool] = None,
+    name: Optional[str] = None,
+) -> ActionInstance:
+    """The validated instance of ``kind`` on an already built group, with
+    its index: everything ``build_instance`` does once the group exists,
+    so a caller that holds the group does not close it again."""
+    fp = group.domain
+    p = fp.p
+    scalars = fp.elements()
+    secrets = _sorted_scalars(fp, secret_domain) if secret_domain is not None else scalars[1:]
+    t_values = _sorted_scalars(fp, t_domain) if t_domain is not None else scalars
     pairs = None
     if embedding is not None:
         pairs = {}
@@ -624,7 +625,11 @@ def _first_mover(group: FiniteGroup, movers: Sequence[Residues], pt: Point) -> O
     or None when all of them fix it."""
     if pt.domain != group.domain:
         raise TriplePassError("matrix and point domains differ")
-    p, x, y = group.p, pt.x.value, pt.y.value
+    return _first_mover_at(group.p, movers, pt.x.value, pt.y.value)
+
+
+def _first_mover_at(p: int, movers: Sequence[Residues], x: int, y: int) -> Optional[int]:
+    """``_first_mover`` at the point of residues (x, y)."""
     for i, (a, b, c, d) in enumerate(movers):
         if (x * a + y * c) % p != x or (x * b + y * d) % p != y:
             return i
@@ -673,7 +678,7 @@ def is_commutator_fixed_set(
                 passed=False,
                 counterexample={
                     "point": format_point(pt),
-                    "element": format_matrix(sub.elements[i]),
+                    "element": format_residues(group.p, sub.residues[i]),
                 },
                 work=work + i + 1,
             )
@@ -690,10 +695,14 @@ def is_commutator_fixed_set(
 def commutator_fixed_carrier_points(group: FiniteGroup) -> tuple[Point, ...]:
     """All carrier points fixed by the group's commutator subgroup, in
     lexicographic order."""
-    fp = group.domain
+    fp, p = group.domain, group.p
     movers = commutator_subgroup(group).residues
-    plane = (Point(fp.scalar(x), fp.scalar(y)) for x in range(fp.p) for y in range(fp.p))
-    return tuple(pt for pt in plane if _first_mover(group, movers, pt) is None)
+    return tuple(
+        Point(fp.scalar(x), fp.scalar(y))
+        for x in range(p)
+        for y in range(p)
+        if _first_mover_at(p, movers, x, y) is None
+    )
 
 
 def secret_square_points(instance: ActionInstance) -> tuple[Point, ...]:
@@ -745,7 +754,7 @@ def check_masking_coverage(
                     {
                         "s": str(s),
                         "t": str(t),
-                        "g": format_matrix(group.elements[0]),
+                        "g": format_residues(group.p, group.residues[0]),
                         "s_prime": str(s_prime),
                     },
                     work + i * n_g * n_s + j + 1,
@@ -815,8 +824,8 @@ def check_transcript_equivalence(
                     {
                         "s": str(s),
                         "t": str(t),
-                        "A": format_matrix(group.elements[0]),
-                        "B": format_matrix(group.elements[b_i]),
+                        "A": format_residues(group.p, group.residues[0]),
+                        "B": format_residues(group.p, group.residues[b_i]),
                         "s_prime": str(s_prime),
                     },
                     work,
@@ -980,7 +989,10 @@ def instance_from_descriptor(desc: dict, *, work_cap: Optional[int] = None) -> A
 
 def load_json(path: str):
     """The JSON value a file holds. Input nested too deeply to decode is
-    a ``ValueError``, as any other malformed JSON is."""
+    a ``ValueError``, as any other malformed JSON is. ``json`` is loaded
+    here, so a command that reads no JSON does not load it."""
+    import json
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import combinations
 from typing import TYPE_CHECKING, Mapping, Optional, Union
 
@@ -27,8 +28,8 @@ from .actions import (
     InstanceIndex,
     Point,
     WireTranscript,
+    _instance_on,
     _require_finite,
-    build_instance,
     check_masking_coverage,
     check_transcript_equivalence,
     commutator_fixed_carrier_points,
@@ -48,7 +49,6 @@ from .groups import (
     FiniteGroup,
     commutator_subgroup,
     enumerate_gl2,
-    residue_closure,
 )
 from .matrices import Mat2
 from .records import Frozen
@@ -79,8 +79,8 @@ __all__ = [
 def uniform_prior(instance: ActionInstance) -> dict[Scalar, Fraction]:
     """The default prior: equal exact mass on every secret."""
     assert instance.secret_domain is not None
-    n = len(instance.secret_domain)
-    return {s: Fraction(1, n) for s in instance.secret_domain}
+    mass = Fraction(1, len(instance.secret_domain))
+    return dict.fromkeys(instance.secret_domain, mass)
 
 
 def _validate_prior(instance: ActionInstance, prior: Mapping[Scalar, Fraction]) -> dict[Scalar, Fraction]:
@@ -380,11 +380,11 @@ def mutual_information_bits(
     (positive) int, a prior that is not a distribution, or a secret
     whose counts do not total ``completions_per_secret``.
     """
-    masses = {s: Fraction(m) for s, m in prior.items()}
-    if any(m < 0 for m in masses.values()) or sum(masses.values()) != 1:
-        raise ValueError("prior masses must be nonnegative and sum to exactly 1")
+    masses = {s: m if type(m) is Fraction else Fraction(m) for s, m in prior.items()}
     denom = math.lcm(*(m.denominator for m in masses.values()))
     scaled = {s: m.numerator * (denom // m.denominator) for s, m in masses.items()}
+    if any(n < 0 for n in scaled.values()) or sum(scaled.values()) != denom:
+        raise ValueError("prior masses must be nonnegative and sum to exactly 1")
     multiplicity = {} if multiplicity is None else multiplicity
 
     totals = dict.fromkeys(scaled, 0)
@@ -408,7 +408,8 @@ def mutual_information_bits(
     # and no positive mass is left for a missing secret. T == 0 means no
     # positive-mass completion at all.
     zero_leakage = all(t_mass.values())
-    ratio_weights: dict[tuple[int, int], int] = {}
+    # Weights by unreduced ratio (c*D, T) first: cells repeat few of them.
+    raw_weights: dict[tuple[int, int], int] = {}
     for (t_key, s_key), count in joint_counts.items():
         n_s = scaled[s_key]
         if n_s == 0:
@@ -418,16 +419,20 @@ def mutual_information_bits(
             zero_leakage = False
         if count == 0:
             continue  # zero-probability cell: contributes nothing
+        weight = n_s * count * multiplicity.get(t_key, 1)
+        raw_weights[num, den] = raw_weights.get((num, den), 0) + weight
+    ratio_weights: dict[tuple[int, int], int] = {}
+    for (num, den), weight in raw_weights.items():
         g = math.gcd(num, den)
         ratio = (num // g, den // g)
-        weight = n_s * count * multiplicity.get(t_key, 1)
         ratio_weights[ratio] = ratio_weights.get(ratio, 0) + weight
 
+    # Ascending exact ratio; int / int is the correctly rounded float of
+    # the weight's Fraction.
     scale = denom * completions_per_secret
     bits = 0.0
-    for num, den in sorted(ratio_weights, key=lambda r: Fraction(*r)):
-        weight = Fraction(ratio_weights[(num, den)], scale)
-        bits += float(weight) * (math.log2(num) - math.log2(den))
+    for num, den in sorted(ratio_weights, key=cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1])):
+        bits += ratio_weights[(num, den)] / scale * (math.log2(num) - math.log2(den))
     return bits, zero_leakage, sum(multiplicity.get(t_key, 1) for t_key in t_mass)
 
 
@@ -462,13 +467,14 @@ def exact_mutual_information(
         raise WorkCapExceeded("leakage-analysis", estimate, cap)
 
     prior_by_res = {s.value: mass for s, mass in prior.items() if mass > 0}
+    secret_at = {u: s for u, (s, _) in idx.pair_of_point.items() if s in prior_by_res}
     classes = idx.pair_classes
     counts: dict[tuple, int] = {}
     for c, cls in enumerate(classes):
         for u, v3 in idx.class_unmaskings(cls):
-            pair = idx.pair_of_point.get(u)
-            if pair is not None and pair[0] in prior_by_res:
-                cell = ((c, v3), pair[0])
+            s = secret_at.get(u)
+            if s is not None:
+                cell = ((c, v3), s)
                 counts[cell] = counts.get(cell, 0) + cls.stab
     sizes = {key: classes[key[0]].size for key, _ in counts}
 
@@ -566,6 +572,109 @@ def _entry_for_instance(
     )
 
 
+def _census_subgroups(
+    ambient: FiniteGroup, max_generators: int, budget: int
+) -> tuple[dict[frozenset, tuple[int, ...]], bool]:
+    """Every subgroup of ``ambient`` that at most ``max_generators`` of
+    its elements generate, as its set of ambient indices, mapped to the
+    first combination of ambient indices, size by size in
+    ``combinations`` order, that generates it.
+
+    <g, h, ...> depends only on <g>, <h>, ...: each element is closed
+    into its cyclic subgroup once, by powers, and only tuples of the
+    least generators of cyclic subgroups are joined. The first
+    combination is always such a tuple: trading an element for a smaller
+    generator of its cyclic subgroup gives an earlier combination, or,
+    when that generator is already in it, a smaller one. A tuple in which
+    one cyclic subgroup contains another generates what a smaller tuple
+    does, so it is skipped. Joins close by the right-multiplication rows
+    of their least generators only.
+
+    ``budget`` pays one unit per group product: a power, an entry of a
+    right-multiplication row, and k per element of a k-generator join.
+    The first charge that overdraws it ends the census, which returns the
+    subgroups found so far and False.
+    """
+    p, residues = ambient.p, ambient.residues
+    n, q = len(residues), p * p
+    # Ambient index of each matrix code ((a*p + b)*p + c)*p + d, and of
+    # each element its two rows as vector codes a*p + b and c*p + d.
+    position = [-1] * (q * q)
+    for i, (a, b, c, d) in enumerate(residues):
+        position[((a * p + b) * p + c) * p + d] = i
+    rows_of = [(a * p + b, c * p + d) for a, b, c, d in residues]
+    # act[g][v]: vector code of v * g; a product x * g is the element of
+    # the images of x's two rows.
+    act = ambient._point_rows
+    identity = position[p * q + 1]
+
+    subgroups: dict[frozenset, tuple[int, ...]] = {}
+    for g in range(n):
+        moved = act[g]
+        powers = [g]
+        x = g
+        while x != identity:
+            top, bottom = rows_of[x]
+            x = position[moved[top] * q + moved[bottom]]
+            powers.append(x)
+        budget -= len(powers)
+        if budget < 0:
+            return subgroups, False
+        subgroups.setdefault(frozenset(powers), (g,))
+    cyclic = list(subgroups)
+    least = [combo[0] for combo in subgroups.values()]
+    if max_generators == 1:
+        return subgroups, True
+
+    right_rows = []
+    for g in least:
+        budget -= n
+        if budget < 0:
+            return subgroups, False
+        moved = act[g]
+        right_rows.append([position[moved[top] * q + moved[bottom]] for top, bottom in rows_of])
+    inside = [{j for j, g in enumerate(least) if g in sub and j != i} for i, sub in enumerate(cyclic)]
+    whole = frozenset(range(n))
+    # A generating set never needs more cyclic subgroups than there are.
+    for size in range(2, min(max_generators, len(least)) + 1):
+        for combo in combinations(range(len(least)), size):
+            if any(not inside[i].isdisjoint(combo) for i in combo):
+                continue
+            first = combo[0]
+            key = _join(cyclic[first], right_rows[first], [right_rows[i] for i in combo[1:]], whole)
+            budget -= len(key) * size
+            if budget < 0:
+                return subgroups, False
+            subgroups.setdefault(key, tuple(least[i] for i in combo))
+    return subgroups, True
+
+
+def _join(base: frozenset, walk: list[int], others: list[list[int]], whole: frozenset) -> frozenset:
+    """The subgroup of the ambient group ``whole`` generated by the
+    cyclic subgroup ``base`` and the elements whose right-multiplication
+    rows are ``others``.
+
+    The subgroup is a union of cosets x.base: a new element brings its
+    whole coset, walked by ``walk``, the row of base's generator. A
+    subgroup holding more than half of the ambient group is all of it
+    (its order divides |G|), so the closure stops there.
+    """
+    order, half = len(base), len(whole) // 2
+    seen = set(base)
+    todo = list(base)
+    for x in todo:
+        for row in others:
+            y = row[x]
+            if y not in seen:
+                for _ in range(order):
+                    seen.add(y)
+                    todo.append(y)
+                    y = walk[y]
+                if len(seen) > half:
+                    return whole
+    return frozenset(seen)
+
+
 def search_instances(
     p: int,
     max_generators: int = 2,
@@ -576,46 +685,34 @@ def search_instances(
     """Enumerate subgroup closures of small generator subsets and test
     every resulting instance.
 
-    Subgroups are deduplicated by element set. Each subgroup yields a
-    full-plane instance; when its commutators fix at least four nonzero
-    carrier points, an embedded variant places a secret square on those
+    Subgroups are deduplicated by element set (``_census_subgroups``),
+    and each entry is built on the element set its join closed, without
+    closing it again. Each subgroup yields a full-plane instance;
+    when its commutators fix at least four nonzero carrier points, an
+    embedded variant on the same group places a secret square on those
     fixed points. A candidate would pass every check, leak nothing, and
     have more than one secret. None can exist: transcript equivalence
     passes only when |S| = 1, because a reply that fixes v1 sends v3
     back to v. A candidate therefore raises AssertionError, an internal
-    error rather than a finding. A cap-exhausted run returns the entries
-    finished so far, flagged incomplete.
+    error rather than a finding. The census spends ``cap`` one unit per
+    group product; a cap-exhausted run returns the entries finished so
+    far, flagged incomplete.
     """
     if max_generators < 1:
         raise ValueError(f"max_generators must be at least 1, got {max_generators}")
     cap = DEFAULT_WORK_CAP if cap is None else cap
     ambient = enumerate_gl2(p)
     residues = ambient.residues
+    subgroups, complete = _census_subgroups(ambient, max_generators, cap)
 
-    budget = cap
-    complete = True
-    # Element set -> the first generator combination that closes to it.
-    seen: dict[frozenset, tuple[int, ...]] = {}
-    # A generating set never needs more than |G| distinct elements.
-    for size in range(1, min(max_generators, len(residues)) + 1):
-        if not complete:
-            break
-        for combo in combinations(range(len(residues)), size):
-            budget -= len(residues) * size
-            if budget < 0:
-                complete = False
-                break
-            seen.setdefault(frozenset(residue_closure(p, [residues[i] for i in combo])), combo)
-
-    order = sorted(seen, key=lambda key: (len(key), sorted(key)))
+    order = sorted(subgroups, key=lambda key: (len(key), sorted(key)))
     entries: list[SearchEntry] = []
     for seq, key in enumerate(order):
-        generators = [ambient.elements[i] for i in seen[key]]
+        generators = tuple(Mat2.from_values(ambient.domain, *residues[i]) for i in subgroups[key])
+        group = ambient._subgroup(sorted(key), generators)
         name = f"subgroup-f{p}-o{len(key)}-{seq}"
-        full_plane = build_instance("custom", p, generators=generators, name=name)
-        variants = [full_plane]
+        variants = [_instance_on(group, "custom", name=name)]
 
-        group = full_plane.group
         if len(commutator_subgroup(group)) > 1:
             fixed = [pt for pt in commutator_fixed_carrier_points(group) if not pt.is_zero]
             k = math.isqrt(len(fixed))
@@ -624,15 +721,7 @@ def search_instances(
                 square = [(s, t) for s in secrets for t in secrets]
                 embedding = [(pair, (pt.x.value, pt.y.value)) for pair, pt in zip(square, fixed)]
                 variants.append(
-                    build_instance(
-                        "custom",
-                        p,
-                        generators=generators,
-                        secret_domain=secrets,
-                        t_domain=secrets,
-                        embedding=embedding,
-                        name=name + "-embedded",
-                    )
+                    _instance_on(group, "custom", secrets, secrets, embedding, name=name + "-embedded")
                 )
 
         for instance in variants:

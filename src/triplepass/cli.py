@@ -16,7 +16,10 @@ import os
 import random
 import sys
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii as _quote
+try:  # json.encoder's own C escaper, without loading the json package
+    from _json import encode_basestring_ascii as _quote
+except ImportError:  # an interpreter without the accelerator
+    from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 

@@ -16,7 +16,7 @@ from functools import cached_property, lru_cache
 from itertools import product
 from typing import Iterable, Iterator, Optional
 
-from .errors import SingularMatrixError, WorkCapExceeded
+from .errors import SingularMatrixError, TriplePassError, WorkCapExceeded
 from .fields import PrimeField, is_prime
 from .matrices import Mat2
 from .records import Frozen, setfield
@@ -90,8 +90,10 @@ class FiniteGroup(Frozen):
 
     ``residues`` holds the elements as residue 4-tuples, deduplicated and
     sorted; ``elements`` is their ``Mat2`` view, built on first use. The
-    recorded generators are provenance only (empty means the group was
-    enumerated as a whole family). Build groups with ``from_residues`` or
+    recorded generators are provenance (empty means the group was
+    enumerated as a whole family); a group closed from them
+    (``subgroup_closure``, ``_subgroup``) also takes them as its
+    generating set. Build groups with ``from_residues`` or
     ``from_elements``, which validate them. The hash, the key of the
     cached commutator helpers, is computed once, on construction.
     """
@@ -180,6 +182,52 @@ class FiniteGroup(Frozen):
         return tuple(index[_inv(p, r)] for r in self.residues)
 
     @cached_property
+    def _point_rows(self) -> list[list[int]]:
+        """The action on the plane F_p^2: row g lists, for each point
+        (x, y) by index x*p + y, the index of the point (x, y) * g. Each
+        row is checked to permute the points."""
+        p = self.p
+        rows = []
+        for g, (a, b, c, d) in enumerate(self.residues):
+            row = [0] * (p * p)
+            for x in range(p):
+                xa = x * a
+                xb = x * b
+                base = x * p
+                for y in range(p):
+                    row[base + y] = ((xa + y * c) % p) * p + ((xb + y * d) % p)
+            if len(set(row)) != p * p:
+                raise TriplePassError(f"group element {self.elements[g]} does not act bijectively")
+            rows.append(row)
+        return rows
+
+    @cached_property
+    def _generating_set(self) -> list[Residues]:
+        """A generating set: the recorded generators that are members,
+        then each element, in residue order, that the elements kept so
+        far do not reach."""
+        members = self._residue_index
+        gens = [r for r in (g.residues() for g in self.generators) if r in members]
+        reached = residue_closure(self.p, gens)
+        for g in self.residues:
+            if g not in reached:
+                gens.append(g)
+                reached = residue_closure(self.p, gens)
+        return gens
+
+    def _subgroup(self, positions: list[int], generators: tuple[Mat2, ...]) -> "FiniteGroup":
+        """The subgroup on the sorted element ``positions``, which the
+        caller closed from ``generators``: it takes them as its
+        generating set and shares this group's point rows and inverses."""
+        rows, inverse = self._point_rows, self.inverse_indices
+        at = {i: k for k, i in enumerate(positions)}
+        sub = FiniteGroup(self.domain, tuple(self.residues[i] for i in positions), generators)
+        setfield(sub, "_point_rows", [rows[i] for i in positions])
+        setfield(sub, "inverse_indices", tuple(at[inverse[i]] for i in positions))
+        setfield(sub, "_generating_set", [g.residues() for g in generators])
+        return sub
+
+    @cached_property
     def is_abelian(self) -> bool:
         return len(commutator_subgroup(self)) == 1
 
@@ -255,8 +303,10 @@ def subgroup_closure(
         if not g.is_invertible:
             raise SingularMatrixError(f"generator {g} is singular")
     unique_gens = tuple(sorted({g: None for g in gens}, key=Mat2.residues))
-    seen = residue_closure(domain.p, [g.residues() for g in unique_gens], max_order)
-    return FiniteGroup.from_residues(domain, seen, generators=unique_gens)
+    gens_res = [g.residues() for g in unique_gens]
+    group = FiniteGroup.from_residues(domain, residue_closure(domain.p, gens_res, max_order), unique_gens)
+    setfield(group, "_generating_set", gens_res)
+    return group
 
 
 def commutator(g: Mat2, h: Mat2) -> Mat2:
@@ -277,31 +327,30 @@ def distinct_commutators(group: FiniteGroup) -> tuple[Mat2, ...]:
 @lru_cache(maxsize=None)
 def commutator_subgroup(group: FiniteGroup) -> FiniteGroup:
     """The commutator subgroup [G, G], as the normal closure of the
-    commutators of a generating set S of G.
+    commutators of a generating set S of G (``G._generating_set``).
 
     That closure lies in [G, G], and G modulo it is generated by the
     commuting images of S, so it is abelian and the closure also
-    contains [G, G]. S keeps each element, in residue order, that the
-    elements kept so far do not reach. The generated subgroup is normal
-    by construction, but normality is re-verified on the output rather
-    than assumed, to guard the closure implementation itself.
+    contains [G, G]. A subgroup N is normal exactly when x^-1 * n * x
+    lies in N for every x in S and every n in N; the closure adds the
+    conjugates that fail this and closes again until none does, so the
+    result is checked to be normal rather than assumed. A re-closure
+    that does not grow means the closure itself is buggy.
     """
-    p, res = group.p, group.residues
-    inv = dict(zip(res, (res[j] for j in group.inverse_indices)))
-    gens: list[Residues] = []
-    reached = residue_closure(p, gens)
-    for g in res:
-        if g not in reached:
-            gens.append(g)
-            reached = residue_closure(p, gens)
+    p = group.p
+    gens = group._generating_set
+    inv = {g: _inv(p, g) for g in gens}
     comms = {_mul(p, _mul(p, _mul(p, inv[h], inv[g]), h), g) for g in gens for h in gens}
-    conjugates = {_mul(p, _mul(p, inv[x], c), x) for x in res for c in comms}
-    sub = FiniteGroup.from_residues(group.domain, residue_closure(p, list(conjugates)))
-    members = sub._residue_index
-    for x in res:
-        for c in sub.residues:
-            if _mul(p, _mul(p, inv[x], c), x) not in members:
-                raise AssertionError(
-                    "commutator closure failed its normality check; closure is buggy"
-                )
-    return sub
+    normal_gens = sorted(comms)
+    members = residue_closure(p, normal_gens)
+    while True:
+        missing = {
+            c for x in gens for n in members if (c := _mul(p, _mul(p, inv[x], n), x)) not in members
+        }
+        if not missing:
+            return FiniteGroup.from_residues(group.domain, members)
+        normal_gens += sorted(missing)
+        grown = residue_closure(p, normal_gens)
+        if len(grown) <= len(members):
+            raise AssertionError("commutator closure failed its normality check; closure is buggy")
+        members = grown

@@ -107,6 +107,12 @@ def format_matrix(m: Mat2) -> str:
     return f"[[{a},{b}],[{c},{d}]]@{m.domain.label}"
 
 
+def format_residues(p: int, r: tuple[int, int, int, int]) -> str:
+    """``format_matrix`` of the residue matrix r over F_p, without a ``Mat2``."""
+    a, b, c, d = r
+    return f"[[{a},{b}],[{c},{d}]]@F{p}"
+
+
 def parse_matrix_values(text: str) -> tuple[Domain, tuple]:
     """The domain of a matrix literal and its entry values in row-major
     order: residues in [0, p), or Fractions over Q."""

@@ -718,3 +718,32 @@ def test_p3_census_subgroups_match_oracle_closures():
     gl2 = oracles.gl2(3)
     combos = [[g] for g in gl2] + [list(pair) for pair in combinations(gl2, 2)]
     assert element_sets == {oracles.closure(3, combo) for combo in combos}
+
+
+@pytest.mark.parametrize("p, max_generators", [(3, 2), (2, 3)])
+def test_census_records_the_first_generating_combination(p, max_generators):
+    """Each full-plane entry records, as its generators, the first
+    combination of GL2(F_p) elements, size by size in oracle order,
+    whose oracle closure is its subgroup."""
+    first = {}
+    gl2 = oracles.gl2(p)
+    for size in range(1, max_generators + 1):
+        for combo in combinations(gl2, size):
+            first.setdefault(oracles.closure(p, combo), combo)
+    report = search_instances(p, max_generators, with_leakage=False)
+    assert report.complete
+    full_plane = [e for e in report.entries if not e.descriptor["name"].endswith("-embedded")]
+    assert len(full_plane) == report.subgroups_examined == len(first)
+    for entry in full_plane:
+        gens = tuple(parse_matrix(g).residues() for g in entry.descriptor["generators"])
+        assert gens == first[oracles.closure(p, gens)]
+
+
+def test_census_work_cap_counts_closure_steps():
+    """The census spends one unit of the cap per group product, so the
+    p = 3 census completes exactly from 17,067 units on; a run that stops
+    early keeps the subgroups it found, each with its entry."""
+    assert search_instances(3, cap=17067, with_leakage=False).complete
+    short = search_instances(3, cap=17066, with_leakage=False)
+    assert not short.complete
+    assert len(short.entries) >= short.subgroups_examined > 0

@@ -786,6 +786,16 @@ class TestSearch:
             run_cli(capsys, "search", "--p", "2", "--out", str(path))
         assert a.read_bytes() == b.read_bytes()
 
+    def test_p5_census_artifact_matches_its_pinned_digest(self, capsys, tmp_path):
+        # sha256 of `search --p 5` as written before the census closed
+        # cyclic-subgroup joins instead of every generator pair: 461
+        # subgroups, 533 entries, the same bytes.
+        out_file = tmp_path / "search.json"
+        assert run_cli(capsys, "search", "--p", "5", "--out", str(out_file))[0] == 0
+        assert hashlib.sha256(out_file.read_bytes()).hexdigest() == (
+            "f98f8dd59f88ba5d412c09304e63d904b2388777346693ea871b14facbf4c478"
+        )
+
 
 class TestCustomInstances:
     def test_inline_custom_generators(self, capsys, tmp_path):

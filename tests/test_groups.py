@@ -181,6 +181,28 @@ class TestCommutatorSubgroup:
             for c in sub:
                 assert (x.inverse() @ c) @ x in sub
 
+    def test_every_p3_census_subgroup_matches_the_oracle(self):
+        # Each subgroup three ways: as the census builds it from GL2(F3),
+        # sharing the ambient rows and inverses; closed from its census
+        # generators; and as a bare element set, whose generating set is
+        # found greedily.
+        from triplepass.analysis import _census_subgroups
+
+        ambient = enumerate_gl2(3)
+        subgroups, complete = _census_subgroups(ambient, 2, 10**9)
+        assert complete and len(subgroups) == 55
+        for key, combo in subgroups.items():
+            gens = tuple(ambient.elements[i] for i in combo)
+            census = ambient._subgroup(sorted(key), gens)
+            closed = subgroup_closure(gens)
+            bare = FiniteGroup.from_residues(F3, census.residues)
+            assert closed.residues == bare.residues == census.residues
+            assert census.inverse_indices == bare.inverse_indices
+            assert census._point_rows == bare._point_rows
+            expected = oracles.comm_subgroup(3, census.residues)
+            for group in (census, closed, bare):
+                assert residue_set(commutator_subgroup(group)) == expected
+
     def test_distinct_commutators_of_gl2_f2(self):
         got = {m.residues() for m in distinct_commutators(enumerate_gl2(2))}
         assert got == oracles.commutators(2, oracles.gl2(2))
