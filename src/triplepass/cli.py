@@ -165,41 +165,42 @@ def _json_text(payload) -> str:
     set; this one is faster, and writes a container that several parents
     share once per depth.
     """
-    memo: dict[tuple[int, str], str] = {}
+    return _json_value(payload, "\n", {}) + "\n"
 
-    def text(obj, nl: str) -> str:
-        kind = type(obj)
-        if kind is str:
-            return _quote(obj)
-        if kind is int:
-            return repr(obj)
-        if kind is float:
-            return repr(obj) if math.isfinite(obj) else _NONFINITE.get(obj, "NaN")
-        if obj is None:
-            return "null"
-        if kind is bool:
-            return "true" if obj else "false"
-        if kind is not dict and kind is not list and kind is not tuple:
-            raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
-        key = (id(obj), nl)
-        done = memo.get(key)
-        if done is None:
-            done = memo[key] = container(obj, nl)
+
+def _json_value(obj, nl: str, memo: dict[tuple[int, str], str]) -> str:
+    """The JSON text of ``obj`` with ``nl`` opening each of its lines;
+    ``memo`` maps a written container's (id, nl) to its text."""
+    kind = type(obj)
+    if kind is str:
+        return _quote(obj)
+    if kind is int:
+        return repr(obj)
+    if kind is float:
+        return repr(obj) if math.isfinite(obj) else _NONFINITE.get(obj, "NaN")
+    if obj is None:
+        return "null"
+    if kind is bool:
+        return "true" if obj else "false"
+    if kind is not dict and kind is not list and kind is not tuple:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    key = (id(obj), nl)
+    done = memo.get(key)
+    if done is not None:
         return done
-
-    def container(obj, nl: str) -> str:
-        brackets = "{}" if type(obj) is dict else "[]"
-        if not obj:
-            return brackets
+    brackets = "{}" if kind is dict else "[]"
+    if not obj:
+        done = brackets
+    else:
         inner = nl + "  "
-        if brackets == "{}":
+        if kind is dict:
             # _quote raises TypeError on a key that is not a str.
-            items = [_quote(k) + ": " + text(v, inner) for k, v in obj.items()]
+            items = [_quote(k) + ": " + _json_value(v, inner, memo) for k, v in obj.items()]
         else:
-            items = [text(v, inner) for v in obj]
-        return brackets[0] + inner + ("," + inner).join(items) + nl + brackets[1]
-
-    return text(payload, "\n") + "\n"
+            items = [_json_value(v, inner, memo) for v in obj]
+        done = brackets[0] + inner + ("," + inner).join(items) + nl + brackets[1]
+    memo[key] = done
+    return done
 
 
 def _prior_json(prior: dict) -> dict:

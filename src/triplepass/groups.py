@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache
 from itertools import product
+from operator import add
 from typing import Iterable, Iterator, Optional
 
 from .errors import SingularMatrixError, TriplePassError, WorkCapExceeded
@@ -58,6 +59,23 @@ def _inv(p: int, x: Residues) -> Residues:
     return (d * di % p, -b * di % p, -c * di % p, a * di % p)
 
 
+def _column_table(p: int, u: int, w: int, scale: int) -> list[int]:
+    """((x*u + y*w) mod p) * scale at index x*p + y. With w != 0 each
+    x-block is the line y -> y*w rotated by x*u/w; with w = 0 it is
+    constant."""
+    table: list[int] = []
+    if w:
+        line = [y * w % p * scale for y in range(p)] * 2
+        step = u * pow(w, -1, p) % p
+        for x in range(p):
+            k = x * step % p
+            table += line[k:k + p]
+    else:
+        for x in range(p):
+            table += [x * u % p * scale] * p
+    return table
+
+
 def residue_closure(
     p: int, gens: list[Residues], max_order: Optional[int] = None
 ) -> dict[Residues, None]:
@@ -94,8 +112,10 @@ class FiniteGroup(Frozen):
     enumerated as a whole family); a group closed from them
     (``subgroup_closure``, ``_subgroup``) also takes them as its
     generating set. Build groups with ``from_residues`` or
-    ``from_elements``, which validate them. The hash, the key of the
-    cached commutator helpers, is computed once, on construction.
+    ``from_elements``, which validate them and record
+    ``inverse_indices``, the position of each element's inverse. The
+    hash, the key of the cached commutator helpers, is computed once, on
+    construction.
     """
 
     _fields = ("domain", "residues", "generators")
@@ -127,26 +147,33 @@ class FiniteGroup(Frozen):
     ) -> "FiniteGroup":
         """Validate residue 4-tuples as a group over ``field``: residues
         in [0, p), the identity, nonzero determinants and closure under
-        inversion are checked here, closure under products only by
-        ``validate_closure``."""
+        inversion are checked here; closure under products is not. The
+        inversion check records the residue index and each element's
+        inverse index on the group."""
         p = field.p
         ordered = tuple(sorted(set(residues)))
         if not ordered:
             raise ValueError("a group needs at least one element")
         if not all(0 <= v < p for r in ordered for v in r):
             raise ValueError(f"group element residues must lie in [0, {p})")
-        members = set(ordered)
-        if (1, 0, 0, 1) not in members:
+        index = {r: i for i, r in enumerate(ordered)}
+        if (1, 0, 0, 1) not in index:
             raise ValueError("group must contain the identity matrix")
+        inverse = []
         for r in ordered:
             a, b, c, d = r
             if (a * d - b * c) % p == 0:
                 raise SingularMatrixError(f"group element {Mat2.from_values(field, *r)} is singular")
-            if _inv(p, r) not in members:
+            j = index.get(_inv(p, r))
+            if j is None:
                 raise ValueError(
                     f"group is not closed under inversion at {Mat2.from_values(field, *r)}"
                 )
-        return FiniteGroup(field, ordered, generators)
+            inverse.append(j)
+        group = FiniteGroup(field, ordered, generators)
+        setfield(group, "_residue_index", index)
+        setfield(group, "inverse_indices", tuple(inverse))
+        return group
 
     @cached_property
     def elements(self) -> tuple[Mat2, ...]:
@@ -177,25 +204,27 @@ class FiniteGroup(Frozen):
         return self._residue_index.get(m.residues())
 
     @cached_property
-    def inverse_indices(self) -> tuple[int, ...]:
-        p, index = self.p, self._residue_index
-        return tuple(index[_inv(p, r)] for r in self.residues)
-
-    @cached_property
     def _point_rows(self) -> list[list[int]]:
         """The action on the plane F_p^2: row g lists, for each point
         (x, y) by index x*p + y, the index of the point (x, y) * g. Each
-        row is checked to permute the points."""
+        row is checked to permute the points.
+
+        The image of (x, y) under [[a, b], [c, d]] is (x*a + y*c,
+        x*b + y*d), so its index is a sum of one table of the column
+        (a, c), scaled by p, and one of the column (b, d); each distinct
+        column's table is built once."""
         p = self.p
+        x_tables: dict[tuple[int, int], list[int]] = {}
+        y_tables: dict[tuple[int, int], list[int]] = {}
         rows = []
         for g, (a, b, c, d) in enumerate(self.residues):
-            row = [0] * (p * p)
-            for x in range(p):
-                xa = x * a
-                xb = x * b
-                base = x * p
-                for y in range(p):
-                    row[base + y] = ((xa + y * c) % p) * p + ((xb + y * d) % p)
+            xs = x_tables.get((a, c))
+            if xs is None:
+                xs = x_tables[a, c] = _column_table(p, a, c, p)
+            ys = y_tables.get((b, d))
+            if ys is None:
+                ys = y_tables[b, d] = _column_table(p, b, d, 1)
+            row = list(map(add, xs, ys))
             if len(set(row)) != p * p:
                 raise TriplePassError(f"group element {self.elements[g]} does not act bijectively")
             rows.append(row)
@@ -236,25 +265,6 @@ class FiniteGroup(Frozen):
 
     def __iter__(self) -> Iterator[Mat2]:
         return iter(self.elements)
-
-    @cached_property
-    def multiplication_table(self) -> tuple[tuple[int, ...], ...]:
-        """Index table for g*h; quadratic, so only built for small groups."""
-        if len(self) ** 2 > 1_000_000:
-            raise RuntimeError(f"multiplication table too large for order {len(self)}")
-        p, res, index = self.p, self.residues, self._residue_index
-        return tuple(tuple(index[_mul(p, g, h)] for h in res) for g in res)
-
-    def validate_closure(self) -> None:
-        """Full quadratic closure check; used by tests on small groups."""
-        p, res, index = self.p, self.residues, self._residue_index
-        for g in res:
-            for h in res:
-                if _mul(p, g, h) not in index:
-                    raise ValueError(
-                        f"not closed: {self.elements[index[g]]} * {self.elements[index[h]]}"
-                        " escapes the element set"
-                    )
 
 
 def enumerate_gl2(p: int, cap: int = DEFAULT_PRIME_CAP) -> FiniteGroup:

@@ -190,10 +190,11 @@ def test_action_axioms_exhaustive_on_standard_instances(
         group = inst.group
         ident_row = idx.act_table[group.identity_index]
         assert ident_row == list(range(idx.n_points))
-        table = group.multiplication_table
+        res = group.residues
+        position = {r: k for k, r in enumerate(res)}
         for i in range(len(group)):
             for j in range(len(group)):
-                composed = idx.act_table[table[i][j]]
+                composed = idx.act_table[position[oracles.mmul(idx.p, res[i], res[j])]]
                 for x in range(idx.n_points):
                     assert composed[x] == idx.act_table[j][idx.act_table[i][x]]
 

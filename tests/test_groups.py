@@ -2,11 +2,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from triplepass.actions import INSTANCE_KINDS, build_instance
 from triplepass.errors import SingularMatrixError
 from triplepass.fields import PrimeField, RATIONALS
 from triplepass.groups import (
     DEFAULT_PRIME_CAP,
     FiniteGroup,
+    _mul,
     commutator,
     commutator_subgroup,
     distinct_commutators,
@@ -36,7 +38,12 @@ class TestEnumerateGl2:
             assert residue_set(group) == set(oracle)
 
     def test_closed_under_product_and_inverse(self):
-        enumerate_gl2(3).validate_closure()
+        res = enumerate_gl2(3).residues
+        members = set(res)
+        for g in res:
+            assert oracles.minv(3, g) in members
+            for h in res:
+                assert oracles.mmul(3, g, h) in members
 
     def test_order_formula(self):
         assert gl2_order(2) == 6
@@ -222,12 +229,12 @@ class TestFiniteGroupValidation:
         with pytest.raises(ValueError, match="prime fields"):
             FiniteGroup.from_elements([Mat2.identity(RATIONALS)])
 
-    def test_multiplication_table(self):
+    def test_products_match_the_oracle(self):
         group = enumerate_gl2(2)
-        table = group.multiplication_table
-        for i, g in enumerate(group):
-            for j, h in enumerate(group):
-                assert group.elements[table[i][j]] == g @ h
+        for g in group:
+            for h in group:
+                product = oracles.mmul(2, g.residues(), h.residues())
+                assert group.index_of(g @ h) == group.residues.index(product)
 
     def test_is_abelian(self):
         assert not enumerate_gl2(2).is_abelian
@@ -262,14 +269,13 @@ class TestResidueKernelAgainstOracles:
         sub = commutator_subgroup(oracle_group(p, raw))
         assert residue_set(sub) == oracles.comm_subgroup(p, raw)
 
-    def test_multiplication_table_and_inverses_on_gl2_f3(self):
+    def test_products_and_inverses_on_gl2_f3(self):
         group = enumerate_gl2(3)
         res = [m.residues() for m in group.elements]
-        table = group.multiplication_table
         for i, g in enumerate(res):
             assert res[group.inverse_indices[i]] == oracles.minv(3, g)
-            for j, h in enumerate(res):
-                assert res[table[i][j]] == oracles.mmul(3, g, h)
+            for h in res:
+                assert _mul(3, g, h) == oracles.mmul(3, g, h)
 
     @pytest.mark.parametrize(
         "p, raw",
@@ -310,3 +316,47 @@ class TestResidueKernelAgainstOracles:
     def test_from_residues_rejects_out_of_range_residues(self):
         with pytest.raises(ValueError, match=r"\[0, 5\)"):
             FiniteGroup.from_residues(F5, [(1, 0, 0, 1), (6, 0, 0, 1)])
+
+
+def assert_tables_match_the_oracle(group):
+    """Every point row entry and every inverse index, against the
+    plain-integer action and inverse."""
+    p, res = group.p, group.residues
+    assert len(group._point_rows) == len(group.inverse_indices) == len(res)
+    for g, row in zip(res, group._point_rows):
+        assert len(row) == p * p
+        for x in range(p):
+            for y in range(p):
+                u, v = oracles.act(p, (x, y), g)
+                assert row[x * p + y] == u * p + v
+    for i, g in enumerate(res):
+        assert res[group.inverse_indices[i]] == oracles.minv(p, g)
+
+
+class TestTablesAgainstOracles:
+    """``_point_rows`` is built from per-column tables and
+    ``inverse_indices`` by the validation in ``from_residues``; both
+    against the oracles."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    @pytest.mark.parametrize("kind", [k for k in INSTANCE_KINDS if k != "custom"])
+    def test_named_kinds(self, kind, p):
+        assert_tables_match_the_oracle(build_instance(kind, p).group)
+
+    def test_a_group_whose_elements_share_no_column(self):
+        # Every scalar matrix has its own two columns.
+        group = build_instance("scalar", 31).group
+        columns = {(a, c) for a, b, c, d in group.residues}
+        assert len(columns) == len(group) == 30
+        assert_tables_match_the_oracle(group)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_custom_groups(self, data):
+        # Drawn as the kernel guard draws its instances: p in {2, 3, 5},
+        # one or two generators from GL2(F_p).
+        p = data.draw(st.sampled_from([2, 3, 5]))
+        gens = data.draw(st.lists(st.sampled_from(oracles.gl2(p)), min_size=1, max_size=2))
+        group = subgroup_closure([Mat2.from_values(PrimeField(p), *g) for g in gens])
+        assert set(group.residues) == oracles.closure(p, gens)
+        assert_tables_match_the_oracle(group)

@@ -2,6 +2,7 @@
 the text of ``json.dumps(x, indent=2) + "\\n"``, and refuses what the
 program never writes with TypeError."""
 
+import gc
 import json
 from fractions import Fraction
 
@@ -58,6 +59,23 @@ def test_deeply_nested_and_empty_containers():
         deep = [deep, {}] if i % 2 else {"k": deep, "empty": []}
     for payload in (deep, [], {}, [[]], {"": {}}, ((),)):
         assert _json_text(payload) == stdlib(payload)
+
+
+def test_writing_leaves_no_reference_cycle():
+    # Every object the writer makes, its memo included, is freed by
+    # reference counting alone.
+    shared = {"k": [1, 2.5, None]}
+    payload = {"a": [shared, {"b": (shared, "x", True)}], "c": {}, "d": [[], [shared]]}
+    expected = stdlib(payload)  # the stdlib's indenting encoder itself leaves cycles
+    gc.collect()
+    gc.disable()
+    try:
+        text = _json_text(payload)
+        left = gc.collect()
+    finally:
+        gc.enable()
+    assert text == expected
+    assert left == 0
 
 
 @pytest.mark.parametrize(
