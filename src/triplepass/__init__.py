@@ -22,18 +22,18 @@ _EXPORTS = {
     "matrices": ("Mat2", "format_matrix", "parse_matrix"),
     "groups": ("DEFAULT_PRIME_CAP", "FiniteGroup", "commutator", "commutator_subgroup",
                "enumerate_gl2", "gl2_order", "subgroup_closure"),
-    "actions": ("ActionInstance", "ConditionReport", "DEFAULT_WORK_CAP", "Point", "act",
-                "build_instance", "check_masking_coverage", "check_transcript_equivalence",
-                "format_point", "instance_from_descriptor", "instance_to_descriptor",
-                "is_commutator_fixed_point", "is_commutator_fixed_set", "parse_point",
-                "rational_demo_instance", "recheck_counterexample", "trivial_instance"),
+    "actions": ("ActionInstance", "DEFAULT_WORK_CAP", "Point", "act", "build_instance",
+                "format_point", "instance_from_descriptor", "instance_to_descriptor", "parse_point",
+                "rational_demo_instance", "trivial_instance"),
+    "checks": ("ConditionReport", "check_masking_coverage", "check_transcript_equivalence",
+               "is_commutator_fixed_point", "is_commutator_fixed_set", "recheck_counterexample"),
     "protocol": ("GroundTruth", "SecretEncoding", "SessionOutcome", "Transcript",
                  "check_roundtrip_commutator_fixed", "encode_secret", "exhaustive_roundtrip",
                  "run_session", "run_session_with", "transcript_from_dict", "transcript_to_dict"),
-    "analysis": ("LeakageReport", "PosteriorReport", "SearchReport", "WitnessSet",
-                 "enumerate_consistent", "exact_mutual_information", "find_witness",
-                 "posterior_from_transcript", "quotient_attack", "search_instances",
-                 "uniform_prior"),
+    "analysis": ("LeakageReport", "exact_mutual_information", "quotient_attack", "uniform_prior"),
+    "posterior": ("PosteriorReport", "WitnessSet", "enumerate_consistent", "find_witness",
+                  "posterior_from_transcript"),
+    "census": ("SearchReport", "search_instances"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = list(_HOME)

@@ -23,24 +23,19 @@ except ImportError:  # an interpreter without the accelerator
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
-# ``protocol`` and ``analysis`` are imported by the commands that use
-# them, which read each name from its module when they run.
+# Modules beyond ``actions`` are imported by the commands that use them,
+# which read a traced name through ``actions`` or ``analysis`` when run.
 from . import __version__
 from .actions import (
     ActionInstance,
-    ConditionReport,
     DEFAULT_WORK_CAP,
     INSTANCE_KINDS,
     build_instance,
-    check_masking_coverage,
-    check_transcript_equivalence,
     instance_from_descriptor,
     instance_to_descriptor,
-    is_commutator_fixed_set,
     load_instance_file,
     load_json,
     rational_demo_instance,
-    secret_square_points,
     trivial_instance,
 )
 from .errors import TriplePassError, WorkCapExceeded
@@ -48,7 +43,9 @@ from .fields import PrimeField, Scalar, parse_scalar, scalar_to_json
 from .matrices import parse_matrix
 
 if TYPE_CHECKING:
-    from .analysis import BayesStep, LeakageReport, PosteriorPrior, SearchReport
+    from .analysis import LeakageReport
+    from .census import SearchReport
+    from .posterior import BayesStep, PosteriorPrior
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -425,10 +422,9 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     cap = args.cap
-
-    from .analysis import exact_mutual_information, posterior_prior
-
     if args.transcripts:
+        from .posterior import posterior_prior
+
         data = load_json(args.transcripts)
         if isinstance(data, dict) and "transcripts" in data:
             transcript_dicts = data["transcripts"]
@@ -467,6 +463,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         _emit(_json_text(artifact), args.out)
         return EXIT_OK
 
+    from .analysis import exact_mutual_information
+
     instance = _resolve_instance(args)
     prior = _load_prior(args.prior, instance)
     report = exact_mutual_information(instance, prior, cap=cap)
@@ -491,14 +489,16 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    from . import actions, checks
+
     instance = _resolve_instance(args)
     if not instance.is_finite:
         raise UsageError("condition checks require a finite instance")
-    group = instance.group
-    reports: list[ConditionReport] = [
-        is_commutator_fixed_set(secret_square_points(instance), group, instance.name),
-        check_masking_coverage(instance, cap=args.cap),
-        check_transcript_equivalence(instance, cap=args.cap),
+    square = checks.secret_square_points(instance)
+    reports = [
+        actions.is_commutator_fixed_set(square, instance.group, instance.name),
+        actions.check_masking_coverage(instance, cap=args.cap),
+        actions.check_transcript_equivalence(instance, cap=args.cap),
     ]
     artifact = _artifact(
         "triplepass/check/v1",
@@ -544,32 +544,65 @@ def cmd_search(args: argparse.Namespace) -> int:
     return EXIT_OK if report.complete else EXIT_CAP
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+_COMMANDS = {
+    "demo": ("scripted failure and success demonstrations", cmd_demo),
+    "run": ("run seeded sessions and write transcripts", cmd_run),
+    "analyze": ("posterior or whole-instance leakage", cmd_analyze),
+    "check": ("run the action condition checkers", cmd_check),
+    "search": ("census of instances from small generating sets", cmd_search),
+}
+
+
+def _add_arguments(parser: argparse.ArgumentParser, command: str) -> None:
     parser.add_argument("--seed", type=int, default=0, help="seed for all randomness")
     parser.add_argument("--cap", type=int, default=None, help="work cap (inner evaluations)")
     parser.add_argument("--out", type=str, default=None, help="output path (default stdout)")
-    parser.add_argument(
-        "--format", choices=("json", "csv", "human"), default="json", help="output format"
-    )
-    parser.add_argument(
-        "--workers", type=int, default=1, help="accepted for compatibility; has no effect"
-    )
-
-
-def _add_instance_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--instance",
-        type=str,
-        default=None,
-        help=f"instance kind ({', '.join(_CLI_KINDS)}) or a descriptor .json path",
-    )
-    parser.add_argument("--p", type=int, default=None, help="prime modulus of a kind or trivial (default 5)")
-    parser.add_argument(
-        "--generators", action="append", default=None, help="matrix literal (repeatable, custom kind)"
-    )
+    parser.add_argument("--format", choices=("json", "csv", "human"), default="json",
+                        help="output format")
+    parser.add_argument("--workers", type=int, default=1,
+                        help="accepted for compatibility; has no effect")
+    parser.set_defaults(func=_COMMANDS[command][1])
+    if command == "search":
+        parser.add_argument("--p", type=int, required=True)
+        parser.add_argument("--max-generators", dest="max_generators", type=int, default=2)
+        parser.add_argument("--no-leakage", dest="no_leakage", action="store_true")
+        return
+    parser.add_argument("--instance", type=str, default=None,
+                        help=f"instance kind ({', '.join(_CLI_KINDS)}) or a descriptor .json path")
+    parser.add_argument("--p", type=int, default=None,
+                        help="prime modulus of a kind or trivial (default 5)")
+    parser.add_argument("--generators", action="append", default=None,
+                        help="matrix literal (repeatable, custom kind)")
     parser.add_argument("--secret-domain", dest="secret_domain", type=str, default=None)
     parser.add_argument("--t-domain", dest="t_domain", type=str, default=None)
     parser.add_argument("--name", type=str, default=None)
+    if command == "demo":
+        parser.add_argument("--rational", action="store_true", help="bounded rational matrix demo")
+        parser.add_argument("--sessions", type=int, default=None,
+                            help="session count of an --instance demo (default 1; rational 3)")
+        parser.set_defaults(format="human")
+    elif command == "run":
+        parser.add_argument("--sessions", type=int, default=1)
+        parser.add_argument("--secret", type=str, default=None, help="fixed secret literal")
+        parser.add_argument("--lab-view", dest="lab_view", action="store_true",
+                            help="include ground truth in transcripts")
+    elif command == "analyze":
+        parser.add_argument("--transcripts", type=str, default=None, help="transcript file to analyze")
+        parser.add_argument("--prior", type=str, default=None, help="prior JSON path")
+
+
+class _Subcommand(argparse.ArgumentParser):
+    """A subcommand's parser, which adds its arguments once it is invoked."""
+
+    def __init__(self, *, command: str, **kwargs) -> None:
+        super().__init__(**kwargs)
+        self._command: Optional[str] = command
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._command is not None:
+            _add_arguments(self, self._command)
+            self._command = None
+        return super().parse_known_args(args, namespace)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -577,44 +610,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="triplepass",
         description="Three-pass masking protocol lab: run it, break it, measure the leak.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    demo = sub.add_parser("demo", help="scripted failure and success demonstrations")
-    _add_common(demo)
-    _add_instance_flags(demo)
-    demo.add_argument("--rational", action="store_true", help="bounded rational matrix demo")
-    demo.add_argument("--sessions", type=int, default=None,
-                      help="session count of an --instance demo (default 1; rational 3)")
-    demo.set_defaults(func=cmd_demo, format="human")
-
-    run = sub.add_parser("run", help="run seeded sessions and write transcripts")
-    _add_common(run)
-    _add_instance_flags(run)
-    run.add_argument("--sessions", type=int, default=1)
-    run.add_argument("--secret", type=str, default=None, help="fixed secret literal")
-    run.add_argument("--lab-view", dest="lab_view", action="store_true",
-                     help="include ground truth in transcripts")
-    run.set_defaults(func=cmd_run)
-
-    analyze = sub.add_parser("analyze", help="posterior or whole-instance leakage")
-    _add_common(analyze)
-    _add_instance_flags(analyze)
-    analyze.add_argument("--transcripts", type=str, default=None, help="transcript file to analyze")
-    analyze.add_argument("--prior", type=str, default=None, help="prior JSON path")
-    analyze.set_defaults(func=cmd_analyze)
-
-    check = sub.add_parser("check", help="run the action condition checkers")
-    _add_common(check)
-    _add_instance_flags(check)
-    check.set_defaults(func=cmd_check)
-
-    search = sub.add_parser("search", help="census of instances from small generating sets")
-    _add_common(search)
-    search.add_argument("--p", type=int, required=True)
-    search.add_argument("--max-generators", dest="max_generators", type=int, default=2)
-    search.add_argument("--no-leakage", dest="no_leakage", action="store_true")
-    search.set_defaults(func=cmd_search)
-
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
+    for command, (text, _) in _COMMANDS.items():
+        sub.add_parser(command, help=text, command=command)
     return parser
 
 

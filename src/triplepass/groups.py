@@ -111,11 +111,10 @@ class FiniteGroup(Frozen):
     recorded generators are provenance (empty means the group was
     enumerated as a whole family); a group closed from them
     (``subgroup_closure``, ``_subgroup``) also takes them as its
-    generating set. Build groups with ``from_residues`` or
-    ``from_elements``, which validate them and record
-    ``inverse_indices``, the position of each element's inverse. The
-    hash, the key of the cached commutator helpers, is computed once, on
-    construction.
+    generating set. Build groups with ``from_residues``, which validates
+    them and records ``inverse_indices``, the position of each element's
+    inverse. The hash, the key of the cached commutator helpers, is
+    computed once, on construction.
     """
 
     _fields = ("domain", "residues", "generators")
@@ -127,19 +126,6 @@ class FiniteGroup(Frozen):
 
     def __hash__(self) -> int:
         return self._hash
-
-    @staticmethod
-    def from_elements(mats: Iterable[Mat2], generators: tuple[Mat2, ...] = ()) -> "FiniteGroup":
-        unique = list({m: None for m in mats})
-        if not unique:
-            raise ValueError("a group needs at least one element")
-        domains = {m.domain for m in unique}
-        if len(domains) != 1:
-            raise ValueError("group elements must share one scalar domain")
-        domain = domains.pop()
-        if not isinstance(domain, PrimeField):
-            raise ValueError("finite groups are supported over prime fields only")
-        return FiniteGroup.from_residues(domain, (m.residues() for m in unique), generators)
 
     @staticmethod
     def from_residues(

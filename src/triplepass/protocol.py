@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import random
 from functools import cached_property
-from typing import Iterator, Optional, Union
+from typing import TYPE_CHECKING, Iterator, Optional, Union
 
 from .actions import (
     ActionInstance,
-    ConditionReport,
     DEFAULT_WORK_CAP,
     InstanceIndex,
     Point,
@@ -31,14 +30,15 @@ from .actions import (
     _require_finite,
     act,
     instance_index,
-    is_commutator_fixed_set,
-    secret_square_points,
 )
 from .errors import TriplePassError, WorkCapExceeded
 from .fields import PrimeField, RATIONALS, Scalar, prime_field, scalar_from_json, scalar_to_json
 from .groups import Residues, _mul
 from .matrices import Mat2, format_matrix, parse_matrix, parse_matrix_values
 from .records import Frozen
+
+if TYPE_CHECKING:
+    from .checks import ConditionReport
 
 __all__ = [
     "SecretEncoding",
@@ -371,6 +371,9 @@ def check_roundtrip_commutator_fixed(
     Both sides are evaluated exhaustively and the report records them;
     the check passes when they agree.
     """
+    from .actions import is_commutator_fixed_set
+    from .checks import ConditionReport, secret_square_points
+
     failures, total, first = exhaustive_roundtrip(instance, "secret-square", cap=cap)
     sessions_ok = failures == 0
     fixed = is_commutator_fixed_set(secret_square_points(instance), instance.group, instance.name)

@@ -17,26 +17,23 @@ from triplepass.actions import (
     ActionInstance,
     Point,
     build_instance,
-    check_masking_coverage,
-    check_transcript_equivalence,
     instance_from_descriptor,
     instance_index,
+)
+from triplepass.analysis import exact_mutual_information, quotient_attack
+from triplepass.census import search_instances
+from triplepass.checks import (
+    check_masking_coverage,
+    check_transcript_equivalence,
     is_commutator_fixed_point,
     is_commutator_fixed_set,
     secret_square_points,
-)
-from triplepass.analysis import (
-    enumerate_consistent,
-    exact_mutual_information,
-    find_witness,
-    posterior_from_transcript,
-    quotient_attack,
-    search_instances,
 )
 from triplepass.cli import main
 from triplepass.fields import PrimeField
 from triplepass.groups import enumerate_gl2, subgroup_closure
 from triplepass.matrices import Mat2
+from triplepass.posterior import enumerate_consistent, find_witness, posterior_from_transcript
 from triplepass.protocol import (
     SecretEncoding,
     check_roundtrip_commutator_fixed,

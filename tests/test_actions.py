@@ -13,26 +13,28 @@ from triplepass.actions import (
     Point,
     act,
     build_instance,
-    check_masking_coverage,
-    check_transcript_equivalence,
-    commutator_fixed_carrier_points,
     format_point,
     instance_from_descriptor,
     instance_index,
     instance_to_descriptor,
-    is_commutator_fixed_point,
-    is_commutator_fixed_set,
     parse_point,
     rational_demo_instance,
-    recheck_counterexample,
-    secret_square_points,
     trivial_instance,
 )
-from triplepass.analysis import posterior_from_transcript
+from triplepass.checks import (
+    check_masking_coverage,
+    check_transcript_equivalence,
+    commutator_fixed_carrier_points,
+    is_commutator_fixed_point,
+    is_commutator_fixed_set,
+    recheck_counterexample,
+    secret_square_points,
+)
 from triplepass.errors import SingularMatrixError, TriplePassError, WorkCapExceeded
 from triplepass.fields import PrimeField
 from triplepass.groups import FiniteGroup
 from triplepass.matrices import Mat2, format_matrix
+from triplepass.posterior import posterior_from_transcript
 from triplepass.protocol import run_session
 
 F2 = PrimeField(2)

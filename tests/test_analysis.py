@@ -8,23 +8,11 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 import oracles
-from triplepass import analysis
-from triplepass.actions import (
-    Point,
-    build_instance,
-    check_transcript_equivalence,
-    instance_from_descriptor,
-    instance_index,
-)
-from triplepass.analysis import (
-    enumerate_consistent,
-    exact_mutual_information,
-    find_witness,
-    mutual_information_bits,
-    posterior_from_transcript,
-    quotient_attack,
-    search_instances,
-)
+from triplepass import analysis, census, posterior
+from triplepass.actions import Point, build_instance, instance_from_descriptor, instance_index
+from triplepass.analysis import exact_mutual_information, mutual_information_bits, quotient_attack
+from triplepass.census import search_instances
+from triplepass.checks import check_transcript_equivalence
 from triplepass.errors import (
     AttackInapplicableError,
     InconsistentTranscriptError,
@@ -33,6 +21,7 @@ from triplepass.errors import (
 )
 from triplepass.fields import PrimeField
 from triplepass.matrices import Mat2, parse_matrix
+from triplepass.posterior import enumerate_consistent, find_witness, posterior_from_transcript
 from triplepass.protocol import (
     GroundTruth,
     SecretEncoding,
@@ -313,7 +302,7 @@ class TestBayesMemo:
 
     def test_a_prior_validated_once_serves_only_its_own_instance(self, diag5, rot7):
         transcript = lab_transcript(diag5, 2, 3, (2, 0, 0, 1), (3, 0, 0, 4))
-        validated = analysis.posterior_prior(diag5)
+        validated = posterior.posterior_prior(diag5)
         report = posterior_from_transcript(transcript, diag5, validated)
         assert report.posterior == posterior_from_transcript(transcript, diag5).posterior
         with pytest.raises(ValueError, match="another instance"):
@@ -360,6 +349,13 @@ class TestExactMutualInformation:
         report = exact_mutual_information(rot7)
         assert report.mutual_information_bits == math.log2(6)
         assert not report.zero_leakage
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_general_linear_leaks_log2_p_minus_1_over_p_plus_1(self, p):
+        # A reply scales v1 with probability 1/(p+1), and that transcript
+        # names its secret; every other one leaves the posterior uniform.
+        report = exact_mutual_information(build_instance("general-linear", p))
+        assert report.mutual_information_bits == math.log2(p - 1) / (p + 1)
 
     def test_bounds_hold_across_instances(self, diag5, diag3, rot3, rot7, gl2f2, gl2f3, trivial5):
         for inst in (diag5, diag3, rot3, rot7, gl2f2, gl2f3, trivial5):
@@ -646,13 +642,13 @@ class TestSearch:
             inst = instance_from_descriptor(entry.descriptor)
             for original in entry.reports:
                 if original.condition == "comm-fixed-set":
-                    from triplepass.actions import is_commutator_fixed_set, secret_square_points
+                    from triplepass.checks import is_commutator_fixed_set, secret_square_points
 
                     fresh = is_commutator_fixed_set(
                         secret_square_points(inst), inst.group, inst.name
                     )
                 elif original.condition == "masking-coverage":
-                    from triplepass.actions import check_masking_coverage
+                    from triplepass.checks import check_masking_coverage
 
                     fresh = check_masking_coverage(inst)
                 else:
@@ -691,7 +687,7 @@ class TestSearch:
             calls.append(size)
             return combinations(pool, size)
 
-        monkeypatch.setattr(analysis, "combinations", counted)
+        monkeypatch.setattr(census, "combinations", counted)
         report = search_instances(2, 1000)
         assert len(calls) <= 6
         assert report.max_generators == 1000

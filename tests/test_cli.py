@@ -10,12 +10,8 @@ from pathlib import Path
 import pytest
 
 import triplepass
-from triplepass.actions import (
-    ConditionReport,
-    build_instance,
-    instance_to_descriptor,
-    recheck_counterexample,
-)
+from triplepass.actions import build_instance, instance_to_descriptor
+from triplepass.checks import ConditionReport, recheck_counterexample
 from triplepass.cli import main
 from triplepass.matrices import Mat2, format_matrix, parse_matrix
 
@@ -610,7 +606,7 @@ def test_custom_closure_is_capped_while_it_runs(capsys):
 def test_check_with_secrets_outside_the_blinding_domain(capsys, tmp_path, t_domain):
     # The checkers draw candidate blinding values from the secret domain,
     # so they must not need S inside T.
-    from triplepass.actions import ConditionReport, instance_from_descriptor, recheck_counterexample
+    from triplepass.actions import instance_from_descriptor
 
     out_file = tmp_path / "check.json"
     code, _, err = run_cli(capsys, "check", "--instance", "custom", "--p", "5",
@@ -660,14 +656,16 @@ def test_a_census_candidate_is_an_internal_error(capsys, monkeypatch):
     # Transcript equivalence passes only when |S| = 1, so no census entry
     # can be a candidate; forcing every verdict to pass and every leakage
     # to zero makes one. p = 3, because every p = 2 instance has |S| = 1.
+    import triplepass.actions as actions
     import triplepass.analysis as analysis
 
     def passing(*args, **kwargs):
         return ConditionReport("forced", "forced", True, None, 0)
 
+    # The census reads the checkers through ``actions`` when it runs.
     for checker in ("is_commutator_fixed_set", "check_masking_coverage",
                     "check_transcript_equivalence"):
-        monkeypatch.setattr(analysis, checker, passing)
+        monkeypatch.setattr(actions, checker, passing)
     monkeypatch.setattr(analysis, "exact_mutual_information",
                         lambda instance, **kwargs: analysis.LeakageReport(instance.name, 0.0, True, 0, {}))
     code, out, err = run_cli(capsys, "search", "--p", "3")
@@ -677,12 +675,13 @@ def test_a_census_candidate_is_an_internal_error(capsys, monkeypatch):
 
 
 def test_bare_internal_invariant_failure_names_itself(capsys, monkeypatch):
-    import triplepass.cli
+    import triplepass.actions
 
     def fail(*args, **kwargs):
         raise AssertionError
 
-    monkeypatch.setattr(triplepass.cli, "check_masking_coverage", fail)
+    # ``check`` reads the checkers through ``actions`` when it runs.
+    monkeypatch.setattr(triplepass.actions, "check_masking_coverage", fail)
     code, _, err = run_cli(capsys, "check", "--instance", "diagonal", "--p", "5")
     assert (code, err) == (4, "internal error: an internal invariant failed\n")
 

@@ -27,6 +27,20 @@ def residue_set(group):
     return {m.residues() for m in group}
 
 
+def from_elements(mats):
+    """A ``FiniteGroup`` of ``Mat2`` elements, validated by ``from_residues``."""
+    unique = list({m: None for m in mats})
+    if not unique:
+        raise ValueError("a group needs at least one element")
+    domains = {m.domain for m in unique}
+    if len(domains) != 1:
+        raise ValueError("group elements must share one scalar domain")
+    domain = domains.pop()
+    if not isinstance(domain, PrimeField):
+        raise ValueError("finite groups are supported over prime fields only")
+    return FiniteGroup.from_residues(domain, (m.residues() for m in unique))
+
+
 class TestEnumerateGl2:
     def test_sizes_match_brute_force(self):
         # Oracle: filter all p^4 matrices by nonzero determinant.
@@ -193,7 +207,7 @@ class TestCommutatorSubgroup:
         # sharing the ambient rows and inverses; closed from its census
         # generators; and as a bare element set, whose generating set is
         # found greedily.
-        from triplepass.analysis import _census_subgroups
+        from triplepass.census import _census_subgroups
 
         ambient = enumerate_gl2(3)
         subgroups, complete = _census_subgroups(ambient, 2, 10**9)
@@ -218,16 +232,16 @@ class TestCommutatorSubgroup:
 class TestFiniteGroupValidation:
     def test_identity_required(self):
         with pytest.raises(ValueError, match="identity"):
-            FiniteGroup.from_elements([Mat2.from_values(F5, 2, 0, 0, 2)])
+            from_elements([Mat2.from_values(F5, 2, 0, 0, 2)])
 
     def test_inverse_closure_required(self):
         ident = Mat2.identity(F5)
         with pytest.raises(ValueError, match="not closed under inversion"):
-            FiniteGroup.from_elements([ident, Mat2.from_values(F5, 2, 0, 0, 1)])
+            from_elements([ident, Mat2.from_values(F5, 2, 0, 0, 1)])
 
     def test_rational_elements_rejected(self):
         with pytest.raises(ValueError, match="prime fields"):
-            FiniteGroup.from_elements([Mat2.identity(RATIONALS)])
+            from_elements([Mat2.identity(RATIONALS)])
 
     def test_products_match_the_oracle(self):
         group = enumerate_gl2(2)
@@ -243,7 +257,7 @@ class TestFiniteGroupValidation:
 
 
 def oracle_group(p, raw):
-    return FiniteGroup.from_elements(Mat2.from_values(PrimeField(p), *m) for m in raw)
+    return from_elements(Mat2.from_values(PrimeField(p), *m) for m in raw)
 
 
 NON_ABELIAN = [
@@ -300,7 +314,7 @@ class TestResidueKernelAgainstOracles:
         # Shuffled, with repeats: both constructors dedup and sort.
         shuffled = raw[::-1] + raw[::3]
         by_residues = FiniteGroup.from_residues(PrimeField(p), shuffled)
-        by_elements = FiniteGroup.from_elements(
+        by_elements = from_elements(
             Mat2.from_values(PrimeField(p), *m) for m in shuffled
         )
         assert by_residues == by_elements

@@ -24,19 +24,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from triplepass.actions import (
-    Point,
-    build_instance,
-    check_masking_coverage,
-    check_transcript_equivalence,
-)
-from triplepass.analysis import (
-    enumerate_consistent,
-    exact_mutual_information,
-    find_witness,
-    posterior_from_transcript,
-)
+from triplepass.actions import Point, build_instance
+from triplepass.analysis import exact_mutual_information
+from triplepass.checks import check_masking_coverage, check_transcript_equivalence
 from triplepass.matrices import Mat2, parse_matrix
+from triplepass.posterior import enumerate_consistent, find_witness, posterior_from_transcript
 from triplepass.protocol import GroundTruth, Transcript
 
 # Sessions |S| * |T| * |G|^2 per example stay at or below this.
@@ -150,6 +142,25 @@ def test_identity_replies_bound_the_leak_from_below(case):
     sessions = [oracles.session(p, (s, t), a, b)
                 for s in secrets for t in t_values for a in elems for b in elems]
     bound = sum(v2 == v1 for v1, v2, _, _ in sessions) / len(sessions) * math.log2(len(secrets))
+    report = exact_mutual_information(_build(p, secrets, t_values, literals))
+    assert report.mutual_information_bits >= bound - 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_instances())
+def test_scalar_replies_bound_the_leak_from_below(case):
+    # A reply that scales v1 (v2 = c.v1 with c != 0) makes the third
+    # message c times the start point, since masks are linear: (v1, v2)
+    # names c, and v3 / c names the start point and so its secret. A v1
+    # of (0, 0) counts, as only the start point (0, 0) sends it. Under a
+    # uniform prior, I(S; V1V2V3) >= Pr[v2 in F*.v1] * log2 |S|, met with
+    # equality by some instances, hence the tolerance.
+    p, elems, secrets, t_values, literals = case
+    sessions = [oracles.session(p, (s, t), a, b)
+                for s in secrets for t in t_values for a in elems for b in elems]
+    scaled = sum(any(v2 == (c * v1[0] % p, c * v1[1] % p) for c in range(1, p))
+                 for v1, v2, _, _ in sessions)
+    bound = scaled / len(sessions) * math.log2(len(secrets))
     report = exact_mutual_information(_build(p, secrets, t_values, literals))
     assert report.mutual_information_bits >= bound - 1e-12
 

@@ -17,13 +17,13 @@ from fractions import Fraction
 
 import pytest
 
-from triplepass import analysis, cli
+from triplepass import cli, posterior
 from triplepass.actions import Point, instance_from_descriptor
-from triplepass.analysis import PosteriorReport, posterior_from_transcript, posterior_prior
 from triplepass.cli import main
 from triplepass.errors import TriplePassError, WorkCapExceeded
 from triplepass.fields import Scalar
 from triplepass.matrices import Mat2
+from triplepass.posterior import PosteriorReport, posterior_from_transcript, posterior_prior
 from triplepass.protocol import Transcript, transcript_from_dict, transcript_to_dict
 
 INSTANCES = [("diagonal", 7), ("general-linear", 5), ("borel-embedded", 7), ("rotation", 7)]
@@ -200,7 +200,7 @@ def test_analyze_builds_no_object_per_transcript(runs, tmp_path, monkeypatch, fm
     # point, matrix, transcript or report object, in either format.
     runs_file = tmp_path / "runs.json"
     runs_file.write_text(json.dumps(runs[("general-linear", 5)]))
-    validate = analysis.posterior_prior
+    validate = posterior.posterior_prior
 
     def refuse(self, *args, **kwargs):
         raise RuntimeError(f"{type(self).__name__} built on the residue path")
@@ -211,7 +211,7 @@ def test_analyze_builds_no_object_per_transcript(runs, tmp_path, monkeypatch, fm
             monkeypatch.setattr(cls, "__init__", refuse)
         return validated
 
-    monkeypatch.setattr(analysis, "posterior_prior", guarded)
+    monkeypatch.setattr(posterior, "posterior_prior", guarded)
     out = tmp_path / "out.txt"
     assert main(["analyze", "--transcripts", str(runs_file), "--format", fmt,
                  "--out", str(out)]) == 0
