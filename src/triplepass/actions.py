@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from typing import Iterator, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .errors import SingularMatrixError, TriplePassError, WorkCapExceeded
 from .fields import (
@@ -188,18 +188,6 @@ def _require_finite(instance: ActionInstance, what: str) -> FiniteGroup:
     return instance.group
 
 
-class PairClass:
-    """One G-orbit of message pairs (v1, v2), by its representative."""
-
-    __slots__ = ("r", "w", "size", "stab")
-
-    def __init__(self, r: int, w: int, size: int, stab: int) -> None:
-        self.r = r  # v1: the least point of its orbit
-        self.w = w  # v2: a point in the orbit of r
-        self.size = size  # pairs in the class: |orbit(r)| * |Stab(r).w|
-        self.stab = stab  # |Stab(r)|: the replies B with r.B == w
-
-
 class InstanceIndex:
     """Integer tables for one finite instance; the hot-loop backend.
 
@@ -251,7 +239,7 @@ class InstanceIndex:
         # tables share one int object per group index.
         self._fibres: dict[int, dict[int, tuple[int, ...]]] = {}
         self._group_indices = list(range(self.n_group))
-        # Exact Bayes steps of ``analysis.posterior_from_transcript``,
+        # Exact Bayes steps of ``posterior.posterior_from_transcript``,
         # keyed by prior and count signature.
         self.bayes_memo: dict = {}
         # Group index (None outside the group) of each matrix literal
@@ -277,86 +265,6 @@ class InstanceIndex:
                 )
             fib = self._fibres[v] = {w: tuple(gs) for w, gs in grouped.items()}
         return fib
-
-    @cached_property
-    def pair_classes(self) -> tuple[PairClass, ...]:
-        """The G-orbits of message pairs (v1, v2) with v2 in the orbit of
-        v1, built on first use.
-
-        Fixing h in G, (t, A, B) -> (t, A.h, h^-1.B.h) keeps s and v3 and
-        moves (v1, v2) to (v1.h, v2.h), so per-secret witness counts
-        depend on (v1, v2) only through its class. Each class is
-        (r, w): r the least point of its orbit, w a Stab(r)-orbit
-        representative, and the class is that Stab(r)-orbit moved along
-        one mask per orbit point. Raises TriplePassError unless every
-        orbit pair lands in exactly one class and the class sizes sum to
-        the sum of |orbit|^2."""
-        n = self.n_points
-        classes: list[PairClass] = []
-        # Pairs placed so far, keyed v1 * n_points + v2.
-        placed_pairs: set[int] = set()
-        placed: set[int] = set()
-        total = 0
-        for r in range(n):
-            if r in placed:
-                continue
-            fib = self.fibres(r)
-            placed.update(fib)
-            total += len(fib) ** 2
-            stab = fib[r]
-            movers = [(u, self.act_table[gs[0]]) for u, gs in fib.items()]
-            for w in sorted(fib):
-                if r * n + w in placed_pairs:
-                    continue
-                cell = {self.act_table[h][w] for h in stab}
-                classes.append(PairClass(r, w, len(fib) * len(cell), len(stab)))
-                for u, row in movers:
-                    for x in cell:
-                        key = u * n + row[x]
-                        if key in placed_pairs or row[x] not in fib:
-                            raise TriplePassError(
-                                f"pair ({u}, {row[x]}) does not fall in exactly one orbit class"
-                            )
-                        placed_pairs.add(key)
-        if len(placed_pairs) != total or sum(c.size for c in classes) != total:
-            raise TriplePassError(
-                f"orbit classes cover {len(placed_pairs)} pairs, not the {total} orbit pairs"
-            )
-        return tuple(classes)
-
-    def class_unmaskings(self, cls: PairClass) -> Iterator[tuple[int, int]]:
-        """(r.A^-1, w.A^-1) for every mask A in group order: the start
-        point Alice's A would unmask the class representative onto, and
-        the third message it would send."""
-        r, w = cls.r, cls.w
-        return ((inv_row[r], inv_row[w]) for inv_row in self.inv_rows)
-
-    def exchanges(self, v: int) -> Iterator[tuple[int, int, int]]:
-        """The wire messages (v1, v2, v3) of every session from point v;
-        the k-th item has masks (A, B) = divmod(k, n_group). The round
-        trip uses it; leakage counts come from ``pair_classes``."""
-        table = self.act_table
-        for row, inv_row in zip(table, self.inv_rows):
-            v1 = row[v]
-            for b_row in table:
-                v2 = b_row[v1]
-                yield v1, v2, inv_row[v2]
-
-    def unmaskings(self, v1: int, v2: int, v3: int) -> list[tuple[int, tuple[int, int]]]:
-        """Alice's candidates: every (A, (s, t)) with v2.A^-1 == v3 and
-        v1.A^-1 encoding a pair of S x T, in group order. The masks A
-        with v3.A == v2 are one fibre of v3."""
-        pairs = self.pair_of_point
-        out = []
-        for a_i in self.fibres(v3).get(v2, ()):
-            pair = pairs.get(self.inv_rows[a_i][v1])
-            if pair is not None:
-                out.append((a_i, pair))
-        return out
-
-    def replies(self, v1: int, v2: int) -> list[int]:
-        """Every B with v1.B == v2, in group order: Bob's candidate masks."""
-        return list(self.fibres(v1).get(v2, ()))
 
     @cached_property
     def points(self) -> tuple[Point, ...]:
@@ -693,6 +601,3 @@ def load_json(path: str):
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply to decode") from None
 
-
-def load_instance_file(path: str, *, work_cap: Optional[int] = None) -> ActionInstance:
-    return instance_from_descriptor(load_json(path), work_cap=work_cap)

@@ -17,8 +17,9 @@ from fractions import Fraction
 from functools import cmp_to_key
 from typing import TYPE_CHECKING, Mapping, Optional
 
-from .actions import ActionInstance, DEFAULT_WORK_CAP, Point, _require_finite, instance_index
-from .errors import AttackInapplicableError, WorkCapExceeded
+from .actions import (ActionInstance, DEFAULT_WORK_CAP, InstanceIndex, Point, _require_finite,
+                      instance_index)
+from .errors import AttackInapplicableError, TriplePassError, WorkCapExceeded
 from .fields import Scalar
 from .records import Frozen
 
@@ -158,6 +159,53 @@ def mutual_information_bits(
     return bits, zero_leakage, sum(multiplicity.get(t_key, 1) for t_key in t_mass)
 
 
+def _pair_classes(idx: InstanceIndex) -> list[tuple[int, int, int, int]]:
+    """The G-orbits of message pairs (v1, v2) with v2 in the orbit of v1,
+    as (r, w, size, stab) tuples.
+
+    Fixing h in G, (t, A, B) -> (t, A.h, h^-1.B.h) keeps s and v3 and
+    moves (v1, v2) to (v1.h, v2.h), so per-secret witness counts depend
+    on (v1, v2) only through its class. Each class is (r, w): r the
+    least point of its orbit, w a Stab(r)-orbit representative, and the
+    class is that Stab(r)-orbit moved along one mask per orbit point.
+    ``size`` counts its pairs, |orbit(r)| * |Stab(r).w|, and ``stab`` is
+    |Stab(r)|, the replies B with r.B == w. Raises TriplePassError unless
+    every orbit pair lands in exactly one class and the class sizes sum
+    to the sum of |orbit|^2."""
+    n, table = idx.n_points, idx.act_table
+    classes: list[tuple[int, int, int, int]] = []
+    # Pairs placed so far, keyed v1 * n_points + v2.
+    placed_pairs: set[int] = set()
+    placed: set[int] = set()
+    total = 0
+    for r in range(n):
+        if r in placed:
+            continue
+        fib = idx.fibres(r)
+        placed.update(fib)
+        total += len(fib) ** 2
+        stab = fib[r]
+        movers = [(u, table[gs[0]]) for u, gs in fib.items()]
+        for w in sorted(fib):
+            if r * n + w in placed_pairs:
+                continue
+            cell = {table[h][w] for h in stab}
+            classes.append((r, w, len(fib) * len(cell), len(stab)))
+            for u, row in movers:
+                for x in cell:
+                    key = u * n + row[x]
+                    if key in placed_pairs or row[x] not in fib:
+                        raise TriplePassError(
+                            f"pair ({u}, {row[x]}) does not fall in exactly one orbit class"
+                        )
+                    placed_pairs.add(key)
+    if len(placed_pairs) != total or sum(c[2] for c in classes) != total:
+        raise TriplePassError(
+            f"orbit classes cover {len(placed_pairs)} pairs, not the {total} orbit pairs"
+        )
+    return classes
+
+
 def exact_mutual_information(
     instance: ActionInstance,
     prior: Optional[Mapping[Scalar, Fraction]] = None,
@@ -169,7 +217,7 @@ def exact_mutual_information(
     The blinding value and both masks are uniform; the secret follows
     the prior. Only realizable transcripts carry weight. For each v3 the
     per-secret count is constant on a G-orbit of (v1, v2), so transcripts
-    are counted once per class of ``InstanceIndex.pair_classes``: at the
+    are counted once per class of ``_pair_classes``: at the
     class representative (r, w), mask A unmasks r onto u = r.A^-1 and
     sends v3 = w.A^-1; when u encodes (s, t), that adds the |Stab(r)|
     replies B with r.B == w to the cell ((class, v3), s). The reduction
@@ -190,15 +238,15 @@ def exact_mutual_information(
 
     prior_by_res = {s.value: mass for s, mass in prior.items() if mass > 0}
     secret_at = {u: s for u, (s, _) in idx.pair_of_point.items() if s in prior_by_res}
-    classes = idx.pair_classes
+    classes = _pair_classes(idx)
     counts: dict[tuple, int] = {}
-    for c, cls in enumerate(classes):
-        for u, v3 in idx.class_unmaskings(cls):
-            s = secret_at.get(u)
+    for c, (r, w, _, stab) in enumerate(classes):
+        for inv_row in idx.inv_rows:
+            s = secret_at.get(inv_row[r])
             if s is not None:
-                cell = ((c, v3), s)
-                counts[cell] = counts.get(cell, 0) + cls.stab
-    sizes = {key: classes[key[0]].size for key, _ in counts}
+                cell = ((c, inv_row[w]), s)
+                counts[cell] = counts.get(cell, 0) + stab
+    sizes = {key: classes[key[0]][2] for key, _ in counts}
 
     completions = len(idx.t_res) * idx.n_group**2
     bits, zero_leakage, examined = mutual_information_bits(

@@ -33,7 +33,6 @@ from .actions import (
     build_instance,
     instance_from_descriptor,
     instance_to_descriptor,
-    load_instance_file,
     load_json,
     rational_demo_instance,
     trivial_instance,
@@ -107,7 +106,7 @@ def _resolve_instance(
     if selector is None:
         return None if descriptor is None else instance_from_descriptor(descriptor, work_cap=args.cap)
     if is_file:
-        return load_instance_file(selector, work_cap=args.cap)
+        return instance_from_descriptor(load_json(selector), work_cap=args.cap)
     if selector == "trivial":
         return trivial_instance(p, work_cap=args.cap)
     if selector == "rational":

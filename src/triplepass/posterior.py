@@ -70,20 +70,23 @@ def _factors(
     """The two factors of a transcript's witnesses, each re-validated.
 
     v1 and v3 constrain (s, t, A) alone and, given v1, v2 constrains B
-    alone, so the witnesses (s, t, A, B) are exactly the product of
-    Alice's factor ``unmaskings`` and Bob's factor ``replies``. Every
-    factor entry re-derives its messages from the action tables; a
-    mismatch raises. With ``cap``, a scan of the two fibre tables,
-    2 * |G| steps, is refused first when that exceeds it.
+    alone, so the witnesses (s, t, A, B) are exactly the product of two
+    factors, each one fibre lookup. Alice's factor lists every (A, (s, t))
+    with v3.A == v2 and v1.A^-1 encoding a pair of S x T; Bob's lists
+    every B with v1.B == v2. Both are in group order. Every factor entry
+    re-derives its messages from the action tables; a mismatch raises.
+    With ``cap``, a scan of the two fibre tables, 2 * |G| steps, is
+    refused first when that exceeds it.
     """
     if cap is not None:
         estimate = 2 * idx.n_group
         if estimate > cap:
             raise WorkCapExceeded("witness-enumeration", estimate, cap)
     v1, v2, v3 = wire.v1, wire.v2, wire.v3
-    alice = idx.unmaskings(v1, v2, v3)
-    bob = idx.replies(v1, v2)
-    table, inv_rows = idx.act_table, idx.inv_rows
+    table, inv_rows, pairs = idx.act_table, idx.inv_rows, idx.pair_of_point
+    alice = [(a_i, pairs[u]) for a_i in idx.fibres(v3).get(v2, ())
+             if (u := inv_rows[a_i][v1]) in pairs]
+    bob = list(idx.fibres(v1).get(v2, ()))
     for a_i, pair in alice:
         if table[a_i][idx.point_of_pair[pair]] != v1 or inv_rows[a_i][v2] != v3:
             raise AssertionError("Alice's witness factor failed direct re-validation")

@@ -34,7 +34,7 @@ from .actions import (
 from .errors import TriplePassError, WorkCapExceeded
 from .fields import PrimeField, RATIONALS, Scalar, prime_field, scalar_from_json, scalar_to_json
 from .groups import Residues, _mul
-from .matrices import Mat2, format_matrix, parse_matrix, parse_matrix_values
+from .matrices import Mat2, format_matrix, format_residues, parse_matrix, parse_matrix_values
 from .records import Frozen
 
 if TYPE_CHECKING:
@@ -278,8 +278,7 @@ class WireWriter:
     def masks(self) -> list[str]:
         """The matrix literal of each group element, by group index; built
         on first use, since posterior reports write no mask."""
-        p = self.index.p
-        return [f"[[{a},{b}],[{c},{d}]]@F{p}" for a, b, c, d in self.index.group.residues]
+        return [format_residues(self.index.p, r) for r in self.index.group.residues]
 
     def transcript(self, v1: int, v2: int, v3: int) -> dict:
         """The adversary view of the messages with point indices v1, v2, v3."""
@@ -349,16 +348,18 @@ def exhaustive_roundtrip(
     if total > cap:
         raise WorkCapExceeded("roundtrip", total, cap)
 
-    n_g, inv_rows = idx.n_group, idx.inv_rows
+    # The four passes of ``_passes`` as row lookups, A-major in group order.
+    rows = list(zip(idx.act_table, idx.inv_rows))
     failures = 0
     first: Optional[tuple[Point, Mat2, Mat2]] = None
     for v in starts:
-        for k, (_, _, v3) in enumerate(idx.exchanges(v)):
-            if inv_rows[k % n_g][v3] != v:
-                failures += 1
-                if first is None:
-                    a_i, b_i = divmod(k, n_g)
-                    first = (idx.points[v], group.elements[a_i], group.elements[b_i])
+        for a_i, (a_row, a_inv) in enumerate(rows):
+            v1 = a_row[v]
+            for b_i, (b_row, b_inv) in enumerate(rows):
+                if b_inv[a_inv[b_row[v1]]] != v:
+                    failures += 1
+                    if first is None:
+                        first = (idx.points[v], group.elements[a_i], group.elements[b_i])
     return failures, total, first
 
 

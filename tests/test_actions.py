@@ -7,10 +7,12 @@ from collections import Counter
 import pytest
 
 import oracles
+from triplepass import analysis, posterior
 from triplepass.actions import (
     ActionInstance,
     InstanceIndex,
     Point,
+    WireTranscript,
     act,
     build_instance,
     format_point,
@@ -201,21 +203,6 @@ def test_action_axioms_exhaustive_on_standard_instances(
                     assert composed[x] == idx.act_table[j][idx.act_table[i][x]]
 
 
-@pytest.mark.parametrize("fixture", ["gl2f3", "borel3_plane", "rot7"])
-def test_exchanges_match_the_session_oracle(request, fixture):
-    inst = request.getfixturevalue(fixture)
-    idx = instance_index(inst)
-    p = idx.p
-    masks = [m.residues() for m in inst.group.elements]
-    for v in range(idx.n_points):
-        items = list(idx.exchanges(v))
-        assert len(items) == len(masks) ** 2
-        for k, messages in enumerate(items):
-            a, b = divmod(k, len(masks))
-            expected = oracles.session(p, divmod(v, p), masks[a], masks[b])[:3]
-            assert messages == tuple(x * p + y for x, y in expected)
-
-
 @pytest.fixture(scope="module")
 def mixed_stabilizers():
     # {diag(a, +-1)} over F5: stabilizers of sizes 1, 2, 4 and 8.
@@ -248,34 +235,40 @@ def test_weighted_grid_counts_every_exchange(request, fixture):
     # The pair-class table: every orbit pair falls in exactly one class,
     # the sizes sum to the sum of |orbit|^2, and from every start point
     # the class counts, spread over their pairs, give every exchange.
-    idx = InstanceIndex(request.getfixturevalue(fixture))
-    assert "pair_classes" not in vars(idx)  # built on first use only
-    classes = idx.pair_classes
-    n, table = idx.n_points, idx.act_table
+    inst = request.getfixturevalue(fixture)
+    idx = InstanceIndex(inst)
+    classes = analysis._pair_classes(idx)
+    n, p, table = idx.n_points, idx.p, idx.act_table
     orbits = {frozenset(row[v] for row in table) for v in range(n)}
     # Each class is the G-orbit of its representative pair, by brute force.
-    members = {c: {(row[cls.r], row[cls.w]) for row in table} for c, cls in enumerate(classes)}
+    members = {c: {(row[r], row[w]) for row in table} for c, (r, w, _, _) in enumerate(classes)}
     class_of = {}
     for c, pairs in members.items():
         for v1, v2 in pairs:
             assert v1 * n + v2 not in class_of
             class_of[v1 * n + v2] = c
     assert set(class_of) == {v1 * n + v2 for orb in orbits for v1 in orb for v2 in orb}
-    for c, cls in enumerate(classes):
-        assert cls.r == min(next(orb for orb in orbits if cls.r in orb))
-        assert cls.size == len(members[c])
-        assert cls.stab == sum(row[cls.r] == cls.w for row in table)
-    assert sum(cls.size for cls in classes) == sum(len(orb) ** 2 for orb in orbits)
+    for c, (r, w, size, stab) in enumerate(classes):
+        assert r == min(next(orb for orb in orbits if r in orb))
+        assert size == len(members[c])
+        assert stab == sum(row[r] == w for row in table)
+    assert sum(size for _, _, size, _ in classes) == sum(len(orb) ** 2 for orb in orbits)
 
+    masks = [m.residues() for m in inst.group.elements]
     for v in range(n):
         per_class = Counter()
-        for c, cls in enumerate(classes):
-            for u, v3 in idx.class_unmaskings(cls):
-                if u == v:
-                    per_class[(c, v3)] += cls.stab
-        weighted = Counter({key: n * classes[key[0]].size for key, n in per_class.items()})
+        for c, (r, w, _, stab) in enumerate(classes):
+            for inv_row in idx.inv_rows:
+                if inv_row[r] == v:
+                    per_class[(c, inv_row[w])] += stab
+        weighted = Counter({key: n * classes[key[0]][2] for key, n in per_class.items()})
+        exchanges = Counter(
+            tuple(x * p + y for x, y in oracles.session(p, divmod(v, p), a, b)[:3])
+            for a in masks
+            for b in masks
+        )
         brute = Counter()
-        for (v1, v2, v3), count in Counter(idx.exchanges(v)).items():
+        for (v1, v2, v3), count in exchanges.items():
             assert per_class[(class_of[v1 * n + v2], v3)] == count
             brute[(class_of[v1 * n + v2], v3)] += count
         assert weighted == brute
@@ -289,7 +282,7 @@ def test_a_pair_in_two_classes_is_refused_explicitly(diag5):
     identity = (idx.group.index_of(Mat2.identity(F5)),)
     idx._fibres[v] = {v: identity, v + 1: identity}
     with pytest.raises(TriplePassError, match="exactly one orbit class"):
-        idx.pair_classes
+        analysis._pair_classes(idx)
 
 
 @pytest.mark.parametrize("fixture", KERNEL_INSTANCES)
@@ -298,7 +291,7 @@ def test_reverse_scans_match_a_brute_scan(request, fixture):
     table, inv_rows = idx.act_table, idx.inv_rows
     for v1 in range(idx.n_points):
         for v2 in range(idx.n_points):
-            assert idx.replies(v1, v2) == [b for b, row in enumerate(table) if row[v1] == v2]
+            replies = [b for b, row in enumerate(table) if row[v1] == v2]
             pairs = idx.pair_of_point
             for v3 in range(idx.n_points):
                 brute = [
@@ -306,7 +299,7 @@ def test_reverse_scans_match_a_brute_scan(request, fixture):
                     for a in range(idx.n_group)
                     if inv_rows[a][v2] == v3 and inv_rows[a][v1] in pairs
                 ]
-                assert idx.unmaskings(v1, v2, v3) == brute
+                assert posterior._factors(idx, WireTranscript(v1, v2, v3, None)) == (brute, replies)
 
 
 def test_a_broken_action_row_is_refused_explicitly(diag5):

@@ -353,6 +353,31 @@ class TestRoundtripVsCommutatorFixed:
                 assert failures == 0, (kind, p, first)
 
 
+@pytest.mark.parametrize("over", ["secret-square", "carrier"])
+@pytest.mark.parametrize("fixture", ["gl2f2", "gl2f3", "borel3_plane", "borel3_embedded", "rot7"])
+def test_exhaustive_roundtrip_matches_the_session_oracle(request, fixture, over):
+    inst = request.getfixturevalue(fixture)
+    p = inst.field.p
+    if over == "carrier":
+        starts = [(x, y) for x in range(p) for y in range(p)]
+    else:
+        square = [inst.secret_pair_point(s, t) for s in inst.secret_domain for t in inst.secret_domain]
+        starts = [(pt.x.value, pt.y.value) for pt in square]
+    masks = [m.residues() for m in inst.group.elements]
+    failures, first = 0, None
+    for v in starts:
+        for a in masks:
+            for b in masks:
+                if oracles.session(p, v, a, b)[3] != v:
+                    failures += 1
+                    first = first or (v, a, b)
+    got_failures, total, got_first = exhaustive_roundtrip(inst, over)
+    if got_first is not None:
+        pt, mask_a, mask_b = got_first
+        got_first = ((pt.x.value, pt.y.value), mask_a.residues(), mask_b.residues())
+    assert (got_failures, total, got_first) == (failures, len(starts) * len(masks) ** 2, first)
+
+
 class TestTranscriptWireFormat:
     def test_adversary_view_has_no_secret_fields(self, diag5):
         out = run_session(diag5, F5.scalar(2), random.Random(1))
