@@ -25,7 +25,7 @@ from .fields import (
 )
 from .groups import FiniteGroup, enumerate_gl2, gl2_order, subgroup_closure
 from .matrices import Mat2, format_matrix, parse_matrix
-from .records import Frozen, Record, setfield
+from .records import Frozen, setfield
 
 __all__ = [
     "DEFAULT_WORK_CAP",
@@ -127,46 +127,48 @@ def parse_point(text: str) -> Point:
     return Point(parse_scalar(parts[0], domain), parse_scalar(parts[1], domain))
 
 
-class ActionInstance(Record):
+class ActionInstance(Frozen):
     """A named (carrier, secret domain, group, action) universe.
 
     ``group`` is either an explicit FiniteGroup or the RATIONAL_GL2 tag
     for the demonstration-only rational mode, where the secret and
     blinding domains are unbounded and every exhaustive checker refuses
     to run. ``embedding`` injects secret pairs into the carrier; when
-    absent a pair (s, t) is the carrier point (s, t) itself.
+    absent a pair (s, t) is the carrier point (s, t) itself. Once valid, a
+    finite instance builds its ``InstanceIndex``, checking the action.
     """
 
     _fields = ("name", "field", "group", "secret_domain", "t_domain", "embedding",
                "multiplicative", "kind")
+    __slots__ = _fields + ("_index",)
+    __hash__ = None  # the embedding is a dict: instances compare, never hash
 
     def __init__(self, name: str, field: Domain, group: Union[FiniteGroup, str],
                  secret_domain: Optional[tuple[Scalar, ...]],
                  t_domain: Optional[tuple[Scalar, ...]],
                  embedding: Optional[dict[tuple[Scalar, Scalar], Point]] = None,
                  multiplicative: bool = True, kind: str = "custom") -> None:
-        self.name, self.field, self.group = name, field, group
-        self.secret_domain, self.t_domain, self.embedding = secret_domain, t_domain, embedding
-        self.multiplicative, self.kind = multiplicative, kind
+        self._assign(name, field, group, secret_domain, t_domain, embedding, multiplicative, kind)
         if self.is_finite:
-            if not self.secret_domain:
+            if not secret_domain:
                 raise ValueError("secret domain must be nonempty")
-            if self.multiplicative and any(s.is_zero for s in self.secret_domain):
+            if multiplicative and any(s.is_zero for s in secret_domain):
                 raise ValueError("0 cannot be a secret in a multiplicative-style instance")
-            if not self.t_domain:
+            if not t_domain:
                 raise ValueError("blinding domain must be nonempty")
-            if self.embedding is not None:
-                pairs = {(s.value, t.value) for s in self.secret_domain for t in self.secret_domain}
-                keys = {(s.value, t.value) for s, t in self.embedding}
+            if embedding is not None:
+                pairs = {(s.value, t.value) for s in secret_domain for t in secret_domain}
+                keys = {(s.value, t.value) for s, t in embedding}
                 if keys != pairs:
                     raise ValueError("embedding must be defined on exactly the secret pairs")
-                if {t.value for t in self.t_domain} != {s.value for s in self.secret_domain}:
+                if {t.value for t in t_domain} != {s.value for s in secret_domain}:
                     raise ValueError("embedded instances draw both coordinates from the secret domain")
-                images = list(self.embedding.values())
+                images = list(embedding.values())
                 if len({(p.x.value, p.y.value) for p in images}) != len(images):
                     raise ValueError("embedding is not injective")
-        elif self.group != RATIONAL_GL2:
-            raise ValueError(f"unknown symbolic group tag {self.group!r}")
+            setfield(self, "_index", InstanceIndex(self))
+        elif group != RATIONAL_GL2:
+            raise ValueError(f"unknown symbolic group tag {group!r}")
 
     @property
     def is_finite(self) -> bool:
@@ -182,10 +184,21 @@ class ActionInstance(Record):
         return Point(s, t)
 
 
-def _require_finite(instance: ActionInstance, what: str) -> FiniteGroup:
+def _require_finite(instance: ActionInstance, what: str) -> InstanceIndex:
+    """The index of a finite instance, the way into the integer core;
+    the rational instance is refused as unable to run ``what``."""
     if not instance.is_finite:
         raise TriplePassError(f"{what} requires finite group")
-    return instance.group
+    return instance._index
+
+
+def _within_cap(job: str, estimate: int, cap: Optional[int]) -> int:
+    """The cap of an exhaustive job, ``DEFAULT_WORK_CAP`` when None;
+    a job whose estimated work exceeds it is refused first."""
+    cap = DEFAULT_WORK_CAP if cap is None else cap
+    if estimate > cap:
+        raise WorkCapExceeded(job, estimate, cap)
+    return cap
 
 
 class InstanceIndex:
@@ -199,7 +212,9 @@ class InstanceIndex:
     """
 
     def __init__(self, instance: ActionInstance):
-        group = _require_finite(instance, "indexing")
+        if not instance.is_finite:
+            raise TriplePassError("indexing requires finite group")
+        group = instance.group
         fp = instance.field
         assert isinstance(fp, PrimeField)
         p = fp.p
@@ -239,9 +254,6 @@ class InstanceIndex:
         # tables share one int object per group index.
         self._fibres: dict[int, dict[int, tuple[int, ...]]] = {}
         self._group_indices = list(range(self.n_group))
-        # Exact Bayes steps of ``posterior.posterior_from_transcript``,
-        # keyed by prior and count signature.
-        self.bayes_memo: dict = {}
         # Group index (None outside the group) of each matrix literal
         # ``protocol.transcript_from_dict`` has read into this index.
         self.mask_literals: dict[str, Optional[int]] = {}
@@ -279,12 +291,8 @@ class InstanceIndex:
 
 
 def instance_index(instance: ActionInstance) -> InstanceIndex:
-    """Cached InstanceIndex for a finite instance."""
-    cached = getattr(instance, "_index", None)
-    if cached is None:
-        cached = InstanceIndex(instance)
-        instance._index = cached  # type: ignore[attr-defined]
-    return cached
+    """The InstanceIndex a finite instance was built with."""
+    return _require_finite(instance, "indexing")
 
 
 class WireTranscript:
@@ -362,12 +370,10 @@ def build_instance(
     for given, what in ((generators, "generators"), (embedding, "embedding")):
         if given is not None and kind != "custom":
             raise ValueError(f"{kind} instances fix their own {what}")
-    work_cap = DEFAULT_WORK_CAP if work_cap is None else work_cap
     fp = PrimeField(p)
     # The action table holds |G| * p^2 entries; a custom group has at least one.
     estimate = (1 if kind == "custom" else _named_group_order(kind, p)) * p * p
-    if estimate > work_cap:
-        raise WorkCapExceeded("instance-construction", estimate, work_cap)
+    work_cap = _within_cap("instance-construction", estimate, work_cap)
 
     if kind == "general-linear":
         group = enumerate_gl2(p)
@@ -444,7 +450,7 @@ def _instance_on(
     if multiplicative is None:
         multiplicative = all(not s.is_zero for s in secrets)
 
-    instance = ActionInstance(
+    return ActionInstance(
         name=name or f"{kind}-f{p}",
         field=fp,
         group=group,
@@ -454,8 +460,6 @@ def _instance_on(
         multiplicative=multiplicative,
         kind=kind,
     )
-    instance_index(instance)  # validates the action exhaustively
-    return instance
 
 
 def trivial_instance(

@@ -17,9 +17,8 @@ from fractions import Fraction
 from functools import cmp_to_key
 from typing import TYPE_CHECKING, Mapping, Optional
 
-from .actions import (ActionInstance, DEFAULT_WORK_CAP, InstanceIndex, Point, _require_finite,
-                      instance_index)
-from .errors import AttackInapplicableError, TriplePassError, WorkCapExceeded
+from .actions import ActionInstance, InstanceIndex, Point, _require_finite, _within_cap
+from .errors import AttackInapplicableError, TriplePassError
 from .fields import Scalar
 from .records import Frozen
 
@@ -224,17 +223,13 @@ def exact_mutual_information(
     weighs each key by its class size, which counts every (t, A, B)
     exactly once in one pass over G per class.
     """
-    _require_finite(instance, "leakage analysis")
+    idx = _require_finite(instance, "leakage analysis")
     prior = uniform_prior(instance) if prior is None else _validate_prior(instance, prior)
-    cap = DEFAULT_WORK_CAP if cap is None else cap
-    idx = instance_index(instance)
     # Steps of the pair-class kernel, bounded before it runs. Each of the
     # at most p^2 orbits costs one fibre scan of |G|, its pairs number
     # |orbit|^2 <= |orbit| * |G|, and each of the at most p^2 classes
     # costs one pass over G.
-    estimate = 3 * idx.n_group * idx.n_points
-    if estimate > cap:
-        raise WorkCapExceeded("leakage-analysis", estimate, cap)
+    _within_cap("leakage-analysis", 3 * idx.n_group * idx.n_points, cap)
 
     prior_by_res = {s.value: mass for s, mass in prior.items() if mass > 0}
     secret_at = {u: s for u, (s, _) in idx.pair_of_point.items() if s in prior_by_res}

@@ -5,9 +5,9 @@ from __future__ import annotations
 
 from typing import Literal, Optional, Sequence
 
-from .actions import (ActionInstance, DEFAULT_WORK_CAP, Point, _require_finite, act, format_point,
-                      instance_index, parse_point)
-from .errors import TriplePassError, WorkCapExceeded
+from .actions import (ActionInstance, Point, _require_finite, _within_cap, act, format_point,
+                      parse_point)
+from .errors import TriplePassError
 from .fields import parse_scalar
 from .groups import FiniteGroup, Residues, commutator_subgroup, distinct_commutators
 from .matrices import format_residues, parse_matrix
@@ -164,13 +164,9 @@ def check_masking_coverage(
     then one per (square point, g, s') test up to the first violation,
     whose g is therefore the first group element.
     """
-    group = _require_finite(instance, CONDITION_MASKING)
-    cap = DEFAULT_WORK_CAP if cap is None else cap
-    idx = instance_index(instance)
+    idx = _require_finite(instance, CONDITION_MASKING)
     n_s, n_g = len(idx.s_res), idx.n_group
-    estimate = n_s**2 * n_g
-    if estimate > cap:
-        raise WorkCapExceeded(CONDITION_MASKING, estimate, cap)
+    _within_cap(CONDITION_MASKING, n_s**2 * n_g, cap)
 
     orbit_of = {start: min(idx.fibres(start)) for start in idx.square.values()}
     seen: dict[int, set[int]] = {}
@@ -188,7 +184,7 @@ def check_masking_coverage(
                     {
                         "s": str(s),
                         "t": str(t),
-                        "g": format_residues(group.p, group.residues[0]),
+                        "g": format_residues(idx.p, idx.group.residues[0]),
                         "s_prime": str(s_prime),
                     },
                     work + i * n_g * n_s + j + 1,
@@ -215,15 +211,11 @@ def check_transcript_equivalence(
     has |G| * R + |G|^2, where R = sum over x in orbit(v) of
     |G| / |Stab(v) & Stab(x)| counts the transcripts (v.A, x.A, x).
     """
-    group = _require_finite(instance, CONDITION_TRANSCRIPT)
-    cap = DEFAULT_WORK_CAP if cap is None else cap
-    idx = instance_index(instance)
+    idx = _require_finite(instance, CONDITION_TRANSCRIPT)
     n_s, n_g = len(idx.s_res), idx.n_group
     # One fibre table per orbit point, then at worst one stabilizer pass
     # and n_s candidate tests per reply.
-    estimate = n_g * (n_g + n_s + idx.n_points)
-    if estimate > cap:
-        raise WorkCapExceeded(CONDITION_TRANSCRIPT, estimate, cap)
+    _within_cap(CONDITION_TRANSCRIPT, n_g * (n_g + n_s + idx.n_points), cap)
 
     table = idx.act_table
     (s, t), v = next(iter(idx.square.items()))
@@ -258,8 +250,8 @@ def check_transcript_equivalence(
                     {
                         "s": str(s),
                         "t": str(t),
-                        "A": format_residues(group.p, group.residues[0]),
-                        "B": format_residues(group.p, group.residues[b_i]),
+                        "A": format_residues(idx.p, idx.group.residues[0]),
+                        "B": format_residues(idx.p, idx.group.residues[b_i]),
                         "s_prime": str(s_prime),
                     },
                     work,

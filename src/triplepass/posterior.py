@@ -14,10 +14,9 @@ from collections import Counter
 from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping, Optional, Union
 
-from .actions import (ActionInstance, DEFAULT_WORK_CAP, InstanceIndex, WireTranscript,
-                      _require_finite, instance_index)
+from .actions import ActionInstance, InstanceIndex, WireTranscript, _require_finite, _within_cap
 from .analysis import _validate_prior, uniform_prior
-from .errors import InconsistentTranscriptError, TriplePassError, WorkCapExceeded
+from .errors import InconsistentTranscriptError, TriplePassError
 from .fields import Scalar
 from .matrices import Mat2
 from .records import Frozen
@@ -46,8 +45,7 @@ def _indexed(
     """The instance's index and the transcript in the form
     ``transcript_from_dict`` reads a wire transcript into it: messages as
     point indices, the ground truth's masks located by residues."""
-    _require_finite(instance, what)
-    idx = instance_index(instance)
+    idx = _require_finite(instance, what)
     if transcript.instance != idx.name:
         raise TriplePassError(f"transcript is for {transcript.instance!r}, not {idx.name!r}")
     truth = transcript.ground_truth
@@ -75,13 +73,10 @@ def _factors(
     with v3.A == v2 and v1.A^-1 encoding a pair of S x T; Bob's lists
     every B with v1.B == v2. Both are in group order. Every factor entry
     re-derives its messages from the action tables; a mismatch raises.
-    With ``cap``, a scan of the two fibre tables, 2 * |G| steps, is
-    refused first when that exceeds it.
+    A scan of the two fibre tables, 2 * |G| steps, is refused first when
+    that exceeds ``cap``.
     """
-    if cap is not None:
-        estimate = 2 * idx.n_group
-        if estimate > cap:
-            raise WorkCapExceeded("witness-enumeration", estimate, cap)
+    _within_cap("witness-enumeration", 2 * idx.n_group, cap)
     v1, v2, v3 = wire.v1, wire.v2, wire.v3
     table, inv_rows, pairs = idx.act_table, idx.inv_rows, idx.pair_of_point
     alice = [(a_i, pairs[u]) for a_i in idx.fibres(v3).get(v2, ())
@@ -121,11 +116,9 @@ def enumerate_consistent(
     set raises ``InconsistentTranscriptError``. A product of more than
     ``cap`` witnesses is refused before it is listed.
     """
-    cap = DEFAULT_WORK_CAP if cap is None else cap
     idx, wire = _indexed(transcript, instance, "witness enumeration")
     alice, bob = _factors(idx, wire, cap)
-    if len(alice) * len(bob) > cap:
-        raise WorkCapExceeded("witness-enumeration", len(alice) * len(bob), cap)
+    _within_cap("witness-enumeration", len(alice) * len(bob), cap)
     _require_truth(wire, alice, bob)
     elements = idx.group.elements
     witnesses = tuple(
@@ -142,7 +135,8 @@ def find_witness(
     transcript: Transcript, instance: ActionInstance, s_prime: Scalar
 ) -> Optional[tuple[Scalar, Mat2, Mat2]]:
     """One (t', A', B') explaining the transcript with secret s_prime,
-    or None after an exhaustive search finds nothing."""
+    or None after an exhaustive search finds nothing. The search runs
+    under the default witness-scan cap."""
     idx, wire = _indexed(transcript, instance, "witness search")
     alice, bob = _factors(idx, wire)
     a_cands = [(a_i, t) for a_i, (s, t) in alice if s == s_prime.value]
@@ -168,15 +162,15 @@ class PosteriorReport(Frozen):
 class PosteriorPrior:
     """A prior validated for posteriors on one finite instance: its index,
     the masses as given, the same masses keyed by residue in residue
-    order, and their key in the index's ``bayes_memo``."""
+    order, and its Bayes ``steps`` so far, keyed by count signature."""
 
-    __slots__ = ("index", "masses", "by_residue", "key")
+    __slots__ = ("index", "masses", "by_residue", "steps")
 
     def __init__(self, index: InstanceIndex, masses: dict[Scalar, Fraction]):
         self.index = index
         self.masses = masses
         self.by_residue: dict[int, Fraction] = dict(sorted((s.value, m) for s, m in masses.items()))
-        self.key = tuple((s, m.numerator, m.denominator) for s, m in self.by_residue.items())
+        self.steps: dict[tuple, BayesStep] = {}
 
 
 def posterior_prior(
@@ -184,16 +178,16 @@ def posterior_prior(
 ) -> PosteriorPrior:
     """Validate ``prior`` (uniform when None) for posteriors on a finite
     instance, once for any number of transcripts."""
-    _require_finite(instance, "witness enumeration")
+    idx = _require_finite(instance, "witness enumeration")
     masses = uniform_prior(instance) if prior is None else _validate_prior(instance, prior)
-    return PosteriorPrior(instance_index(instance), masses)
+    return PosteriorPrior(idx, masses)
 
 
 class BayesStep:
     """The exact posterior of one prior and count signature, over
     residues, with the witness count the signature fixes. Each is
-    computed once and kept in the index's ``bayes_memo``, so equal steps
-    are one object, and steps compare and hash by identity."""
+    computed once and kept in its prior's ``steps``, so equal steps are
+    one object, and steps compare and hash by identity."""
 
     __slots__ = ("posterior", "support", "uniform", "witness_count")
 
@@ -231,7 +225,6 @@ def posterior_from_transcript(
         prior = posterior_prior(instance, prior)
     elif getattr(instance, "_index", None) is not prior.index:
         raise ValueError("the prior was validated for another instance")
-    cap = DEFAULT_WORK_CAP if cap is None else cap
     idx = prior.index
     if isinstance(transcript, WireTranscript):
         wire = transcript
@@ -240,10 +233,10 @@ def posterior_from_transcript(
     alice, bob = _factors(idx, wire, cap)
     _require_truth(wire, alice, bob)
     per_secret = Counter(s for _, (s, _) in alice)
-    key = (prior.key, tuple(sorted(per_secret.items())), len(bob))
-    step = idx.bayes_memo.get(key)
+    key = (tuple(sorted(per_secret.items())), len(bob))
+    step = prior.steps.get(key)
     if step is None:
-        step = idx.bayes_memo[key] = _bayes(prior.by_residue, per_secret, len(bob), idx.s_res)
+        step = prior.steps[key] = _bayes(prior.by_residue, per_secret, len(bob), idx.s_res)
     if wire is transcript:
         return step
     scalars = {s.value: s for s in prior.masses}

@@ -23,15 +23,15 @@ from typing import TYPE_CHECKING, Iterator, Optional, Union
 
 from .actions import (
     ActionInstance,
-    DEFAULT_WORK_CAP,
     InstanceIndex,
     Point,
     WireTranscript,
     _require_finite,
+    _within_cap,
     act,
     instance_index,
 )
-from .errors import TriplePassError, WorkCapExceeded
+from .errors import TriplePassError
 from .fields import PrimeField, RATIONALS, Scalar, prime_field, scalar_from_json, scalar_to_json
 from .groups import Residues, _mul
 from .matrices import Mat2, format_matrix, format_residues, parse_matrix, parse_matrix_values
@@ -335,9 +335,7 @@ def exhaustive_roundtrip(
     ``over`` selects the start points: the embedded secret square or the
     whole carrier. Returns (failures, total, first failing triple).
     """
-    group = _require_finite(instance, "exhaustive round trip")
-    cap = DEFAULT_WORK_CAP if cap is None else cap
-    idx = instance_index(instance)
+    idx = _require_finite(instance, "exhaustive round trip")
     if over == "secret-square":
         starts = list(idx.square.values())
     elif over == "carrier":
@@ -345,8 +343,7 @@ def exhaustive_roundtrip(
     else:
         raise ValueError(f"unknown start-point selection {over!r}")
     total = len(starts) * idx.n_group * idx.n_group
-    if total > cap:
-        raise WorkCapExceeded("roundtrip", total, cap)
+    _within_cap("roundtrip", total, cap)
 
     # The four passes of ``_passes`` as row lookups, A-major in group order.
     rows = list(zip(idx.act_table, idx.inv_rows))
@@ -359,7 +356,7 @@ def exhaustive_roundtrip(
                 if b_inv[a_inv[b_row[v1]]] != v:
                     failures += 1
                     if first is None:
-                        first = (idx.points[v], group.elements[a_i], group.elements[b_i])
+                        first = (idx.points[v], idx.group.elements[a_i], idx.group.elements[b_i])
     return failures, total, first
 
 

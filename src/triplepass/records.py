@@ -1,7 +1,7 @@
-"""Base classes for records and value types, in place of ``dataclasses``,
+"""The base class for records and value types, in place of ``dataclasses``,
 whose import (through ``inspect``) costs more than a short command's own
-work: equality and a ``Name(field=value, ...)`` repr over ``_fields``,
-and for ``Frozen`` a hash and no assignment after ``__init__``.
+work: equality, a hash and a ``Name(field=value, ...)`` repr over
+``_fields``, and no assignment after ``__init__``.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from operator import attrgetter
 setfield = object.__setattr__
 
 
-class Record:
+class Frozen:
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
@@ -29,16 +29,12 @@ class Record:
             return NotImplemented
         return self._values(self) == self._values(other)
 
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
     def __repr__(self) -> str:
         values = zip(self._fields, self._values(self))
         return f"{type(self).__qualname__}({', '.join(f'{n}={v!r}' for n, v in values)})"
-
-
-class Frozen(Record):
-    __slots__ = ()
-
-    def __hash__(self) -> int:
-        return hash(self._values(self))
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

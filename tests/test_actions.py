@@ -37,7 +37,7 @@ from triplepass.fields import PrimeField
 from triplepass.groups import FiniteGroup
 from triplepass.matrices import Mat2, format_matrix
 from triplepass.posterior import posterior_from_transcript
-from triplepass.protocol import run_session
+from triplepass.protocol import exhaustive_roundtrip, run_session
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -314,7 +314,7 @@ def test_a_broken_action_row_is_refused_explicitly(diag5):
 
 def test_a_dropped_instance_frees_its_index_by_reference_counting():
     # The index keeps the field and name, not the instance, so no cycle
-    # holds its tables, fibres, point table or Bayes memo alive.
+    # holds its tables, fibres or point table alive.
     gc.disable()
     try:
         inst = build_instance("diagonal", 5)
@@ -322,12 +322,74 @@ def test_a_dropped_instance_frees_its_index_by_reference_counting():
         posterior_from_transcript(out.transcript, inst)
         idx = instance_index(inst)
         idx.fibres(idx.point_index(out.transcript.v1))
-        assert idx.points and idx.bayes_memo
+        assert idx.points
         ref = weakref.ref(idx)
         del inst, out, idx
         assert ref() is None
     finally:
         gc.enable()
+
+
+def test_an_instance_is_frozen_and_built_with_its_one_index(diag5, monkeypatch):
+    for name in ActionInstance._fields + ("_index",):
+        with pytest.raises(AttributeError):
+            setattr(diag5, name, None)
+        with pytest.raises(AttributeError):
+            delattr(diag5, name)
+    assert instance_index(diag5) is instance_index(diag5)
+
+    builds = []
+    build = InstanceIndex.__init__
+
+    def counted(self, instance):
+        builds.append(instance)
+        build(self, instance)
+
+    monkeypatch.setattr(InstanceIndex, "__init__", counted)
+    direct = ActionInstance("direct-f5", F5, diag5.group, diag5.secret_domain, diag5.t_domain)
+    assert builds == [direct]
+    assert instance_index(direct).act_table == instance_index(diag5).act_table
+    assert len(builds) == 1
+    with pytest.raises(TriplePassError, match="indexing requires finite group"):
+        instance_index(rational_demo_instance())
+
+
+def _gated_jobs(inst):
+    """(job, estimate, run under a cap) for every job that checks its
+    work cap before it runs, with each estimate from its closed form."""
+    n_g, n_s, p = len(inst.group), len(inst.secret_domain), inst.field.p
+    transcript = run_session(inst, inst.secret_domain[-1], random.Random(1)).transcript
+    witnesses = len(posterior.enumerate_consistent(transcript, inst).witnesses)
+    return [
+        ("instance-construction", n_g * p * p,
+         lambda cap: build_instance(inst.kind, p, work_cap=cap)),
+        ("leakage-analysis", 3 * n_g * p * p,
+         lambda cap: analysis.exact_mutual_information(inst, cap=cap)),
+        ("masking-coverage", n_s**2 * n_g, lambda cap: check_masking_coverage(inst, cap=cap)),
+        ("transcript-equivalence", n_g * (n_g + n_s + p * p),
+         lambda cap: check_transcript_equivalence(inst, cap=cap)),
+        ("roundtrip", n_s**2 * n_g**2,
+         lambda cap: exhaustive_roundtrip(inst, "secret-square", cap=cap)),
+        ("roundtrip", p * p * n_g**2, lambda cap: exhaustive_roundtrip(inst, "carrier", cap=cap)),
+        ("witness-enumeration", 2 * n_g,
+         lambda cap: posterior_from_transcript(transcript, inst, cap=cap)),
+        # The fibre scan is gated first, then the |Alice| * |Bob| witnesses.
+        ("witness-enumeration", max(2 * n_g, witnesses),
+         lambda cap: posterior.enumerate_consistent(transcript, inst, cap=cap)),
+    ]
+
+
+@pytest.mark.parametrize("fixture", ["diag5", "gl2f3", "borel3_embedded"])
+def test_every_capped_job_runs_at_its_estimate_and_is_refused_one_below(request, fixture):
+    # On borel3_embedded the witness product (36) exceeds the fibre scan
+    # (2 * 12), so its second gate is the one that refuses.
+    for job, estimate, run in _gated_jobs(request.getfixturevalue(fixture)):
+        run(estimate)
+        with pytest.raises(WorkCapExceeded) as refused:
+            run(estimate - 1)
+        assert (refused.value.job, refused.value.estimate, refused.value.cap) == (
+            job, estimate, estimate - 1
+        ), job
 
 
 def test_square_is_the_secret_square_in_pair_order(borel3_embedded, diag5):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from triplepass import analysis, census, posterior
-from triplepass.actions import Point, build_instance, instance_from_descriptor, instance_index
+from triplepass.actions import Point, build_instance, instance_from_descriptor
 from triplepass.analysis import exact_mutual_information, mutual_information_bits, quotient_attack
 from triplepass.census import search_instances
 from triplepass.checks import check_transcript_equivalence
@@ -311,8 +311,9 @@ class TestBayesMemo:
     def test_a_tampered_truth_is_refused_after_its_signature_is_memoized(self):
         inst = build_instance("diagonal", 7)
         genuine = run_session(inst, F7.scalar(3), random.Random(4)).transcript
-        posterior_from_transcript(genuine, inst)
-        assert len(instance_index(inst).bayes_memo) == 1
+        validated = posterior.posterior_prior(inst)
+        posterior_from_transcript(genuine, inst, validated)
+        assert len(validated.steps) == 1
         truth = genuine.ground_truth
         a, b, c, d = truth.mask_b.residues()
         doubled = Mat2.from_values(F7, 2 * a, b, c, 2 * d)  # v1.B' = 2.v2, never v2
@@ -321,8 +322,8 @@ class TestBayesMemo:
             GroundTruth(truth.s, truth.t, truth.mask_a, doubled),
         )
         with pytest.raises(InconsistentTranscriptError, match="ground truth"):
-            posterior_from_transcript(tampered, inst)
-        assert len(instance_index(inst).bayes_memo) == 1
+            posterior_from_transcript(tampered, inst, validated)
+        assert len(validated.steps) == 1
 
 
 class TestExactMutualInformation:
