@@ -21,7 +21,7 @@ try:  # json.encoder's own C escaper, without loading the json package
 except ImportError:  # an interpreter without the accelerator
     from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 # Modules beyond ``actions`` are imported by the commands that use them,
 # which read a traced name through ``actions`` or ``analysis`` when run.
@@ -125,27 +125,34 @@ def _resolve_instance(
     )
 
 
-def _artifact(schema: str, args: argparse.Namespace, command: str, **extras) -> dict:
-    # The worker count and output path are left out of the config on
-    # purpose: neither may influence the artifact bytes.
-    seed = getattr(args, "seed", 0)
-    return {
-        "schema": schema,
-        "tool": {"name": "triplepass", "version": __version__},
-        "seed": seed,
-        "config": {
-            "command": command,
-            "seed": seed,
-            "cap": args.cap,
-            "format": args.format,
-            **extras,
-        },
-    }
+def _write(args: argparse.Namespace, schema: str, body: Callable[[], dict],
+           lines: Callable[[], Iterable[str]], instance: Optional[ActionInstance] = None,
+           **config) -> None:
+    """The one place a command's result leaves: to ``--out``, else stdout.
 
-
-def _emit(text: str, out: Optional[str]) -> None:
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
+    A text format writes the lines ``lines()`` gives. JSON writes the
+    envelope (schema, tool, seed, then the config: command, seed, cap,
+    format, the instance's name and descriptor when ``instance`` is given,
+    then ``config``), followed by the keys of ``body()`` in order. Only the
+    callable for the asked format is called. The worker count and output
+    path are left out of the config on purpose: neither may influence the
+    artifact bytes.
+    """
+    if args.format != "json":
+        text = "\n".join(lines()) + "\n"
+    else:
+        if instance is not None:
+            config = {"instance": instance.name, "descriptor": instance_to_descriptor(instance), **config}
+        text = _json_text({
+            "schema": schema,
+            "tool": {"name": "triplepass", "version": __version__},
+            "seed": args.seed,
+            "config": {"command": args.command, "seed": args.seed, "cap": args.cap,
+                       "format": args.format, **config},
+            **body(),
+        })
+    if args.out:
+        Path(args.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 
@@ -381,41 +388,27 @@ def cmd_run(args: argparse.Namespace) -> int:
         fixed_secret = parse_scalar(args.secret, instance.field)
     sessions = list(wire_sessions(instance, fixed_secret, rng, args.sessions))
 
-    if args.format == "csv":
-        lines = [
-            "# schema: triplepass/run-success/v1",
-            f"# tool: triplepass {__version__}",
-            f"# seed: {args.seed}",
-            f"# instance: {instance.name}",
-            "session,success",
-        ]
-        lines += [f"{i},{str(success).lower()}" for i, (_, _, success) in enumerate(sessions)]
-        _emit("\n".join(lines) + "\n", args.out)
-        return EXIT_OK
-
-    if args.format == "human":
-        lines = [f"instance {instance.name}, seed {args.seed}"]
+    def lines():
+        if args.format == "csv":
+            yield from ("# schema: triplepass/run-success/v1", f"# tool: triplepass {__version__}",
+                        f"# seed: {args.seed}", f"# instance: {instance.name}", "session,success")
+            yield from (f"{i},{str(success).lower()}" for i, (_, _, success) in enumerate(sessions))
+            return
+        yield f"instance {instance.name}, seed {args.seed}"
         for i, session in enumerate(sessions):
-            lines += [f"session {i}:", *_session_lines(*session)]
-        _emit("\n".join(lines) + "\n", args.out)
-        return EXIT_OK
+            yield f"session {i}:"
+            yield from _session_lines(*session)
 
-    artifact = _artifact(
-        "triplepass/run/v1",
-        args,
-        "run",
-        instance=instance.name,
-        descriptor=instance_to_descriptor(instance),
-        sessions=args.sessions,
-        secret=None if fixed_secret is None else scalar_to_json(fixed_secret),
-        lab_view=bool(args.lab_view),
-    )
-    if not args.lab_view:
-        for wire, _, _ in sessions:
-            del wire["truth"]
-    artifact["transcripts"] = [wire for wire, _, _ in sessions]
-    artifact["successes"] = [success for _, _, success in sessions]
-    _emit(_json_text(artifact), args.out)
+    def body():
+        if not args.lab_view:
+            for wire, _, _ in sessions:
+                del wire["truth"]
+        return {"transcripts": [wire for wire, _, _ in sessions],
+                "successes": [success for _, _, success in sessions]}
+
+    _write(args, "triplepass/run/v1", body, lines, instance, sessions=args.sessions,
+           secret=None if fixed_secret is None else scalar_to_json(fixed_secret),
+           lab_view=bool(args.lab_view))
     return EXIT_OK
 
 
@@ -442,24 +435,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         )
         validated = posterior_prior(instance, _load_prior(args.prior, instance))
         reports = _posterior_reports(transcript_dicts, instance, validated, cap)
-        if args.format == "human":
-            lines = [
-                f"transcript {r['transcript']}: support {{{','.join(map(str, r['support']))}}},"
-                f" uniform={r['uniform']}, witnesses={r['witness_count']}"
-                for r in reports
-            ]
-            _emit("\n".join(lines) + "\n", args.out)
-            return EXIT_OK
-        artifact = _artifact(
-            "triplepass/posterior/v1",
-            args,
-            "analyze",
-            instance=instance.name,
-            descriptor=instance_to_descriptor(instance),
-            transcripts=args.transcripts,
-        )
-        artifact["reports"] = reports
-        _emit(_json_text(artifact), args.out)
+        _write(args, "triplepass/posterior/v1", lambda: {"reports": reports}, lambda: (
+            f"transcript {r['transcript']}: support {{{','.join(map(str, r['support']))}}},"
+            f" uniform={r['uniform']}, witnesses={r['witness_count']}"
+            for r in reports
+        ), instance, transcripts=args.transcripts)
         return EXIT_OK
 
     from .analysis import exact_mutual_information
@@ -467,23 +447,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     instance = _resolve_instance(args)
     prior = _load_prior(args.prior, instance)
     report = exact_mutual_information(instance, prior, cap=cap)
-    artifact = _artifact(
-        "triplepass/leakage/v1",
-        args,
-        "analyze",
-        instance=instance.name,
-        descriptor=instance_to_descriptor(instance),
-    )
-    artifact["report"] = _leakage_dict(report)
-    if args.format == "human":
-        _emit(
-            f"instance {report.instance}: MI = {report.mutual_information_bits} bits,"
-            f" zero_leakage={report.zero_leakage},"
-            f" transcripts={report.transcripts_examined}\n",
-            args.out,
-        )
-    else:
-        _emit(_json_text(artifact), args.out)
+    _write(args, "triplepass/leakage/v1", lambda: {"report": _leakage_dict(report)}, lambda: [
+        f"instance {report.instance}: MI = {report.mutual_information_bits} bits,"
+        f" zero_leakage={report.zero_leakage}, transcripts={report.transcripts_examined}"
+    ], instance)
     return EXIT_OK
 
 
@@ -499,19 +466,8 @@ def cmd_check(args: argparse.Namespace) -> int:
         actions.check_masking_coverage(instance, cap=args.cap),
         actions.check_transcript_equivalence(instance, cap=args.cap),
     ]
-    artifact = _artifact(
-        "triplepass/check/v1",
-        args,
-        "check",
-        instance=instance.name,
-        descriptor=instance_to_descriptor(instance),
-    )
-    artifact["reports"] = [r.to_json_dict() for r in reports]
-    if args.format == "human":
-        lines = [f"{r.condition}: {r.verdict} (work {r.work})" for r in reports]
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        _emit(_json_text(artifact), args.out)
+    _write(args, "triplepass/check/v1", lambda: {"reports": [r.to_json_dict() for r in reports]},
+           lambda: (f"{r.condition}: {r.verdict} (work {r.work})" for r in reports), instance)
     return EXIT_OK if all(r.passed for r in reports) else EXIT_FAIL
 
 
@@ -521,25 +477,18 @@ def cmd_search(args: argparse.Namespace) -> int:
     report = search_instances(
         args.p, args.max_generators, cap=args.cap, with_leakage=not args.no_leakage
     )
-    artifact = _artifact(
-        "triplepass/search/v1", args, "search", p=args.p, max_generators=args.max_generators
-    )
-    artifact["report"] = _search_dict(report)
-    if args.format == "human":
-        lines = [
-            f"p={report.p}: {report.subgroups_examined} subgroups,"
-            f" {len(report.entries)} instances, complete={report.complete}"
-        ]
+
+    def lines():
+        yield (f"p={report.p}: {report.subgroups_examined} subgroups,"
+               f" {len(report.entries)} instances, complete={report.complete}")
         for entry in report.entries:
             verdicts = ", ".join(f"{r.condition}={r.verdict}" for r in entry.reports)
             mi = entry.leakage.mutual_information_bits if entry.leakage else None
-            lines.append(
-                f"  {entry.descriptor['name']} (order {entry.group_order}): {verdicts}, MI={mi}"
-            )
-        lines.append(f"candidates: {list(report.candidates)}")
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        _emit(_json_text(artifact), args.out)
+            yield f"  {entry.descriptor['name']} (order {entry.group_order}): {verdicts}, MI={mi}"
+        yield f"candidates: {list(report.candidates)}"
+
+    _write(args, "triplepass/search/v1", lambda: {"report": _search_dict(report)}, lines,
+           p=args.p, max_generators=args.max_generators)
     return EXIT_OK if report.complete else EXIT_CAP
 
 
