@@ -58,6 +58,7 @@ def _indexed(
         idx.point_index(transcript.v3),
         truth,
         transcript.session_id,
+        idx,
     )
     return idx, wire
 
@@ -218,7 +219,8 @@ def posterior_from_transcript(
     A ``Transcript`` gets a ``PosteriorReport`` with its own dicts. A
     ``WireTranscript``, read by ``transcript_from_dict`` into this
     instance's index, gets the shared ``BayesStep`` itself, and no
-    object is built. ``prior`` may be a ``posterior_prior`` of this
+    object is built; one read into another index is refused as the
+    object form is. ``prior`` may be a ``posterior_prior`` of this
     instance, validated once for many transcripts.
     """
     if not isinstance(prior, PosteriorPrior):
@@ -228,6 +230,9 @@ def posterior_from_transcript(
     idx = prior.index
     if isinstance(transcript, WireTranscript):
         wire = transcript
+        if wire.index is not idx:
+            raise TriplePassError(
+                f"transcript is for {getattr(wire.index, 'name', None)!r}, not {idx.name!r}")
     else:
         _, wire = _indexed(transcript, instance, "witness enumeration")
     alice, bob = _factors(idx, wire, cap)

@@ -499,4 +499,4 @@ def transcript_from_dict(
         return Transcript(d["instance"], v1, v2, v3, session_id, ground_truth)
     if d["instance"] != index.name:
         raise TriplePassError(f"transcript is for {d['instance']!r}, not {index.name!r}")
-    return WireTranscript(v1, v2, v3, truth, session_id)
+    return WireTranscript(v1, v2, v3, truth, session_id, index)

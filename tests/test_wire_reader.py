@@ -18,7 +18,7 @@ from fractions import Fraction
 import pytest
 
 from triplepass import cli, posterior
-from triplepass.actions import Point, instance_from_descriptor
+from triplepass.actions import Point, build_instance, instance_from_descriptor, instance_index
 from triplepass.cli import main
 from triplepass.errors import TriplePassError, WorkCapExceeded
 from triplepass.fields import Scalar
@@ -216,3 +216,21 @@ def test_analyze_builds_no_object_per_transcript(runs, tmp_path, monkeypatch, fm
     assert main(["analyze", "--transcripts", str(runs_file), "--format", fmt,
                  "--out", str(out)]) == 0
     assert out.read_text().count("witness") == 300
+
+
+@pytest.mark.parametrize("validated", [False, True], ids=["no-prior", "posterior-prior"])
+def test_a_wire_transcript_read_for_another_instance_is_refused(validated):
+    # Read into diagonal-f5's tables, its point and mask numbers mean
+    # nothing to general-linear-f5; both forms refuse it the same way.
+    diagonal, general = build_instance("diagonal", 5), build_instance("general-linear", 5)
+    d = {"instance": "diagonal-f5", "p": 5, "v1": [4, 3], "v2": [2, 2], "v3": [1, 2]}
+    prior = posterior_prior(general) if validated else None
+    with pytest.raises(TriplePassError) as objects:
+        posterior_from_transcript(transcript_from_dict(d), general, prior)
+    wire = transcript_from_dict(d, index=instance_index(diagonal))
+    assert wire.index is instance_index(diagonal)
+    with pytest.raises(TriplePassError) as residues:
+        posterior_from_transcript(wire, general, prior)
+    assert str(residues.value) == str(objects.value) == \
+        "transcript is for 'diagonal-f5', not 'general-linear-f5'"
+    assert posterior_from_transcript(wire, diagonal).support == (2,)
