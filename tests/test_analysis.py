@@ -676,6 +676,19 @@ class TestSearch:
         assert checked > 10
         assert report.candidates == ()
 
+    def test_p3_reliable_entries_leak_their_whole_secret(self):
+        # A reliable entry (every commutator fixes the secret square) is a
+        # total break: its MI is log2 |S|. GL2(F3) is the least-leaking.
+        report = search_instances(3)
+        reliable = [e for e in report.entries if e.reports[0].condition == "comm-fixed-set"
+                    and e.reports[0].passed]
+        assert (len(reliable), len(report.entries)) == (34, 55)
+        assert {len(e.descriptor["secret_domain"]) for e in reliable} == {2}
+        assert {e.leakage.mutual_information_bits for e in reliable} == {1.0}
+        least = min(report.entries, key=lambda e: e.leakage.mutual_information_bits)
+        assert (least.descriptor["name"], least.group_order) == ("subgroup-f3-o48-54", 48)
+        assert least.leakage.mutual_information_bits == 0.25
+
     def test_cap_produces_incomplete_report(self):
         report = search_instances(3, cap=500)
         assert not report.complete

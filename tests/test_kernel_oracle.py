@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -29,7 +29,7 @@ from triplepass.analysis import exact_mutual_information
 from triplepass.checks import check_masking_coverage, check_transcript_equivalence
 from triplepass.matrices import Mat2, parse_matrix
 from triplepass.posterior import enumerate_consistent, find_witness, posterior_from_transcript
-from triplepass.protocol import GroundTruth, Transcript
+from triplepass.protocol import GroundTruth, Transcript, exhaustive_roundtrip
 
 # Sessions |S| * |T| * |G|^2 per example stay at or below this.
 SESSION_BUDGET = 20_000
@@ -163,6 +163,27 @@ def test_scalar_replies_bound_the_leak_from_below(case):
     bound = scaled / len(sessions) * math.log2(len(secrets))
     report = exact_mutual_information(_build(p, secrets, t_values, literals))
     assert report.mutual_information_bits >= bound - 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_instances(), st.data())
+def test_a_reliable_instance_is_a_total_break(case, data):
+    # When every round trip on the carrier succeeds, every commutator
+    # fixes every start point, so each transcript has exactly one start
+    # point that explains it (README, "Reliability is a total break"):
+    # I(S; V1V2V3) = log2 |S| and every posterior is a point mass.
+    p, elems, secrets, t_values, literals = case
+    assume(len(secrets) >= 2)
+    instance = _build(p, secrets, t_values, literals)
+    assume(exhaustive_roundtrip(instance, "carrier")[0] == 0)
+    assert exact_mutual_information(instance).mutual_information_bits == math.log2(len(secrets))
+    session = st.tuples(
+        st.sampled_from(secrets), st.sampled_from(t_values),
+        st.sampled_from(elems), st.sampled_from(elems),
+    )
+    for s, t, a, b in data.draw(st.lists(session, min_size=1, max_size=3)):
+        tau = oracles.session(p, (s, t), a, b)[:3]
+        assert {w[0] for w in oracles.witnesses(p, secrets, t_values, elems, tau)} == {s}
 
 
 @pytest.mark.parametrize(
