@@ -296,20 +296,16 @@ def instance_index(instance: ActionInstance) -> InstanceIndex:
 
 
 class WireTranscript:
-    """A wire transcript read into one instance's index tables: the three
+    """A wire transcript read into the index tables ``index``: the three
     messages as point indices and, from a lab view, the ground truth as
-    (s, t, A, B), residues and group indices (None outside the group).
-    ``index`` is the index it was read into; its numbers mean nothing in
-    another."""
+    (s, t, A, B), residues and group indices (None outside the group)."""
 
     __slots__ = ("v1", "v2", "v3", "truth", "session_id", "index")
 
     def __init__(self, v1: int, v2: int, v3: int, truth: Optional[tuple], session_id: int = 0,
                  index: Optional[InstanceIndex] = None):
-        self.v1, self.v2, self.v3 = v1, v2, v3
-        self.truth = truth
-        self.session_id = session_id
-        self.index = index
+        self.v1, self.v2, self.v3, self.truth = v1, v2, v3, truth
+        self.session_id, self.index = session_id, index
 
 
 def _sorted_scalars(fp: PrimeField, values) -> tuple[Scalar, ...]:
