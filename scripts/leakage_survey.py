@@ -4,9 +4,13 @@
 For each instance the survey reports the exact mutual information
 between the secret and the three wire messages, whether the leak is
 exactly zero, and whether every candidate secret can explain every
-transcript. The headline result: every commutative family that makes
-the round trip work also hands the wiretapper the whole secret, because
-the three messages pin both masks whenever the action is free.
+transcript. The headline result: every family that makes the round trip
+reliable also hands the wiretapper the whole secret. When every
+commutator A*B*A^-1*B^-1 fixes every start point, each transcript with
+positive probability has exactly one start point that explains it, so
+I(S; V1V2V3) = H(S) for every prior; the action need not be free. In
+the subgroup census that is 34 of 55 reliable entries at p = 3, 323 of
+533 at p = 5 and 1,098 of 1,912 at p = 7 (README gives the proof sketch).
 """
 
 from __future__ import annotations
