@@ -59,11 +59,7 @@ def _first_mover(group: FiniteGroup, movers: Sequence[Residues], pt: Point) -> O
     or None when all of them fix it."""
     if pt.domain != group.domain:
         raise TriplePassError("matrix and point domains differ")
-    return _first_mover_at(group.p, movers, pt.x.value, pt.y.value)
-
-
-def _first_mover_at(p: int, movers: Sequence[Residues], x: int, y: int) -> Optional[int]:
-    """``_first_mover`` at the point of residues (x, y)."""
+    p, x, y = group.p, pt.x.value, pt.y.value
     for i, (a, b, c, d) in enumerate(movers):
         if (x * a + y * c) % p != x or (x * b + y * d) % p != y:
             return i
@@ -131,12 +127,8 @@ def commutator_fixed_carrier_points(group: FiniteGroup) -> tuple[Point, ...]:
     lexicographic order."""
     fp, p = group.domain, group.p
     movers = commutator_subgroup(group).residues
-    return tuple(
-        Point(fp.scalar(x), fp.scalar(y))
-        for x in range(p)
-        for y in range(p)
-        if _first_mover_at(p, movers, x, y) is None
-    )
+    carrier = (Point(fp.scalar(x), fp.scalar(y)) for x in range(p) for y in range(p))
+    return tuple(pt for pt in carrier if _first_mover(group, movers, pt) is None)
 
 
 def secret_square_points(instance: ActionInstance) -> tuple[Point, ...]:

@@ -74,8 +74,10 @@ def _factors(
     with v3.A == v2 and v1.A^-1 encoding a pair of S x T; Bob's lists
     every B with v1.B == v2. Both are in group order. Every factor entry
     re-derives its messages from the action tables; a mismatch raises.
-    A scan of the two fibre tables, 2 * |G| steps, is refused first when
-    that exceeds ``cap``.
+    A recorded ground truth must be a witness whenever there is one: its
+    (s, t, A) in Alice's factor and its B in Bob's, or
+    ``InconsistentTranscriptError`` is raised. A scan of the two fibre
+    tables, 2 * |G| steps, is refused first when that exceeds ``cap``.
     """
     _within_cap("witness-enumeration", 2 * idx.n_group, cap)
     v1, v2, v3 = wire.v1, wire.v2, wire.v3
@@ -89,20 +91,14 @@ def _factors(
     for b_i in bob:
         if table[b_i][v1] != v2:
             raise AssertionError("Bob's witness factor failed direct re-validation")
+    if wire.truth is not None and alice and bob:
+        s, t, a_i, b_i = wire.truth
+        if (a_i, (s, t)) not in alice or b_i not in bob:
+            raise InconsistentTranscriptError(
+                "inconsistent transcript: its recorded ground truth is not among the witnesses"
+                f" (session {wire.session_id})"
+            )
     return alice, bob
-
-
-def _require_truth(wire: WireTranscript, alice: list, bob: list) -> None:
-    """A recorded ground truth must be a witness whenever there is one:
-    its (s, t, A) must be in Alice's factor and its B in Bob's."""
-    if wire.truth is None or not alice or not bob:
-        return
-    s, t, a_i, b_i = wire.truth
-    if (a_i, (s, t)) not in alice or b_i not in bob:
-        raise InconsistentTranscriptError(
-            "inconsistent transcript: its recorded ground truth is not among the witnesses"
-            f" (session {wire.session_id})"
-        )
 
 
 def enumerate_consistent(
@@ -113,14 +109,12 @@ def enumerate_consistent(
     The witnesses are the product of two re-validated factors (see
     ``_factors``): Alice's (A, (s, t)) candidates and Bob's B replies,
     listed A-major in group order. The factored set equals the naive
-    four-deep scan. A recorded ground truth outside a nonempty witness
-    set raises ``InconsistentTranscriptError``. A product of more than
-    ``cap`` witnesses is refused before it is listed.
+    four-deep scan. A product of more than ``cap`` witnesses is refused
+    before it is listed.
     """
     idx, wire = _indexed(transcript, instance, "witness enumeration")
     alice, bob = _factors(idx, wire, cap)
     _within_cap("witness-enumeration", len(alice) * len(bob), cap)
-    _require_truth(wire, alice, bob)
     elements = idx.group.elements
     witnesses = tuple(
         (idx.field.scalar(s), idx.field.scalar(t), elements[a_i], elements[b_i])
@@ -137,7 +131,8 @@ def find_witness(
 ) -> Optional[tuple[Scalar, Mat2, Mat2]]:
     """One (t', A', B') explaining the transcript with secret s_prime,
     or None after an exhaustive search finds nothing. The search runs
-    under the default witness-scan cap."""
+    on the checked factors of ``_factors``, under the default
+    witness-scan cap."""
     idx, wire = _indexed(transcript, instance, "witness search")
     alice, bob = _factors(idx, wire)
     a_cands = [(a_i, t) for a_i, (s, t) in alice if s == s_prime.value]
@@ -219,8 +214,8 @@ def posterior_from_transcript(
     A ``Transcript`` gets a ``PosteriorReport`` with its own dicts. A
     ``WireTranscript``, read by ``transcript_from_dict`` into this
     instance's index, gets the shared ``BayesStep`` itself, and no
-    object is built; one read into another index is refused as the
-    object form is. ``prior`` may be a ``posterior_prior`` of this
+    object is built; one read into another index, even of the same
+    instance, is refused. ``prior`` may be a ``posterior_prior`` of this
     instance, validated once for many transcripts.
     """
     if not isinstance(prior, PosteriorPrior):
@@ -231,12 +226,13 @@ def posterior_from_transcript(
     if isinstance(transcript, WireTranscript):
         wire = transcript
         if wire.index is not idx:
+            name = getattr(wire.index, "name", None)
             raise TriplePassError(
-                f"transcript is for {getattr(wire.index, 'name', None)!r}, not {idx.name!r}")
+                f"transcript was read into another index of {idx.name!r}" if name == idx.name
+                else f"transcript is for {name!r}, not {idx.name!r}")
     else:
         _, wire = _indexed(transcript, instance, "witness enumeration")
     alice, bob = _factors(idx, wire, cap)
-    _require_truth(wire, alice, bob)
     per_secret = Counter(s for _, (s, _) in alice)
     key = (tuple(sorted(per_secret.items())), len(bob))
     step = prior.steps.get(key)

@@ -4,7 +4,8 @@ Bob unmasks, with an eavesdropper tap recording the three wire messages.
 A session on a finite instance runs on one residue core over the
 instance's index tables: the masks are group indices, the four passes
 are lookups in ``act_table`` and ``inv_rows``, and the commutator is a
-residue product. ``run_session`` builds ``Scalar``, ``Point`` and
+residue product. ``run_session`` draws the masks as group elements and
+``run_session_with`` runs them, building ``Scalar``, ``Point`` and
 ``Mat2`` values only for its returned outcome. ``WireWriter`` writes a
 finite instance's wire dicts straight from residues and builds none:
 ``wire_sessions`` feeds it seeded sessions, the scripted demo its fixed
@@ -177,25 +178,6 @@ def _passes(idx: InstanceIndex, v: int, a_i: int, b_i: int) -> tuple[int, int, i
     return v1, v2, v3, v4, comm
 
 
-def _indexed_session(
-    instance: ActionInstance, encoding: SecretEncoding, a_i: int, b_i: int, session_id: int
-) -> SessionOutcome:
-    """A finite instance's session from the residue core, as objects."""
-    idx = instance_index(instance)
-    v = idx.point_index(encoding.v)
-    v1, v2, v3, v4, comm = _passes(idx, v, a_i, b_i)
-    points, masks = idx.points, idx.group.elements
-    transcript = Transcript(
-        instance=instance.name,
-        v1=points[v1],
-        v2=points[v2],
-        v3=points[v3],
-        session_id=session_id,
-        ground_truth=GroundTruth(encoding.s, encoding.t, masks[a_i], masks[b_i]),
-    )
-    return SessionOutcome(transcript, points[v4], v4 == v, Mat2.from_values(idx.field, *comm))
-
-
 def run_session_with(
     instance: ActionInstance,
     encoding: SecretEncoding,
@@ -207,23 +189,25 @@ def run_session_with(
 
     On a finite instance both masks must be elements of its group, or
     ``TriplePassError`` is raised; the passes then run on the index
-    tables, as in ``run_session``. On the rational instance the passes
-    are ``act`` calls; a singular mask raises ``SingularMatrixError``.
+    tables (``_passes``). On the rational instance the passes are ``act``
+    calls; a singular mask raises ``SingularMatrixError``.
     """
     if instance.is_finite:
         a_i, b_i = instance.group.index_of(mask_a), instance.group.index_of(mask_b)
         if a_i is None or b_i is None:
             raise TriplePassError(f"masks must be elements of the {instance.name} group")
-        return _indexed_session(instance, encoding, a_i, b_i, session_id)
-
-    v1 = act(mask_a, encoding.v)
-    v2 = act(mask_b, v1)
-    v3 = act(mask_a.inverse(), v2)
-    v4 = act(mask_b.inverse(), v3)
-
-    commutator_applied = ((mask_a @ mask_b) @ mask_a.inverse()) @ mask_b.inverse()
-    if v4 != act(commutator_applied, encoding.v):
-        raise AssertionError("the four passes do not compose to the mask commutator")
+        idx = instance_index(instance)
+        *messages, comm = _passes(idx, idx.point_index(encoding.v), a_i, b_i)
+        v1, v2, v3, v4 = (idx.points[u] for u in messages)
+        commutator_applied = Mat2.from_values(idx.field, *comm)
+    else:
+        v1 = act(mask_a, encoding.v)
+        v2 = act(mask_b, v1)
+        v3 = act(mask_a.inverse(), v2)
+        v4 = act(mask_b.inverse(), v3)
+        commutator_applied = ((mask_a @ mask_b) @ mask_a.inverse()) @ mask_b.inverse()
+        if v4 != act(commutator_applied, encoding.v):
+            raise AssertionError("the four passes do not compose to the mask commutator")
 
     transcript = Transcript(
         instance=instance.name,
@@ -242,21 +226,20 @@ def run_session(
     rng: random.Random,
     session_id: int = 0,
 ) -> SessionOutcome:
-    """Encode the secret, draw both masks, and run the four passes.
+    """Encode the secret, draw both masks, and call ``run_session_with``.
 
     Draw order is fixed (t, then A, then B) so a seeded generator
     reproduces sessions byte for byte. On a finite instance each mask is
-    one ``rng.randrange(|G|)`` draw, kept as a group index: the passes
-    run on the index tables and only the outcome holds ``Mat2`` values.
+    the group element of one ``rng.randrange(|G|)`` draw.
     """
     encoding = encode_secret(instance, s, rng)
     if instance.is_finite:
-        n = len(instance.group)
-        a_i = rng.randrange(n)
-        b_i = rng.randrange(n)
-        return _indexed_session(instance, encoding, a_i, b_i, session_id)
-    mask_a = sample_rational_matrix(rng)
-    mask_b = sample_rational_matrix(rng)
+        elements = instance.group.elements
+        mask_a = elements[rng.randrange(len(elements))]
+        mask_b = elements[rng.randrange(len(elements))]
+    else:
+        mask_a = sample_rational_matrix(rng)
+        mask_b = sample_rational_matrix(rng)
     return run_session_with(instance, encoding, mask_a, mask_b, session_id)
 
 

@@ -115,6 +115,21 @@ class TestEnumerateConsistent:
             enumerate_consistent(out.transcript, diag5, cap=10)
 
 
+def test_every_entry_point_refuses_a_truth_that_is_not_a_witness(diag5):
+    genuine = run_session(diag5, F5.scalar(2), random.Random(1)).transcript
+    truth = genuine.ground_truth
+    tampered = Transcript(
+        genuine.instance, genuine.v1, genuine.v2, genuine.v3, genuine.session_id,
+        GroundTruth(F5.scalar(3), truth.t, truth.mask_a, truth.mask_b),
+    )
+    # diagonal-f5 witnesses all share the true secret, so s = 3 explains nothing.
+    assert find_witness(genuine, diag5, F5.scalar(2)) is not None
+    for entry_point in (enumerate_consistent, posterior_from_transcript,
+                        lambda t, inst: find_witness(t, inst, F5.scalar(2))):
+        with pytest.raises(InconsistentTranscriptError, match="ground truth"):
+            entry_point(tampered, diag5)
+
+
 class TestFindWitness:
     def test_true_secret_always_has_a_witness(self, diag5):
         rng = random.Random(3)
@@ -676,18 +691,25 @@ class TestSearch:
         assert checked > 10
         assert report.candidates == ()
 
-    def test_p3_reliable_entries_leak_their_whole_secret(self):
+    @pytest.mark.parametrize("p, reliable_of_all, sizes, least, least_order, least_bits", [
+        (3, (34, 55), {2}, "subgroup-f3-o48-54", 48, 0.25),
+        (5, (323, 533), {2, 4}, "subgroup-f5-o480-460", 480, 1 / 3),
+    ])
+    def test_p3_reliable_entries_leak_their_whole_secret(
+        self, p, reliable_of_all, sizes, least, least_order, least_bits
+    ):
         # A reliable entry (every commutator fixes the secret square) is a
-        # total break: its MI is log2 |S|. GL2(F3) is the least-leaking.
-        report = search_instances(3)
+        # total break: its MI is log2 |S|. A large subgroup leaks least.
+        report = search_instances(p)
         reliable = [e for e in report.entries if e.reports[0].condition == "comm-fixed-set"
                     and e.reports[0].passed]
-        assert (len(reliable), len(report.entries)) == (34, 55)
-        assert {len(e.descriptor["secret_domain"]) for e in reliable} == {2}
-        assert {e.leakage.mutual_information_bits for e in reliable} == {1.0}
-        least = min(report.entries, key=lambda e: e.leakage.mutual_information_bits)
-        assert (least.descriptor["name"], least.group_order) == ("subgroup-f3-o48-54", 48)
-        assert least.leakage.mutual_information_bits == 0.25
+        assert (len(reliable), len(report.entries)) == reliable_of_all
+        assert {len(e.descriptor["secret_domain"]) for e in reliable} == sizes
+        for e in reliable:
+            assert e.leakage.mutual_information_bits == math.log2(len(e.descriptor["secret_domain"]))
+        entry = min(report.entries, key=lambda e: e.leakage.mutual_information_bits)
+        assert (entry.descriptor["name"], entry.group_order) == (least, least_order)
+        assert entry.leakage.mutual_information_bits == least_bits
 
     def test_cap_produces_incomplete_report(self):
         report = search_instances(3, cap=500)

@@ -779,6 +779,16 @@ class TestSearch:
         artifact = json.loads(out_file.read_text())
         assert artifact["report"]["complete"] is False
 
+    def test_no_leakage_search_nulls_only_the_leakage(self, capsys, tmp_path):
+        full, bare = tmp_path / "full.json", tmp_path / "bare.json"
+        assert run_cli(capsys, "search", "--p", "3", "--out", str(full))[0] == 0
+        assert run_cli(capsys, "search", "--p", "3", "--no-leakage", "--out", str(bare))[0] == 0
+        expected = json.loads(full.read_text())
+        assert all(entry["leakage"] is not None for entry in expected["report"]["entries"])
+        for entry in expected["report"]["entries"]:
+            entry["leakage"] = None
+        assert json.loads(bare.read_text()) == expected
+
     def test_search_runs_are_byte_identical(self, capsys, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for path in (a, b):

@@ -34,3 +34,14 @@ def test_leakage_survey_rows_for_p3():
 def test_reachable_sets_rotation_f7_histogram():
     stdout = run_script("reachable_sets.py", "--kind", "rotation", "--p", "7")
     assert stdout.splitlines()[-1] == "image-size histogram: {8: 42}"
+
+
+def test_readme_library_example_prints_what_its_comments_say(capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library example", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    # Each print line's comment gives its output, before an optional " -- " note.
+    expected = [line.split("# ", 1)[1].split(" -- ", 1)[0]
+                for line in block.splitlines() if line.startswith("print(")]
+    assert expected
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == expected

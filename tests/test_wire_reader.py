@@ -234,3 +234,16 @@ def test_a_wire_transcript_read_for_another_instance_is_refused(validated):
     assert str(residues.value) == str(objects.value) == \
         "transcript is for 'diagonal-f5', not 'general-linear-f5'"
     assert posterior_from_transcript(wire, diagonal).support == (2,)
+
+
+@pytest.mark.parametrize("validated", [False, True], ids=["no-prior", "posterior-prior"])
+def test_a_wire_transcript_read_for_another_build_of_its_instance_is_refused(validated):
+    # Equal instances built twice have two indices; the names alone
+    # cannot tell them apart, so the message says which index it was.
+    first, second = build_instance("diagonal", 5), build_instance("diagonal", 5)
+    d = {"instance": "diagonal-f5", "p": 5, "v1": [4, 3], "v2": [2, 2], "v3": [1, 2]}
+    wire = transcript_from_dict(d, index=instance_index(first))
+    prior = posterior_prior(second) if validated else None
+    with pytest.raises(TriplePassError) as refused:
+        posterior_from_transcript(wire, second, prior)
+    assert str(refused.value) == "transcript was read into another index of 'diagonal-f5'"
