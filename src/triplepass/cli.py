@@ -16,6 +16,7 @@ import os
 import random
 import sys
 from fractions import Fraction
+from functools import lru_cache
 try:  # json.encoder's own C escaper, without loading the json package
     from _json import encode_basestring_ascii as _quote
 except ImportError:  # an interpreter without the accelerator
@@ -160,20 +161,26 @@ def _write(args: argparse.Namespace, schema: str, body: Callable[[], dict],
 _NONFINITE = {math.inf: "Infinity", -math.inf: "-Infinity"}
 
 
+class _Raw(str):
+    """JSON text rendered at the depth where it is written, written verbatim."""
+
+
 def _json_text(payload) -> str:
     """``json.dumps(payload, indent=2) + "\n"``, byte for byte, for the
     values artifacts hold: dicts with str keys, lists, tuples, str, int,
-    float, bool and None, of exactly those types. Anything else raises
+    float, bool and None, of exactly those types, and ``_Raw`` records:
+    text joined from fragments that ``_json_value`` rendered once each, at
+    the depth where they are written (see ``_posterior_reports``), written
+    verbatim. Anything else, another ``str`` subclass too, raises
     TypeError. The stdlib encoder runs in pure Python once ``indent`` is
-    set; this one is faster, and writes a container that several parents
-    share once per depth.
+    set; this one is faster, and writes a shared container once per depth.
     """
     return _json_value(payload, "\n", {}) + "\n"
 
 
-def _json_value(obj, nl: str, memo: dict[tuple[int, str], str]) -> str:
-    """The JSON text of ``obj`` with ``nl`` opening each of its lines;
-    ``memo`` maps a written container's (id, nl) to its text."""
+def _json_value(obj, nl: str, memo: dict[tuple[int, str], tuple[object, str]]) -> str:
+    """The JSON text of ``obj`` with ``nl`` opening each of its lines; ``memo``
+    maps a container's (id, nl) to the container, kept alive, and its text."""
     kind = type(obj)
     if kind is str:
         return _quote(obj)
@@ -185,15 +192,17 @@ def _json_value(obj, nl: str, memo: dict[tuple[int, str], str]) -> str:
         return "null"
     if kind is bool:
         return "true" if obj else "false"
+    if kind is _Raw:
+        return obj
     if kind is not dict and kind is not list and kind is not tuple:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
     key = (id(obj), nl)
     done = memo.get(key)
     if done is not None:
-        return done
+        return done[1]
     brackets = "{}" if kind is dict else "[]"
     if not obj:
-        done = brackets
+        text = brackets
     else:
         inner = nl + "  "
         if kind is dict:
@@ -201,9 +210,9 @@ def _json_value(obj, nl: str, memo: dict[tuple[int, str], str]) -> str:
             items = [_quote(k) + ": " + _json_value(v, inner, memo) for k, v in obj.items()]
         else:
             items = [_json_value(v, inner, memo) for v in obj]
-        done = brackets[0] + inner + ("," + inner).join(items) + nl + brackets[1]
-    memo[key] = done
-    return done
+        text = f'{brackets[0]}{inner}{("," + inner).join(items)}{nl}{brackets[1]}'
+    memo[key] = (obj, text)
+    return text
 
 
 def _prior_json(prior: dict) -> dict:
@@ -251,37 +260,65 @@ def _leakage_dict(report: LeakageReport) -> dict:
 
 def _posterior_reports(
     transcript_dicts: list, instance: ActionInstance, prior: PosteriorPrior, cap: int
-) -> list[dict]:
-    """The posterior report of every wire transcript, each read into the
-    instance's index and run to its shared ``BayesStep``.
+) -> list[tuple[dict, BayesStep]]:
+    """Each wire transcript, read into the instance's index, as its wire
+    dict (one ``WireWriter`` writes all) and its shared ``BayesStep``.
 
-    Reports with one step share all their fields but the transcript, and
-    one ``WireWriter`` writes the transcripts, so ``_json_text`` writes
-    each shared field and point once.
+    ``--format human`` prints these. ``_report_texts`` joins each JSON
+    report from a fixed head, three point fragments (one per carrier
+    point, p² in all) and its step's tail (one per distinct step: prior,
+    posterior, posterior_float, support, uniform and witness_count).
     """
     from .analysis import posterior_from_transcript
     from .protocol import WireWriter, transcript_from_dict
 
-    idx = prior.index
     writer = WireWriter(instance)
-    prior_json = {str(s): str(mass) for s, mass in prior.by_residue.items()}
-    by_step: dict[BayesStep, dict] = {}
     reports = []
     for i, d in enumerate(transcript_dicts):
-        wire = transcript_from_dict(d, i, index=idx)
+        wire = transcript_from_dict(d, i, index=prior.index)
         step = posterior_from_transcript(wire, instance, prior, cap=cap)
-        shared = by_step.get(step)
-        if shared is None:
-            shared = by_step[step] = {
-                "prior": prior_json,
-                "posterior": {str(s): str(mass) for s, mass in step.posterior},
-                "posterior_float": {str(s): float(mass) for s, mass in step.posterior},
-                "support": list(step.support),
-                "uniform": step.uniform,
-                "witness_count": step.witness_count,
-            }
-        reports.append({"transcript": writer.transcript(wire.v1, wire.v2, wire.v3), **shared})
+        reports.append((writer.transcript(wire.v1, wire.v2, wire.v3), step))
     return reports
+
+
+def _report_texts(reports: list[tuple[dict, BayesStep]], prior: PosteriorPrior) -> list[_Raw]:
+    """Each report's JSON text, as an item of the artifact's ``reports``."""
+    prior_json = {str(s): str(mass) for s, mass in prior.by_residue.items()}
+    memo: dict = {}
+    tails = dict.fromkeys(step for _, step in reports)
+    for step in tails:
+        shared = {"prior": prior_json, "posterior": {str(s): str(m) for s, m in step.posterior},
+                  "posterior_float": {str(s): float(m) for s, m in step.posterior},
+                  "support": list(step.support), "uniform": step.uniform,
+                  "witness_count": step.witness_count}
+        # The fields that follow the transcript's: the "{" becomes a ",".
+        tails[step] = "," + _json_value(shared, "\n    ", memo)[1:]
+    texts = _wire_texts([wire for wire, _ in reports], "\n      ", memo)
+    return [_Raw(f'{{\n      "transcript": {text}{tails[step]}')
+            for text, (_, step) in zip(texts, reports)]
+
+
+def _wire_texts(wires: list[dict], nl: str, memo: dict) -> list[_Raw]:
+    """``_json_value(wire, nl, memo)`` of each wire dict of one instance:
+    a shared head, a fragment per point (``WireWriter`` shares its points)
+    and, in a lab view, a truth of residues and mask literals, each mask
+    quoted once."""
+    inner, deeper = nl + "  ", nl + "    "
+    quote = lru_cache(maxsize=None)(_quote)
+    texts = []
+    for wire in wires:
+        if not texts:
+            head = (f'{{{inner}"instance": {_quote(wire["instance"])},{inner}"p": '
+                    f'{_json_value(wire["p"], inner, memo)},{inner}"v1": ')
+        v1, v2 = _json_value(wire["v1"], inner, memo), _json_value(wire["v2"], inner, memo)
+        text = f'{head}{v1},{inner}"v2": {v2},{inner}"v3": {_json_value(wire["v3"], inner, memo)}'
+        truth = wire.get("truth")
+        if truth is not None:
+            s, t = _json_value(truth["s"], deeper, memo), _json_value(truth["t"], deeper, memo)
+            text += (f',{inner}"truth": {{{deeper}"s": {s},{deeper}"t": {t},{deeper}"A": '
+                     f'{quote(truth["A"])},{deeper}"B": {quote(truth["B"])}{inner}}}')
+        texts.append(_Raw(text + nl + "}"))
+    return texts
 
 
 def _search_dict(report: SearchReport) -> dict:
@@ -403,7 +440,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         if not args.lab_view:
             for wire, _, _ in sessions:
                 del wire["truth"]
-        return {"transcripts": [wire for wire, _, _ in sessions],
+        return {"transcripts": _wire_texts([wire for wire, _, _ in sessions], "\n    ", {}),
                 "successes": [success for _, _, success in sessions]}
 
     _write(args, "triplepass/run/v1", body, lines, instance, sessions=args.sessions,
@@ -435,11 +472,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         )
         validated = posterior_prior(instance, _load_prior(args.prior, instance))
         reports = _posterior_reports(transcript_dicts, instance, validated, cap)
-        _write(args, "triplepass/posterior/v1", lambda: {"reports": reports}, lambda: (
-            f"transcript {r['transcript']}: support {{{','.join(map(str, r['support']))}}},"
-            f" uniform={r['uniform']}, witnesses={r['witness_count']}"
-            for r in reports
-        ), instance, transcripts=args.transcripts)
+        _write(args, "triplepass/posterior/v1", lambda: {"reports": _report_texts(reports, validated)},
+               lambda: (f"transcript {wire}: support {{{','.join(map(str, step.support))}}},"
+                        f" uniform={step.uniform}, witnesses={step.witness_count}"
+                        for wire, step in reports), instance, transcripts=args.transcripts)
         return EXIT_OK
 
     from .analysis import exact_mutual_information

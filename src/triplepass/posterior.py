@@ -208,8 +208,8 @@ def posterior_from_transcript(
     witness is materialised. The factors are re-validated under the
     witness-scan cap and checked against a recorded ground truth, for
     every transcript (see ``_factors``). The Bayes step depends only on
-    the prior and the count signature (the per-secret counts of Alice's
-    factor and the size of Bob's), so it is computed once per signature.
+    the prior and the count signature (the secrets of Alice's factor,
+    sorted, and the size of Bob's), so it is computed once per signature.
 
     A ``Transcript`` gets a ``PosteriorReport`` with its own dicts. A
     ``WireTranscript``, read by ``transcript_from_dict`` into this
@@ -233,11 +233,10 @@ def posterior_from_transcript(
     else:
         _, wire = _indexed(transcript, instance, "witness enumeration")
     alice, bob = _factors(idx, wire, cap)
-    per_secret = Counter(s for _, (s, _) in alice)
-    key = (tuple(sorted(per_secret.items())), len(bob))
+    key = (tuple(sorted([pair[0] for _, pair in alice])), len(bob))
     step = prior.steps.get(key)
     if step is None:
-        step = prior.steps[key] = _bayes(prior.by_residue, per_secret, len(bob), idx.s_res)
+        step = prior.steps[key] = _bayes(prior.by_residue, *key, idx.s_res)
     if wire is transcript:
         return step
     scalars = {s.value: s for s in prior.masses}
@@ -252,11 +251,11 @@ def posterior_from_transcript(
 
 
 def _bayes(
-    prior: Mapping[int, Fraction], per_secret: Counter, n_bob: int, secrets: list[int]
+    prior: Mapping[int, Fraction], alice: tuple[int, ...], n_bob: int, secrets: list[int]
 ) -> BayesStep:
     """The Bayes step from a residue-keyed prior in residue order and a
-    transcript's count signature."""
-    weights = {s: mass * (per_secret[s] * n_bob) for s, mass in prior.items()}
+    transcript's count signature (see ``posterior_from_transcript``)."""
+    weights = {s: mass * (alice.count(s) * n_bob) for s, mass in prior.items()}
     total = sum(weights.values(), Fraction(0))
     if total == 0:
         raise InconsistentTranscriptError(
@@ -266,4 +265,4 @@ def _bayes(
     support = tuple(s for s, mass in posterior if mass > 0)
     masses = {mass for _, mass in posterior if mass > 0}
     uniform = len(masses) == 1 and set(support) == set(secrets)
-    return BayesStep(posterior, support, uniform, sum(per_secret.values()) * n_bob)
+    return BayesStep(posterior, support, uniform, len(alice) * n_bob)

@@ -440,7 +440,7 @@ def transcript_from_dict(
         memo = index.mask_literals
 
         def scalar(value) -> int:
-            return _wire_residue(value, p)
+            return value if type(value) is int and 0 <= value < p else _wire_residue(value, p)
 
         def point(x: int, y: int) -> int:
             return x * p + y
@@ -472,6 +472,11 @@ def transcript_from_dict(
 
     def message(key: str):
         values = d[key]
+        # The index form's fast path: a canonical point; anything else is checked below.
+        if index is not None and type(values) is list and len(values) == 2:
+            x, y = values
+            if type(x) is int and type(y) is int and 0 <= x < p and 0 <= y < p:
+                return x * p + y
         if not isinstance(values, list) or len(values) != 2:
             raise ValueError(f"a point must be a two-element list, got {values!r}")
         return point(scalar(values[0]), scalar(values[1]))

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triplepass.cli import _json_text
+from triplepass.cli import _Raw, _json_text, _json_value
 
 FLOATS = [0.1, 1e16, 5e-324, -0.0, 0.16666666666666666, float("inf"), float("nan")]
 STRINGS = ["", '"', "\\", "/", "\n\r\t\b\f", "\x00\x1f\x7f", "é", " ", "😀", "\ud800"]
@@ -88,11 +88,30 @@ def test_a_key_that_is_not_a_string_is_refused(payload):
         _json_text(payload)
 
 
+class _OtherStr(str):
+    """A str subclass other than the writer's own pre-rendered one."""
+
+
 @pytest.mark.parametrize(
     "payload",
-    [Fraction(1, 3), {"a": [set()]}, [b"bytes"], {"a": object()}, [1j]],
-    ids=["fraction", "set", "bytes", "object", "complex"],
+    [Fraction(1, 3), {"a": [set()]}, [b"bytes"], {"a": object()}, [1j], [_OtherStr("a")]],
+    ids=["fraction", "set", "bytes", "object", "complex", "str-subclass"],
 )
 def test_an_unsupported_value_is_refused(payload):
     with pytest.raises(TypeError):
         _json_text(payload)
+
+
+def test_a_raw_fragment_is_written_verbatim():
+    fragment = _json_value([1, {"a": None}], "\n    ", {})
+    payload = {"x": [_Raw(fragment), 2]}
+    assert _json_text(payload) == stdlib({"x": [[1, {"a": None}], 2]})
+
+
+def test_a_memo_keeps_the_containers_it_wrote_alive():
+    # Were the first dict freed, the second, of the same size, could take
+    # its id and be written as the first.
+    memo: dict = {}
+    assert _json_value({"a": [1]}, "\n", memo) == json.dumps({"a": [1]}, indent=2)
+    for i in range(20):
+        assert _json_value({"b": [i]}, "\n", memo) == json.dumps({"b": [i]}, indent=2)

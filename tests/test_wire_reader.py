@@ -23,8 +23,9 @@ from triplepass.cli import main
 from triplepass.errors import TriplePassError, WorkCapExceeded
 from triplepass.fields import Scalar
 from triplepass.matrices import Mat2
-from triplepass.posterior import PosteriorReport, posterior_from_transcript, posterior_prior
-from triplepass.protocol import Transcript, transcript_from_dict, transcript_to_dict
+from triplepass.posterior import (BayesStep, PosteriorReport, posterior_from_transcript,
+                                  posterior_prior)
+from triplepass.protocol import Transcript, WireWriter, transcript_from_dict, transcript_to_dict
 
 INSTANCES = [("diagonal", 7), ("general-linear", 5), ("borel-embedded", 7), ("rotation", 7)]
 # Corruptions go into the last transcript of this prefix of each file.
@@ -94,8 +95,35 @@ def _v3_without_witnesses(d, instance):
     d["v3"] = [0, 0]
 
 
+# Each of these leaves the reader's fast path for its full checks.
+def _bool_truth_secret(d, instance):
+    d["truth"]["s"] = True
+
+
+def _truth_blinding_at_p(d, instance):
+    d["truth"]["t"] = d["p"]
+
+
+def _float_residue(d, instance):
+    d["v1"] = [1.0, 0]
+
+
+def _string_residue(d, instance):
+    d["v2"] = ["3", 0]
+
+
+def _negative_residue(d, instance):
+    d["v3"] = [-1, 0]
+
+
+def _point_not_a_list(d, instance):
+    d["v1"] = 5
+
+
 CORRUPTIONS = [None, _wrong_p, _non_prime_p, _residue_at_p, _bool_residue, _three_element_point,
-               _wrong_name, _mask_outside_group, _mask_over_another_field, _v3_without_witnesses]
+               _wrong_name, _mask_outside_group, _mask_over_another_field, _v3_without_witnesses,
+               _bool_truth_secret, _truth_blinding_at_p, _float_residue, _string_residue,
+               _negative_residue, _point_not_a_list]
 # The residue path refuses a transcript over another prime modulus with
 # its own message; the object path reports the first scalar or carrier
 # mismatch it meets.
@@ -247,3 +275,58 @@ def test_a_wire_transcript_read_for_another_build_of_its_instance_is_refused(val
     with pytest.raises(TriplePassError) as refused:
         posterior_from_transcript(wire, second, prior)
     assert str(refused.value) == "transcript was read into another index of 'diagonal-f5'"
+
+
+@pytest.mark.parametrize("fmt", ["json", "human"])
+@pytest.mark.parametrize("kind,p", INSTANCES[2:], ids=[f"{k}-f{p}" for k, p in INSTANCES[2:]])
+def test_a_weighted_prior_with_several_steps_writes_the_object_path_bytes(runs, tmp_path, kind, p,
+                                                                          fmt):
+    # Reports are joined from one tail per distinct step; under the 1..n
+    # prior the steps carry unequal masses.
+    data = runs[(kind, p)]
+    prior = _prior(instance_from_descriptor(data["config"]["descriptor"]), uniform=False)
+    code, _, want = _object_path(data, prior, cli.DEFAULT_WORK_CAP)
+    assert code == 0 and len({json.dumps(r["posterior"]) for r in want}) > 1
+    runs_file, prior_file, out = tmp_path / "runs.json", tmp_path / "prior.json", tmp_path / "out"
+    runs_file.write_text(json.dumps(data))
+    prior_file.write_text(json.dumps(prior))
+    assert main(["analyze", "--transcripts", str(runs_file), "--prior", str(prior_file),
+                 "--format", fmt, "--out", str(out)]) == 0
+    text = out.read_text()
+    if fmt == "json":
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+        assert json.dumps(json.loads(text)["reports"]) == json.dumps(want)
+    else:
+        assert text == "".join(
+            f"transcript {r['transcript']}: support {{{','.join(map(str, r['support']))}}},"
+            f" uniform={r['uniform']}, witnesses={r['witness_count']}\n" for r in want)
+
+
+@pytest.mark.parametrize("distinct", [2, 3])
+def test_interleaved_steps_are_each_rendered_once(monkeypatch, distinct):
+    # Reports A, B, A, B (then A, B, C, A, B, C): each step's tail is
+    # rendered once and reused, and none is mistaken for another's, even
+    # when a step's dicts are freed before the next step's are made.
+    instance = build_instance("diagonal", 5)
+    prior = posterior_prior(instance, {instance.field.scalar(s): Fraction(s, 10) for s in (1, 2, 3, 4)})
+    steps = [BayesStep(tuple((s, Fraction(s == k)) for s in (1, 2, 3, 4)), (k,), False, k)
+             for k in range(1, distinct + 1)]
+    writer = WireWriter(instance)
+    reports = [(writer.transcript(i, 2 * i, 3 * i), steps[i % distinct]) for i in range(2 * distinct)]
+    rendered = []
+    render = cli._json_value
+
+    def counting(obj, nl, memo):
+        if isinstance(obj, dict) and "witness_count" in obj:
+            rendered.append(obj["witness_count"])
+        return render(obj, nl, memo)
+
+    monkeypatch.setattr(cli, "_json_value", counting)
+    text = cli._json_text({"reports": cli._report_texts(reports, prior)})
+    assert sorted(rendered) == list(range(1, distinct + 1))
+    want = [{"transcript": wire, "prior": {"1": "1/10", "2": "1/5", "3": "3/10", "4": "2/5"},
+             "posterior": {str(s): str(m) for s, m in step.posterior},
+             "posterior_float": {str(s): float(m) for s, m in step.posterior},
+             "support": list(step.support), "uniform": step.uniform,
+             "witness_count": step.witness_count} for wire, step in reports]
+    assert text == json.dumps({"reports": want}, indent=2) + "\n"
