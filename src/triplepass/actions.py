@@ -24,7 +24,7 @@ from .fields import (
     parse_scalar,
 )
 from .groups import FiniteGroup, enumerate_gl2, gl2_order, subgroup_closure
-from .matrices import Mat2, format_matrix, parse_matrix
+from .matrices import Mat2, format_matrix, format_residues, parse_matrix
 from .records import Frozen, setfield
 
 __all__ = [
@@ -254,9 +254,6 @@ class InstanceIndex:
         # tables share one int object per group index.
         self._fibres: dict[int, dict[int, tuple[int, ...]]] = {}
         self._group_indices = list(range(self.n_group))
-        # Group index (None outside the group) of each matrix literal
-        # ``protocol.transcript_from_dict`` has read into this index.
-        self.mask_literals: dict[str, Optional[int]] = {}
 
     def fibres(self, v: int) -> dict[int, tuple[int, ...]]:
         """Orbit-stabilizer table of point v, built on first use: each
@@ -277,6 +274,13 @@ class InstanceIndex:
                 )
             fib = self._fibres[v] = {w: tuple(gs) for w, gs in grouped.items()}
         return fib
+
+    @cached_property
+    def mask_literals(self) -> dict[str, Optional[int]]:
+        """Group index (None outside the group) of each matrix literal read
+        into this index: first every element's literal, in group order,
+        then any other literal ``protocol.transcript_from_dict`` parsed."""
+        return {format_residues(self.p, r): i for i, r in enumerate(self.group.residues)}
 
     @cached_property
     def points(self) -> tuple[Point, ...]:

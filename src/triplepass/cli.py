@@ -11,12 +11,12 @@ Exit codes: 0 success/pass, 1 checked-property fail, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import random
 import sys
 from fractions import Fraction
-from functools import lru_cache
 try:  # json.encoder's own C escaper, without loading the json package
     from _json import encode_basestring_ascii as _quote
 except ImportError:  # an interpreter without the accelerator
@@ -168,12 +168,11 @@ class _Raw(str):
 def _json_text(payload) -> str:
     """``json.dumps(payload, indent=2) + "\n"``, byte for byte, for the
     values artifacts hold: dicts with str keys, lists, tuples, str, int,
-    float, bool and None, of exactly those types, and ``_Raw`` records:
-    text joined from fragments that ``_json_value`` rendered once each, at
-    the depth where they are written (see ``_posterior_reports``), written
-    verbatim. Anything else, another ``str`` subclass too, raises
-    TypeError. The stdlib encoder runs in pure Python once ``indent`` is
-    set; this one is faster, and writes a shared container once per depth.
+    float, bool and None, of exactly those types, and ``_Raw`` records,
+    joined from fragments rendered once each at the depth where they are
+    written (see ``_report_texts``) and written verbatim. Anything else,
+    another ``str`` subclass too, raises TypeError. The stdlib encoder
+    runs in pure Python once ``indent`` is set; this one is faster.
     """
     return _json_value(payload, "\n", {}) + "\n"
 
@@ -262,13 +261,11 @@ def _posterior_reports(
     transcript_dicts: list, instance: ActionInstance, prior: PosteriorPrior, cap: int
 ) -> list[tuple[dict, BayesStep]]:
     """Each wire transcript, read into the instance's index, as its wire
-    dict (one ``WireWriter`` writes all) and its shared ``BayesStep``.
-
+    dict (one ``WireWriter`` writes all) and its shared ``BayesStep``;
     ``--format human`` prints these. ``_report_texts`` joins each JSON
     report from a fixed head, three point fragments (one per carrier
     point, p² in all) and its step's tail (one per distinct step: prior,
-    posterior, posterior_float, support, uniform and witness_count).
-    """
+    posterior, posterior_float, support, uniform and witness_count)."""
     from .analysis import posterior_from_transcript
     from .protocol import WireWriter, transcript_from_dict
 
@@ -283,6 +280,7 @@ def _posterior_reports(
 
 def _report_texts(reports: list[tuple[dict, BayesStep]], prior: PosteriorPrior) -> list[_Raw]:
     """Each report's JSON text, as an item of the artifact's ``reports``."""
+    inner = _ITEM + "  "
     prior_json = {str(s): str(mass) for s, mass in prior.by_residue.items()}
     memo: dict = {}
     tails = dict.fromkeys(step for _, step in reports)
@@ -292,49 +290,47 @@ def _report_texts(reports: list[tuple[dict, BayesStep]], prior: PosteriorPrior) 
                   "support": list(step.support), "uniform": step.uniform,
                   "witness_count": step.witness_count}
         # The fields that follow the transcript's: the "{" becomes a ",".
-        tails[step] = "," + _json_value(shared, "\n    ", memo)[1:]
-    texts = _wire_texts([wire for wire, _ in reports], "\n      ", memo)
-    return [_Raw(f'{{\n      "transcript": {text}{tails[step]}')
+        tails[step] = "," + _json_value(shared, _ITEM, memo)[1:]
+    texts = _wire_texts([wire for wire, _ in reports], inner, memo)
+    return [_Raw(f'{{{inner}"transcript": {text}{tails[step]}')
             for text, (_, step) in zip(texts, reports)]
 
 
+_ITEM = "\n    "  # opens each line of an item of a list that a body key holds (see ``_write``)
+# The keys of a lab-view wire dict and of its truth, in order (see
+# ``protocol.transcript_to_dict``); the adversary view stops at "v3".
+_WIRE_KEYS, _TRUTH_KEYS = ("instance", "p", "v1", "v2", "v3", "truth"), ("s", "t", "A", "B")
+
+
 def _wire_texts(wires: list[dict], nl: str, memo: dict) -> list[_Raw]:
-    """``_json_value(wire, nl, memo)`` of each wire dict of one instance:
-    a shared head, a fragment per point (``WireWriter`` shares its points)
-    and, in a lab view, a truth of residues and mask literals, each mask
-    quoted once."""
+    """``_json_value(wire, nl, memo)`` of each wire dict: a fragment per
+    point (``WireWriter`` shares its points) and, in a lab view, a truth
+    of residues and mask literals. A dict with other keys, or in another
+    order, raises TypeError rather than be written without them."""
     inner, deeper = nl + "  ", nl + "    "
-    quote = lru_cache(maxsize=None)(_quote)
     texts = []
     for wire in wires:
-        if not texts:
-            head = (f'{{{inner}"instance": {_quote(wire["instance"])},{inner}"p": '
-                    f'{_json_value(wire["p"], inner, memo)},{inner}"v1": ')
-        v1, v2 = _json_value(wire["v1"], inner, memo), _json_value(wire["v2"], inner, memo)
-        text = f'{head}{v1},{inner}"v2": {v2},{inner}"v3": {_json_value(wire["v3"], inner, memo)}'
         truth = wire.get("truth")
+        if tuple(wire) != _WIRE_KEYS[:5 + (truth is not None)] or (
+                truth is not None and tuple(truth) != _TRUTH_KEYS):
+            raise TypeError(f"not a wire transcript: {wire!r}")
+        v1, v2 = _json_value(wire["v1"], inner, memo), _json_value(wire["v2"], inner, memo)
+        text = (f'{{{inner}"instance": {_quote(wire["instance"])},{inner}"p": '
+                f'{_json_value(wire["p"], inner, memo)},{inner}"v1": {v1},{inner}"v2": {v2},'
+                f'{inner}"v3": {_json_value(wire["v3"], inner, memo)}')
         if truth is not None:
             s, t = _json_value(truth["s"], deeper, memo), _json_value(truth["t"], deeper, memo)
             text += (f',{inner}"truth": {{{deeper}"s": {s},{deeper}"t": {t},{deeper}"A": '
-                     f'{quote(truth["A"])},{deeper}"B": {quote(truth["B"])}{inner}}}')
+                     f'{_quote(truth["A"])},{deeper}"B": {_quote(truth["B"])}{inner}}}')
         texts.append(_Raw(text + nl + "}"))
     return texts
 
 
 def _search_dict(report: SearchReport) -> dict:
-    entries = []
-    for entry in report.entries:
-        entries.append(
-            {
-                "descriptor": entry.descriptor,
-                "group_order": entry.group_order,
-                "abelian": entry.abelian,
-                "reports": [r.to_json_dict() for r in entry.reports],
-                "leakage": _leakage_dict(entry.leakage) if entry.leakage else None,
-                "skipped": entry.skipped,
-                "candidate": entry.candidate,
-            }
-        )
+    entries = [{"descriptor": e.descriptor, "group_order": e.group_order, "abelian": e.abelian,
+                "reports": [r.to_json_dict() for r in e.reports],
+                "leakage": _leakage_dict(e.leakage) if e.leakage else None,
+                "skipped": e.skipped, "candidate": e.candidate} for e in report.entries]
     return {
         "p": report.p,
         "max_generators": report.max_generators,
@@ -440,7 +436,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         if not args.lab_view:
             for wire, _, _ in sessions:
                 del wire["truth"]
-        return {"transcripts": _wire_texts([wire for wire, _, _ in sessions], "\n    ", {}),
+        return {"transcripts": _wire_texts([wire for wire, _, _ in sessions], _ITEM, {}),
                 "successes": [success for _, _, success in sessions]}
 
     _write(args, "triplepass/run/v1", body, lines, instance, sessions=args.sessions,
@@ -601,6 +597,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    if argv is None:
+        # The process runs this one command, so what start-up built lives as
+        # long as it does; freezing it spares every collection a walk over it.
+        gc.freeze()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

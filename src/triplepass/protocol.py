@@ -35,7 +35,7 @@ from .actions import (
 from .errors import TriplePassError
 from .fields import PrimeField, RATIONALS, Scalar, prime_field, scalar_from_json, scalar_to_json
 from .groups import Residues, _mul
-from .matrices import Mat2, format_matrix, format_residues, parse_matrix, parse_matrix_values
+from .matrices import Mat2, format_matrix, parse_matrix, parse_matrix_values
 from .records import Frozen
 
 if TYPE_CHECKING:
@@ -259,9 +259,8 @@ class WireWriter:
 
     @cached_property
     def masks(self) -> list[str]:
-        """The matrix literal of each group element, by group index; built
-        on first use, since posterior reports write no mask."""
-        return [format_residues(self.index.p, r) for r in self.index.group.residues]
+        """The matrix literal of each group element, by group index."""
+        return list(self.index.mask_literals)[:self.index.n_group]
 
     def transcript(self, v1: int, v2: int, v3: int) -> dict:
         """The adversary view of the messages with point indices v1, v2, v3."""
@@ -405,6 +404,8 @@ def transcript_to_dict(transcript: Transcript, *, lab_view: bool = False) -> dic
 
 def _wire_residue(value, p: int) -> int:
     # Wire residues are canonical; anything outside [0, p) is corrupt.
+    if type(value) is int and 0 <= value < p:
+        return value
     if isinstance(value, int) and not 0 <= value < p:
         raise ValueError(f"residue {value!r} is outside [0, {p})")
     if isinstance(value, bool) or not isinstance(value, (int, str)):
@@ -437,16 +438,16 @@ def transcript_from_dict(
             if p != "Q":
                 prime_field(p)  # a modulus that is not prime is refused as such
             raise TriplePassError(f"transcript p {p!r} is not the instance modulus {index.p}")
-        memo = index.mask_literals
 
         def scalar(value) -> int:
-            return value if type(value) is int and 0 <= value < p else _wire_residue(value, p)
+            return _wire_residue(value, p)
 
         def point(x: int, y: int) -> int:
             return x * p + y
 
         def mask(text) -> Optional[int]:
-            # Each distinct literal is parsed once per index.
+            # A group element's own literal is known; any other is parsed once per index.
+            memo = index.mask_literals
             if isinstance(text, str) and text in memo:
                 return memo[text]
             domain, values = parse_matrix_values(text)
@@ -472,11 +473,6 @@ def transcript_from_dict(
 
     def message(key: str):
         values = d[key]
-        # The index form's fast path: a canonical point; anything else is checked below.
-        if index is not None and type(values) is list and len(values) == 2:
-            x, y = values
-            if type(x) is int and type(y) is int and 0 <= x < p and 0 <= y < p:
-                return x * p + y
         if not isinstance(values, list) or len(values) != 2:
             raise ValueError(f"a point must be a two-element list, got {values!r}")
         return point(scalar(values[0]), scalar(values[1]))

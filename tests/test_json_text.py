@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triplepass.cli import _Raw, _json_text, _json_value
+from triplepass.cli import _ITEM, _Raw, _json_text, _json_value, _wire_texts
 
 FLOATS = [0.1, 1e16, 5e-324, -0.0, 0.16666666666666666, float("inf"), float("nan")]
 STRINGS = ["", '"', "\\", "/", "\n\r\t\b\f", "\x00\x1f\x7f", "é", " ", "😀", "\ud800"]
@@ -115,3 +115,30 @@ def test_a_memo_keeps_the_containers_it_wrote_alive():
     assert _json_value({"a": [1]}, "\n", memo) == json.dumps({"a": [1]}, indent=2)
     for i in range(20):
         assert _json_value({"b": [i]}, "\n", memo) == json.dumps({"b": [i]}, indent=2)
+
+
+WIRE = {"instance": "diagonal-f5", "p": 5, "v1": [1, 2], "v2": [3, 4], "v3": [0, 1]}
+LAB = {**WIRE, "truth": {"s": 1, "t": 2, "A": "[[1,0],[0,1]]@F5", "B": "[[2,0],[0,3]]@F5"}}
+RATIONAL = {"instance": "rational-demo", "p": "Q", "v1": ["1/2", "0"], "v2": ["3", "-1"],
+            "v3": ["0", "1"], "truth": {"s": "1/2", "t": "0", "A": "[[1,0],[0,1]]@Q",
+                                        "B": "[[2,1/3],[0,1]]@Q"}}
+
+
+def test_wire_texts_are_the_stdlib_text_of_each_wire_dict():
+    # Each wire writes its own instance and p, whatever the one before it.
+    wires = [WIRE, LAB, RATIONAL, WIRE]
+    assert _json_text({"transcripts": _wire_texts(wires, _ITEM, {})}) == stdlib({"transcripts": wires})
+
+
+@pytest.mark.parametrize("wire", [
+    {**WIRE, "extra": 1},
+    {k: WIRE[k] for k in reversed(WIRE)},
+    {k: v for k, v in WIRE.items() if k != "v3"},
+    {**WIRE, "truth": None},
+    {**LAB, "truth": {**LAB["truth"], "extra": 0}},
+    {**LAB, "truth": {k: LAB["truth"][k] for k in ("t", "s", "A", "B")}},
+], ids=["extra-key", "reversed", "missing-key", "null-truth", "extra-truth-key", "truth-reordered"])
+def test_a_dict_that_is_not_a_wire_transcript_is_refused(wire):
+    # Written from fragments, a key the wire format does not name would be lost.
+    with pytest.raises(TypeError):
+        _wire_texts([wire], _ITEM, {})
