@@ -150,6 +150,12 @@ class ActionInstance(Frozen):
                  multiplicative: bool = True, kind: str = "custom") -> None:
         self._assign(name, field, group, secret_domain, t_domain, embedding, multiplicative, kind)
         if self.is_finite:
+            embedded = [x for (s, t), pt in (embedding or {}).items() for x in (s, t, pt.x, pt.y)]
+            for what, parts in (("the group", (group,)), ("every secret", secret_domain or ()),
+                                ("every blinding value", t_domain or ()),
+                                ("every embedding scalar", embedded)):
+                if any(x.domain != field for x in parts):
+                    raise ValueError(f"{what} must be over {field.label}")
             if not secret_domain:
                 raise ValueError("secret domain must be nonempty")
             if multiplicative and any(s.is_zero for s in secret_domain):
@@ -216,7 +222,6 @@ class InstanceIndex:
             raise TriplePassError("indexing requires finite group")
         group = instance.group
         fp = instance.field
-        assert isinstance(fp, PrimeField)
         p = fp.p
         self.field = fp
         self.name = instance.name
@@ -230,7 +235,6 @@ class InstanceIndex:
         # inv_rows[g] moves a point by the inverse of group element g.
         self.inv_rows = [self.act_table[j] for j in self.inverse]
 
-        assert instance.secret_domain is not None and instance.t_domain is not None
         self.s_res = sorted(s.value for s in instance.secret_domain)
         self.t_res = sorted(t.value for t in instance.t_domain)
 
@@ -276,10 +280,9 @@ class InstanceIndex:
         return fib
 
     @cached_property
-    def mask_literals(self) -> dict[str, Optional[int]]:
-        """Group index (None outside the group) of each matrix literal read
-        into this index: first every element's literal, in group order,
-        then any other literal ``protocol.transcript_from_dict`` parsed."""
+    def mask_literals(self) -> dict[str, int]:
+        """The group index of each element's own matrix literal, in group
+        order; never written after it is built."""
         return {format_residues(self.p, r): i for i, r in enumerate(self.group.residues)}
 
     @cached_property

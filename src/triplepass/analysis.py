@@ -44,7 +44,7 @@ def __getattr__(name: str):
 
 def uniform_prior(instance: ActionInstance) -> dict[Scalar, Fraction]:
     """The default prior: equal exact mass on every secret."""
-    assert instance.secret_domain is not None
+    _require_finite(instance, "a uniform prior")
     mass = Fraction(1, len(instance.secret_domain))
     return dict.fromkeys(instance.secret_domain, mass)
 

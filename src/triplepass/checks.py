@@ -133,7 +133,7 @@ def commutator_fixed_carrier_points(group: FiniteGroup) -> tuple[Point, ...]:
 
 def secret_square_points(instance: ActionInstance) -> tuple[Point, ...]:
     """The embedded secret square, in lexicographic pair order."""
-    assert instance.secret_domain is not None
+    _require_finite(instance, "the secret square")
     return tuple(
         instance.secret_pair_point(s, t)
         for s in instance.secret_domain
@@ -264,7 +264,8 @@ def recheck_counterexample(instance: ActionInstance, report: ConditionReport) ->
         elem = parse_matrix(ce["element"])
         return act(elem, pt) != pt
 
-    assert instance.secret_domain is not None
+    if not instance.is_finite:  # not _require_finite: this check stays off the index
+        raise TriplePassError(f"re-checking {report.condition} requires finite group")
     if report.condition == CONDITION_MASKING:
         s = parse_scalar(ce["s"], fp)
         t = parse_scalar(ce["t"], fp)

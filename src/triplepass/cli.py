@@ -168,18 +168,17 @@ class _Raw(str):
 def _json_text(payload) -> str:
     """``json.dumps(payload, indent=2) + "\n"``, byte for byte, for the
     values artifacts hold: dicts with str keys, lists, tuples, str, int,
-    float, bool and None, of exactly those types, and ``_Raw`` records,
-    joined from fragments rendered once each at the depth where they are
-    written (see ``_report_texts``) and written verbatim. Anything else,
-    another ``str`` subclass too, raises TypeError. The stdlib encoder
-    runs in pure Python once ``indent`` is set; this one is faster.
+    float, bool and None, of exactly those types, and ``_Raw`` records
+    (see ``_wire_texts``), written verbatim. Anything else, another
+    ``str`` subclass too, raises TypeError. It keeps nothing between
+    calls. The stdlib encoder runs in pure Python once ``indent`` is
+    set; this one is faster.
     """
-    return _json_value(payload, "\n", {}) + "\n"
+    return _json_value(payload, "\n") + "\n"
 
 
-def _json_value(obj, nl: str, memo: dict[tuple[int, str], tuple[object, str]]) -> str:
-    """The JSON text of ``obj`` with ``nl`` opening each of its lines; ``memo``
-    maps a container's (id, nl) to the container, kept alive, and its text."""
+def _json_value(obj, nl: str) -> str:
+    """The JSON text of ``obj`` with ``nl`` opening each of its lines."""
     kind = type(obj)
     if kind is str:
         return _quote(obj)
@@ -195,23 +194,16 @@ def _json_value(obj, nl: str, memo: dict[tuple[int, str], tuple[object, str]]) -
         return obj
     if kind is not dict and kind is not list and kind is not tuple:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
-    key = (id(obj), nl)
-    done = memo.get(key)
-    if done is not None:
-        return done[1]
     brackets = "{}" if kind is dict else "[]"
     if not obj:
-        text = brackets
+        return brackets
+    inner = nl + "  "
+    if kind is dict:
+        # _quote raises TypeError on a key that is not a str.
+        items = [_quote(k) + ": " + _json_value(v, inner) for k, v in obj.items()]
     else:
-        inner = nl + "  "
-        if kind is dict:
-            # _quote raises TypeError on a key that is not a str.
-            items = [_quote(k) + ": " + _json_value(v, inner, memo) for k, v in obj.items()]
-        else:
-            items = [_json_value(v, inner, memo) for v in obj]
-        text = f'{brackets[0]}{inner}{("," + inner).join(items)}{nl}{brackets[1]}'
-    memo[key] = (obj, text)
-    return text
+        items = [_json_value(v, inner) for v in obj]
+    return f'{brackets[0]}{inner}{("," + inner).join(items)}{nl}{brackets[1]}'
 
 
 def _prior_json(prior: dict) -> dict:
@@ -281,17 +273,16 @@ def _posterior_reports(
 def _report_texts(reports: list[tuple[dict, BayesStep]], prior: PosteriorPrior) -> list[_Raw]:
     """Each report's JSON text, as an item of the artifact's ``reports``."""
     inner = _ITEM + "  "
-    prior_json = {str(s): str(mass) for s, mass in prior.by_residue.items()}
-    memo: dict = {}
+    prior_text = _Raw(_json_value(_prior_json(prior.masses), inner))
     tails = dict.fromkeys(step for _, step in reports)
     for step in tails:
-        shared = {"prior": prior_json, "posterior": {str(s): str(m) for s, m in step.posterior},
+        shared = {"prior": prior_text, "posterior": {str(s): str(m) for s, m in step.posterior},
                   "posterior_float": {str(s): float(m) for s, m in step.posterior},
                   "support": list(step.support), "uniform": step.uniform,
                   "witness_count": step.witness_count}
         # The fields that follow the transcript's: the "{" becomes a ",".
-        tails[step] = "," + _json_value(shared, _ITEM, memo)[1:]
-    texts = _wire_texts([wire for wire, _ in reports], inner, memo)
+        tails[step] = "," + _json_value(shared, _ITEM)[1:]
+    texts = _wire_texts([wire for wire, _ in reports], inner)
     return [_Raw(f'{{{inner}"transcript": {text}{tails[step]}')
             for text, (_, step) in zip(texts, reports)]
 
@@ -302,24 +293,25 @@ _ITEM = "\n    "  # opens each line of an item of a list that a body key holds (
 _WIRE_KEYS, _TRUTH_KEYS = ("instance", "p", "v1", "v2", "v3", "truth"), ("s", "t", "A", "B")
 
 
-def _wire_texts(wires: list[dict], nl: str, memo: dict) -> list[_Raw]:
-    """``_json_value(wire, nl, memo)`` of each wire dict: a fragment per
-    point (``WireWriter`` shares its points) and, in a lab view, a truth
-    of residues and mask literals. A dict with other keys, or in another
-    order, raises TypeError rather than be written without them."""
+def _wire_texts(wires: list[dict], nl: str) -> list[_Raw]:
+    """``_json_value(wire, nl)`` of each wire dict: each point list once
+    per call (``WireWriter`` shares them, and ``wires`` keeps their ids
+    live) and, in a lab view, a truth of residues and mask literals. A
+    dict with other keys, or in another order, raises TypeError."""
     inner, deeper = nl + "  ", nl + "    "
-    texts = []
+    texts, points = [], {}  # points: the text of each point list, by id
     for wire in wires:
         truth = wire.get("truth")
         if tuple(wire) != _WIRE_KEYS[:5 + (truth is not None)] or (
                 truth is not None and tuple(truth) != _TRUTH_KEYS):
             raise TypeError(f"not a wire transcript: {wire!r}")
-        v1, v2 = _json_value(wire["v1"], inner, memo), _json_value(wire["v2"], inner, memo)
+        v1, v2, v3 = (points.get(id(v)) or points.setdefault(id(v), _json_value(v, inner))
+                      for v in (wire["v1"], wire["v2"], wire["v3"]))
         text = (f'{{{inner}"instance": {_quote(wire["instance"])},{inner}"p": '
-                f'{_json_value(wire["p"], inner, memo)},{inner}"v1": {v1},{inner}"v2": {v2},'
-                f'{inner}"v3": {_json_value(wire["v3"], inner, memo)}')
+                f'{_json_value(wire["p"], inner)},{inner}"v1": {v1},{inner}"v2": {v2},'
+                f'{inner}"v3": {v3}')
         if truth is not None:
-            s, t = _json_value(truth["s"], deeper, memo), _json_value(truth["t"], deeper, memo)
+            s, t = _json_value(truth["s"], deeper), _json_value(truth["t"], deeper)
             text += (f',{inner}"truth": {{{deeper}"s": {s},{deeper}"t": {t},{deeper}"A": '
                      f'{_quote(truth["A"])},{deeper}"B": {_quote(truth["B"])}{inner}}}')
         texts.append(_Raw(text + nl + "}"))
@@ -401,7 +393,8 @@ def cmd_demo(args: argparse.Namespace) -> int:
     successes = []
     for kind, p, title, s, t, mask_a, mask_b in _SCRIPT:
         writer = WireWriter(build_instance(kind, p))
-        wire, v4, success = writer.session(s, t, writer.masks.index(mask_a), writer.masks.index(mask_b))
+        literals = writer.index.mask_literals
+        wire, v4, success = writer.session(s, t, literals[mask_a], literals[mask_b])
         print(f"three-pass demo: {title}")
         print("\n".join(_session_lines(wire, v4, success)))
         successes.append(success)
@@ -436,7 +429,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         if not args.lab_view:
             for wire, _, _ in sessions:
                 del wire["truth"]
-        return {"transcripts": _wire_texts([wire for wire, _, _ in sessions], _ITEM, {}),
+        return {"transcripts": _wire_texts([wire for wire, _, _ in sessions], _ITEM),
                 "successes": [success for _, _, success in sessions]}
 
     _write(args, "triplepass/run/v1", body, lines, instance, sessions=args.sessions,

@@ -247,9 +247,9 @@ class WireWriter:
     """The wire format of one finite instance, written from residues.
 
     Every dict it returns shares one [x, y] list per point, so
-    ``cli._json_text`` writes each once, and each point and mask literal
-    is formatted once per writer. No ``Scalar``, ``Point`` or ``Mat2``
-    is built.
+    ``cli._wire_texts`` renders each once, each point literal is
+    formatted once per writer, and the mask literals are the index's
+    own. No ``Scalar``, ``Point`` or ``Mat2`` is built.
     """
 
     def __init__(self, instance: ActionInstance) -> None:
@@ -260,7 +260,7 @@ class WireWriter:
     @cached_property
     def masks(self) -> list[str]:
         """The matrix literal of each group element, by group index."""
-        return list(self.index.mask_literals)[:self.index.n_group]
+        return list(self.index.mask_literals)
 
     def transcript(self, v1: int, v2: int, v3: int) -> dict:
         """The adversary view of the messages with point indices v1, v2, v3."""
@@ -446,13 +446,11 @@ def transcript_from_dict(
             return x * p + y
 
         def mask(text) -> Optional[int]:
-            # A group element's own literal is known; any other is parsed once per index.
-            memo = index.mask_literals
-            if isinstance(text, str) and text in memo:
-                return memo[text]
+            # A group element's own literal is known; any other is parsed where it is read.
+            if isinstance(text, str) and text in index.mask_literals:
+                return index.mask_literals[text]
             domain, values = parse_matrix_values(text)
-            memo[text] = index.group._residue_index.get(values) if domain == index.field else None
-            return memo[text]
+            return index.group._residue_index.get(values) if domain == index.field else None
     else:
         point, mask = Point, parse_matrix
         if p == "Q":

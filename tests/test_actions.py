@@ -24,6 +24,7 @@ from triplepass.actions import (
     trivial_instance,
 )
 from triplepass.checks import (
+    ConditionReport,
     check_masking_coverage,
     check_transcript_equivalence,
     commutator_fixed_carrier_points,
@@ -33,7 +34,7 @@ from triplepass.checks import (
     secret_square_points,
 )
 from triplepass.errors import SingularMatrixError, TriplePassError, WorkCapExceeded
-from triplepass.fields import PrimeField
+from triplepass.fields import RATIONALS, PrimeField
 from triplepass.groups import FiniteGroup
 from triplepass.matrices import Mat2, format_matrix
 from triplepass.posterior import posterior_from_transcript
@@ -42,6 +43,7 @@ from triplepass.protocol import exhaustive_roundtrip, run_session
 F2 = PrimeField(2)
 F3 = PrimeField(3)
 F5 = PrimeField(5)
+F7 = PrimeField(7)
 
 
 def pt(field, x, y):
@@ -354,6 +356,41 @@ def test_an_instance_is_frozen_and_built_with_its_one_index(diag5, monkeypatch):
         instance_index(rational_demo_instance())
 
 
+@pytest.mark.parametrize("changes, message", [
+    ({"field": F7}, "the group must be over F7"),
+    ({"field": RATIONALS}, "the group must be over Q"),
+    ({"secret_domain": tuple(F7.scalar(s) for s in (1, 2, 3, 4))}, "every secret must be over F5"),
+    ({"t_domain": F7.elements()[:5]}, "every blinding value must be over F5"),
+    ({"secret_domain": (F5.scalar(1), F5.scalar(2)), "t_domain": (F5.scalar(1), F5.scalar(2)),
+      "embedding": {(F5.scalar(s), F5.scalar(t)): Point(F7.scalar(0), F7.scalar(2 * s + t - 2))
+                    for s in (1, 2) for t in (1, 2)}}, "every embedding scalar must be over F5"),
+], ids=["f7-field", "rational-field", "f7-secrets", "f7-blinding-values", "f7-embedding-points"])
+def test_an_instance_over_one_field_refuses_parts_over_another(diag5, changes, message):
+    # Built, such an instance would fail later, in whatever scan first
+    # mixed the two fields, or not at all.
+    fields = {"name": "mixed", "field": F5, "group": diag5.group,
+              "secret_domain": diag5.secret_domain, "t_domain": diag5.t_domain, **changes}
+    with pytest.raises(ValueError) as refused:
+        ActionInstance(**fields)
+    assert str(refused.value) == message
+
+
+@pytest.mark.parametrize("refuse", [
+    analysis.uniform_prior,
+    secret_square_points,
+    lambda inst: recheck_counterexample(inst, ConditionReport(
+        inst.name, "masking-coverage", False,
+        {"s": "1", "t": "1", "g": "[[1,0],[0,1]]@Q", "s_prime": "2"}, 0)),
+    lambda inst: recheck_counterexample(inst, ConditionReport(
+        inst.name, "transcript-equivalence", False,
+        {"s": "1", "t": "1", "A": "[[1,0],[0,1]]@Q", "B": "[[1,0],[0,1]]@Q", "s_prime": "2"}, 0)),
+], ids=["uniform-prior", "secret-square", "recheck-masking", "recheck-transcript"])
+def test_the_rational_instance_is_refused_where_a_finite_one_is_needed(refuse):
+    with pytest.raises(TriplePassError) as refused:
+        refuse(rational_demo_instance())
+    assert str(refused.value).endswith("requires finite group")
+
+
 def _gated_jobs(inst):
     """(job, estimate, run under a cap) for every job that checks its
     work cap before it runs, with each estimate from its closed form."""
@@ -607,6 +644,19 @@ def test_failure_work_counts_each_repeated_transcript_once():
         "s": "3", "t": "3", "A": "[[0,1],[1,3]]@F5", "B": "[[1,0],[0,1]]@F5", "s_prime": "4"
     }
     assert recheck_counterexample(inst, report)
+
+
+@pytest.mark.parametrize("condition, counterexample", [
+    ("comm-fixed-set", {"point": "[3,0]@F5", "element": "[[1,0],[0,4]]@F5"}),
+    ("masking-coverage", {"s": "1", "t": "1", "g": "[[2,0],[0,3]]@F5", "s_prime": "2"}),
+    ("transcript-equivalence",
+     {"s": "1", "t": "2", "A": "[[2,0],[0,3]]@F5", "B": "[[1,0],[0,4]]@F5", "s_prime": "1"}),
+], ids=["element-fixes-the-point", "masking-s-prime-explains", "transcript-s-prime-is-s"])
+def test_a_forged_counterexample_is_not_confirmed(diag5, condition, counterexample):
+    # Every real counterexample re-checks True; these name no violation,
+    # so a re-check that confirmed whatever it was given would pass them.
+    report = ConditionReport(diag5.name, condition, False, counterexample, 0)
+    assert recheck_counterexample(diag5, report) is False
 
 
 class TestDescriptors:

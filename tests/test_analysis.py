@@ -715,6 +715,23 @@ class TestSearch:
         report = search_instances(3, cap=500)
         assert not report.complete
 
+    @pytest.mark.parametrize("cap, entries, skipped", [
+        (2000, 35, {"subgroup-f3-o48-34": {"transcript-equivalence": 2832}}),
+        (50, 9, {"subgroup-f3-o2-0": {"leakage-analysis": 54},
+                 "subgroup-f3-o4-4": {"transcript-equivalence": 60, "leakage-analysis": 108}}),
+    ])
+    def test_a_job_over_the_cap_is_skipped_with_its_estimate(self, cap, entries, skipped):
+        # An entry keeps what ran; a skipped job leaves its estimate, no
+        # report or leakage, and no candidate.
+        report = search_instances(3, cap=cap)
+        assert (report.complete, len(report.entries)) == (False, entries)
+        by_name = {e.descriptor["name"]: e for e in report.entries}
+        for name, jobs in skipped.items():
+            entry = by_name[name]
+            assert entry.skipped == jobs and not entry.candidate
+            assert {r.condition for r in entry.reports}.isdisjoint(jobs)
+            assert (entry.leakage is None) == ("leakage-analysis" in jobs)
+
     def test_generator_sets_stop_at_the_group_order(self, monkeypatch):
         # |GL2(F2)| = 6: larger sets would repeat elements, so they are not drawn.
         calls = []

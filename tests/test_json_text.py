@@ -62,8 +62,7 @@ def test_deeply_nested_and_empty_containers():
 
 
 def test_writing_leaves_no_reference_cycle():
-    # Every object the writer makes, its memo included, is freed by
-    # reference counting alone.
+    # Every object the writer makes is freed by reference counting alone.
     shared = {"k": [1, 2.5, None]}
     payload = {"a": [shared, {"b": (shared, "x", True)}], "c": {}, "d": [[], [shared]]}
     expected = stdlib(payload)  # the stdlib's indenting encoder itself leaves cycles
@@ -103,18 +102,9 @@ def test_an_unsupported_value_is_refused(payload):
 
 
 def test_a_raw_fragment_is_written_verbatim():
-    fragment = _json_value([1, {"a": None}], "\n    ", {})
+    fragment = _json_value([1, {"a": None}], "\n    ")
     payload = {"x": [_Raw(fragment), 2]}
     assert _json_text(payload) == stdlib({"x": [[1, {"a": None}], 2]})
-
-
-def test_a_memo_keeps_the_containers_it_wrote_alive():
-    # Were the first dict freed, the second, of the same size, could take
-    # its id and be written as the first.
-    memo: dict = {}
-    assert _json_value({"a": [1]}, "\n", memo) == json.dumps({"a": [1]}, indent=2)
-    for i in range(20):
-        assert _json_value({"b": [i]}, "\n", memo) == json.dumps({"b": [i]}, indent=2)
 
 
 WIRE = {"instance": "diagonal-f5", "p": 5, "v1": [1, 2], "v2": [3, 4], "v3": [0, 1]}
@@ -127,7 +117,7 @@ RATIONAL = {"instance": "rational-demo", "p": "Q", "v1": ["1/2", "0"], "v2": ["3
 def test_wire_texts_are_the_stdlib_text_of_each_wire_dict():
     # Each wire writes its own instance and p, whatever the one before it.
     wires = [WIRE, LAB, RATIONAL, WIRE]
-    assert _json_text({"transcripts": _wire_texts(wires, _ITEM, {})}) == stdlib({"transcripts": wires})
+    assert _json_text({"transcripts": _wire_texts(wires, _ITEM)}) == stdlib({"transcripts": wires})
 
 
 @pytest.mark.parametrize("wire", [
@@ -141,4 +131,4 @@ def test_wire_texts_are_the_stdlib_text_of_each_wire_dict():
 def test_a_dict_that_is_not_a_wire_transcript_is_refused(wire):
     # Written from fragments, a key the wire format does not name would be lost.
     with pytest.raises(TypeError):
-        _wire_texts([wire], _ITEM, {})
+        _wire_texts([wire], _ITEM)

@@ -294,8 +294,10 @@ def test_a_mask_literal_in_another_form_is_read_as_its_element():
     a, b, c, d = (int(x) + 5 for x in wire["truth"]["B"][2:-5].replace("],[", ",").split(","))
     other["truth"]["B"] = f"[[{a},{b}],[{c},{d}]]@F5"
     idx = instance_index(instance)
+    known = dict(idx.mask_literals)
     assert transcript_from_dict(other, index=idx).truth == transcript_from_dict(wire, index=idx).truth \
         == (2, 3, 4, 7)
+    assert dict(idx.mask_literals) == known  # the group's own literals only, nothing the reader parsed
     assert transcript_from_dict(other).ground_truth == transcript_from_dict(wire).ground_truth
 
 
@@ -313,10 +315,10 @@ def test_interleaved_steps_are_each_rendered_once(monkeypatch, distinct):
     rendered = []
     render = cli._json_value
 
-    def counting(obj, nl, memo):
+    def counting(obj, nl):
         if isinstance(obj, dict) and "witness_count" in obj:
             rendered.append(obj["witness_count"])
-        return render(obj, nl, memo)
+        return render(obj, nl)
 
     monkeypatch.setattr(cli, "_json_value", counting)
     text = cli._json_text({"reports": cli._report_texts(reports, prior)})
