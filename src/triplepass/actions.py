@@ -211,7 +211,9 @@ class InstanceIndex:
     """Integer tables for one finite instance; the hot-loop backend.
 
     Carrier points are indexed x*p + y over residues; ``act_table[g][i]``
-    is the index of point i moved by group element g. Building the index
+    is the index of point i moved by group element g. ``act_table`` and
+    ``inverse`` are the group's own tables, shared by every index of an
+    instance on it, so nothing writes them. Building the index
     also verifies that every group element permutes the carrier. The
     index keeps the instance's field and name, never the instance, so a
     dropped instance is freed with its tables by reference counting.
@@ -230,8 +232,8 @@ class InstanceIndex:
         self.group = group
         self.n_group = len(group)
 
-        self.act_table = list(group._point_rows)
-        self.inverse = list(group.inverse_indices)
+        self.act_table = group._point_rows
+        self.inverse = group.inverse_indices
         # inv_rows[g] moves a point by the inverse of group element g.
         self.inv_rows = [self.act_table[j] for j in self.inverse]
 
@@ -385,11 +387,11 @@ def build_instance(
     if kind == "general-linear":
         group = enumerate_gl2(p)
     elif kind == "diagonal":
-        group = FiniteGroup.from_residues(
+        group = FiniteGroup(
             fp, ((a, 0, 0, d) for a in range(1, p) for d in range(1, p))
         )
     elif kind == "rotation":
-        group = FiniteGroup.from_residues(
+        group = FiniteGroup(
             fp,
             (
                 (c, s, (-s) % p, c)
@@ -399,9 +401,9 @@ def build_instance(
             ),
         )
     elif kind == "scalar":
-        group = FiniteGroup.from_residues(fp, ((c, 0, 0, c) for c in range(1, p)))
+        group = FiniteGroup(fp, ((c, 0, 0, c) for c in range(1, p)))
     elif kind == "borel-embedded":
-        group = FiniteGroup.from_residues(
+        group = FiniteGroup(
             fp, ((a, b, 0, d) for a in range(1, p) for b in range(p) for d in range(1, p))
         )
     else:  # custom
@@ -513,7 +515,6 @@ def instance_to_descriptor(instance: ActionInstance) -> dict:
     """JSON-ready descriptor from which the instance can be rebuilt."""
     if not instance.is_finite:
         return {"name": instance.name, "kind": "rational-demo", "p": "Q"}
-    assert isinstance(instance.field, PrimeField)
     # Named kinds are rebuilt from their kind, so they list no generators.
     group = instance.group
     gens = (group.generators or group.elements) if instance.kind == "custom" else ()

@@ -50,7 +50,6 @@ def uniform_prior(instance: ActionInstance) -> dict[Scalar, Fraction]:
 
 
 def _validate_prior(instance: ActionInstance, prior: Mapping[Scalar, Fraction]) -> dict[Scalar, Fraction]:
-    assert instance.secret_domain is not None
     domain = set(instance.secret_domain)
     out = {}
     for s, mass in prior.items():

@@ -50,7 +50,6 @@ def _entry_for_instance(
     reports = []
     skipped: dict[str, int] = {}
     group = instance.group
-    assert isinstance(group, FiniteGroup)
 
     # The checkers and the leakage are read from ``actions`` and
     # ``analysis`` when they run, so a traced run wraps these calls.
@@ -69,7 +68,6 @@ def _entry_for_instance(
         except WorkCapExceeded as exc:
             skipped[exc.job] = exc.estimate
 
-    assert instance.secret_domain is not None
     candidate = (
         len(instance.secret_domain) > 1
         and not skipped

@@ -9,8 +9,8 @@ from .actions import (ActionInstance, Point, _require_finite, _within_cap, act, 
                       parse_point)
 from .errors import TriplePassError
 from .fields import parse_scalar
-from .groups import FiniteGroup, Residues, commutator_subgroup, distinct_commutators
-from .matrices import format_residues, parse_matrix
+from .groups import FiniteGroup, Residues, commutator, commutator_subgroup, distinct_commutators
+from .matrices import Mat2, format_residues, parse_matrix
 from .records import Frozen
 
 __all__ = ["ConditionReport", "is_commutator_fixed_point", "is_commutator_fixed_set",
@@ -251,26 +251,49 @@ def check_transcript_equivalence(
     raise AssertionError("a reply fixing v1 leaves one secret, yet no session failed")
 
 
+def _in_derived_subgroup(group: FiniteGroup, elem: Mat2) -> bool:
+    """Whether ``elem`` lies in [G, G], built from its definition: the
+    ``Mat2`` commutators of all element pairs, closed under products."""
+    members = {commutator(g, h) for g in group for h in group}
+    frontier = list(members)
+    while elem not in members and frontier:
+        grown = {x @ c for x in frontier for c in members} - members
+        members |= grown
+        frontier = list(grown)
+    return elem in members
+
+
 def recheck_counterexample(instance: ActionInstance, report: ConditionReport) -> bool:
     """Re-run the inner existence search on a failing report's
-    counterexample alone; True means the violation is confirmed."""
+    counterexample alone; True means the violation is confirmed. A
+    counterexample the checker could not have reported, one naming a
+    matrix outside the group (for ``comm-fixed-set``, outside [G, G]) or
+    a secret pair value outside the secret domain, is not confirmed."""
     if report.passed or report.counterexample is None:
         raise ValueError("only failing reports carry a counterexample")
+    if not instance.is_finite:  # not _require_finite: this check stays off the index
+        raise TriplePassError(f"re-checking {report.condition} requires finite group")
+    if report.condition not in (CONDITION_COMM_FIXED, CONDITION_MASKING, CONDITION_TRANSCRIPT):
+        raise ValueError(f"cannot recheck condition {report.condition!r}")
     ce = report.counterexample
     fp = instance.field
+    members = set(instance.group.elements)
 
     if report.condition == CONDITION_COMM_FIXED:
         pt = parse_point(ce["point"])
         elem = parse_matrix(ce["element"])
+        if elem not in members or pt.domain != fp or not _in_derived_subgroup(instance.group, elem):
+            return False
         return act(elem, pt) != pt
 
-    if not instance.is_finite:  # not _require_finite: this check stays off the index
-        raise TriplePassError(f"re-checking {report.condition} requires finite group")
+    names = ("g",) if report.condition == CONDITION_MASKING else ("A", "B")
+    mats = [parse_matrix(ce[name]) for name in names]
+    s, t, s_prime = (parse_scalar(ce[name], fp) for name in ("s", "t", "s_prime"))
+    if not all(m in members for m in mats) or not {s, t, s_prime} <= set(instance.secret_domain):
+        return False
+
     if report.condition == CONDITION_MASKING:
-        s = parse_scalar(ce["s"], fp)
-        t = parse_scalar(ce["t"], fp)
-        g = parse_matrix(ce["g"])
-        s_prime = parse_scalar(ce["s_prime"], fp)
+        (g,) = mats
         target = act(g, instance.secret_pair_point(s, t))
         for t_prime in instance.secret_domain:
             start = instance.secret_pair_point(s_prime, t_prime)
@@ -279,26 +302,19 @@ def recheck_counterexample(instance: ActionInstance, report: ConditionReport) ->
                     return False
         return True
 
-    if report.condition == CONDITION_TRANSCRIPT:
-        s = parse_scalar(ce["s"], fp)
-        t = parse_scalar(ce["t"], fp)
-        a = parse_matrix(ce["A"])
-        b = parse_matrix(ce["B"])
-        s_prime = parse_scalar(ce["s_prime"], fp)
-        v = instance.secret_pair_point(s, t)
-        v1 = act(a, v)
-        v2 = act(b, v1)
-        v3 = act(a.inverse(), v2)
-        for t_prime in instance.secret_domain:
-            start = instance.secret_pair_point(s_prime, t_prime)
-            for a_prime in instance.group:
-                if act(a_prime, start) != v1:
-                    continue
-                if act(a_prime.inverse(), v2) != v3:
-                    continue
-                for b_prime in instance.group:
-                    if act(b_prime, v1) == v2:
-                        return False
-        return True
-
-    raise ValueError(f"cannot recheck condition {report.condition!r}")
+    a, b = mats
+    v = instance.secret_pair_point(s, t)
+    v1 = act(a, v)
+    v2 = act(b, v1)
+    v3 = act(a.inverse(), v2)
+    for t_prime in instance.secret_domain:
+        start = instance.secret_pair_point(s_prime, t_prime)
+        for a_prime in instance.group:
+            if act(a_prime, start) != v1:
+                continue
+            if act(a_prime.inverse(), v2) != v3:
+                continue
+            for b_prime in instance.group:
+                if act(b_prime, v1) == v2:
+                    return False
+    return True

@@ -106,37 +106,24 @@ def residue_closure(
 class FiniteGroup(Frozen):
     """An explicit finite group of invertible prime-field matrices.
 
-    ``residues`` holds the elements as residue 4-tuples, deduplicated and
-    sorted; ``elements`` is their ``Mat2`` view, built on first use. The
-    recorded generators are provenance (empty means the group was
-    enumerated as a whole family); a group closed from them
-    (``subgroup_closure``, ``_subgroup``) also takes them as its
-    generating set. Build groups with ``from_residues``, which validates
-    them and records ``inverse_indices``, the position of each element's
-    inverse. The hash, the key of the cached commutator helpers, is
-    computed once, on construction.
+    The constructor is the one way to build a group, and it validates
+    what it is given. ``residues`` may be any iterable of residue
+    4-tuples; the group holds them deduplicated and sorted, and
+    ``elements`` is their ``Mat2`` view, built on first use. Residues in
+    [0, p), the identity, nonzero determinants and closure under
+    inversion are checked; closure under products is not. The inversion
+    check records ``inverse_indices``, the position of each element's
+    inverse. The recorded generators are provenance (empty means the
+    group was enumerated as a whole family); each must be an element,
+    and the generating set starts from them. The hash, the key of the
+    cached commutator helpers, is computed once, on construction.
     """
 
     _fields = ("domain", "residues", "generators")
 
-    def __init__(self, domain: PrimeField, residues: tuple[Residues, ...],
+    def __init__(self, domain: PrimeField, residues: Iterable[Residues],
                  generators: tuple[Mat2, ...] = ()) -> None:
-        self._assign(domain, residues, generators)
-        setfield(self, "_hash", hash((domain, residues, generators)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    @staticmethod
-    def from_residues(
-        field: PrimeField, residues: Iterable[Residues], generators: tuple[Mat2, ...] = ()
-    ) -> "FiniteGroup":
-        """Validate residue 4-tuples as a group over ``field``: residues
-        in [0, p), the identity, nonzero determinants and closure under
-        inversion are checked here; closure under products is not. The
-        inversion check records the residue index and each element's
-        inverse index on the group."""
-        p = field.p
+        p = domain.p
         ordered = tuple(sorted(set(residues)))
         if not ordered:
             raise ValueError("a group needs at least one element")
@@ -149,17 +136,23 @@ class FiniteGroup(Frozen):
         for r in ordered:
             a, b, c, d = r
             if (a * d - b * c) % p == 0:
-                raise SingularMatrixError(f"group element {Mat2.from_values(field, *r)} is singular")
+                raise SingularMatrixError(f"group element {Mat2.from_values(domain, *r)} is singular")
             j = index.get(_inv(p, r))
             if j is None:
                 raise ValueError(
-                    f"group is not closed under inversion at {Mat2.from_values(field, *r)}"
+                    f"group is not closed under inversion at {Mat2.from_values(domain, *r)}"
                 )
             inverse.append(j)
-        group = FiniteGroup(field, ordered, generators)
-        setfield(group, "_residue_index", index)
-        setfield(group, "inverse_indices", tuple(inverse))
-        return group
+        for g in generators:
+            if g.domain != domain or g.residues() not in index:
+                raise ValueError(f"generator {g} is not a group element")
+        self._assign(domain, ordered, generators)
+        setfield(self, "_hash", hash((domain, ordered, generators)))
+        setfield(self, "_residue_index", index)
+        setfield(self, "inverse_indices", tuple(inverse))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @cached_property
     def elements(self) -> tuple[Mat2, ...]:
@@ -178,10 +171,6 @@ class FiniteGroup(Frozen):
     @property
     def identity(self) -> Mat2:
         return self.elements[self.identity_index]
-
-    @cached_property
-    def _residue_index(self) -> dict[Residues, int]:
-        return {r: i for i, r in enumerate(self.residues)}
 
     def index_of(self, m: Mat2) -> Optional[int]:
         """Position of ``m`` in ``residues``, or None for a non-member."""
@@ -218,11 +207,9 @@ class FiniteGroup(Frozen):
 
     @cached_property
     def _generating_set(self) -> list[Residues]:
-        """A generating set: the recorded generators that are members,
-        then each element, in residue order, that the elements kept so
-        far do not reach."""
-        members = self._residue_index
-        gens = [r for r in (g.residues() for g in self.generators) if r in members]
+        """A generating set: the recorded generators, then each element,
+        in residue order, that the elements kept so far do not reach."""
+        gens = [g.residues() for g in self.generators]
         reached = residue_closure(self.p, gens)
         for g in self.residues:
             if g not in reached:
@@ -232,14 +219,11 @@ class FiniteGroup(Frozen):
 
     def _subgroup(self, positions: list[int], generators: tuple[Mat2, ...]) -> "FiniteGroup":
         """The subgroup on the sorted element ``positions``, which the
-        caller closed from ``generators``: it takes them as its
-        generating set and shares this group's point rows and inverses."""
-        rows, inverse = self._point_rows, self.inverse_indices
-        at = {i: k for k, i in enumerate(positions)}
-        sub = FiniteGroup(self.domain, tuple(self.residues[i] for i in positions), generators)
+        caller closed from ``generators``; it shares this group's point
+        rows."""
+        rows = self._point_rows
+        sub = FiniteGroup(self.domain, (self.residues[i] for i in positions), generators)
         setfield(sub, "_point_rows", [rows[i] for i in positions])
-        setfield(sub, "inverse_indices", tuple(at[inverse[i]] for i in positions))
-        setfield(sub, "_generating_set", [g.residues() for g in generators])
         return sub
 
     @cached_property
@@ -266,7 +250,7 @@ def enumerate_gl2(p: int, cap: int = DEFAULT_PRIME_CAP) -> FiniteGroup:
             f"prime {p} exceeds enumeration cap {cap}"
             f" (|GL2(F{p})| = {gl2_order(p)})"
         )
-    group = FiniteGroup.from_residues(
+    group = FiniteGroup(
         PrimeField(p),
         (m for m in product(range(p), repeat=4) if (m[0] * m[3] - m[1] * m[2]) % p != 0),
     )
@@ -282,7 +266,7 @@ def subgroup_closure(
 
     Breadth-first orbit of the identity under right multiplication by the
     generators; in a finite setting this already contains all inverses,
-    which ``from_residues`` re-verifies. With ``max_order``, a closure
+    which the constructor re-verifies. With ``max_order``, a closure
     that grows past that many elements is refused with
     ``WorkCapExceeded`` while it runs.
     """
@@ -300,9 +284,7 @@ def subgroup_closure(
             raise SingularMatrixError(f"generator {g} is singular")
     unique_gens = tuple(sorted({g: None for g in gens}, key=Mat2.residues))
     gens_res = [g.residues() for g in unique_gens]
-    group = FiniteGroup.from_residues(domain, residue_closure(domain.p, gens_res, max_order), unique_gens)
-    setfield(group, "_generating_set", gens_res)
-    return group
+    return FiniteGroup(domain, residue_closure(domain.p, gens_res, max_order), unique_gens)
 
 
 def commutator(g: Mat2, h: Mat2) -> Mat2:
@@ -344,7 +326,7 @@ def commutator_subgroup(group: FiniteGroup) -> FiniteGroup:
             c for x in gens for n in members if (c := _mul(p, _mul(p, inv[x], n), x)) not in members
         }
         if not missing:
-            return FiniteGroup.from_residues(group.domain, members)
+            return FiniteGroup(group.domain, members)
         normal_gens += sorted(missing)
         grown = residue_closure(p, normal_gens)
         if len(grown) <= len(members):

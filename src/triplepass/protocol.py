@@ -138,7 +138,6 @@ def encode_secret(instance: ActionInstance, s: Scalar, rng: random.Random) -> Se
         t = sample_rational_scalar(rng)
         return SecretEncoding(s, t, Point(s, t))
 
-    assert instance.t_domain is not None
     t = instance.t_domain[rng.randrange(len(instance.t_domain))]
     return SecretEncoding(s, t, instance.secret_pair_point(s, t))
 
@@ -151,7 +150,6 @@ def _require_secret(instance: ActionInstance, s: Scalar) -> None:
         if s.is_zero:
             raise ValueError("secret must be nonzero in a multiplicative-style instance")
         return
-    assert instance.secret_domain is not None
     if s not in instance.secret_domain:
         if instance.multiplicative and s.is_zero:
             raise ValueError("secret must be nonzero in a multiplicative-style instance")

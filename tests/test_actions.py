@@ -13,6 +13,7 @@ from triplepass.actions import (
     InstanceIndex,
     Point,
     WireTranscript,
+    _instance_on,
     act,
     build_instance,
     format_point,
@@ -304,8 +305,9 @@ def test_reverse_scans_match_a_brute_scan(request, fixture):
                 assert posterior._factors(idx, WireTranscript(v1, v2, v3, None)) == (brute, replies)
 
 
-def test_a_broken_action_row_is_refused_explicitly(diag5):
-    idx = InstanceIndex(diag5)
+def test_a_broken_action_row_is_refused_explicitly():
+    # The index reads its group's rows, so this breaks a group of its own.
+    idx = InstanceIndex(build_instance("diagonal", 5))
     v = idx.point_index(pt(F5, 1, 1))
     # Make one mask that moves v fix it instead: its fibre grows.
     mover = next(g for g, row in enumerate(idx.act_table) if row[v] != v)
@@ -350,10 +352,23 @@ def test_an_instance_is_frozen_and_built_with_its_one_index(diag5, monkeypatch):
     monkeypatch.setattr(InstanceIndex, "__init__", counted)
     direct = ActionInstance("direct-f5", F5, diag5.group, diag5.secret_domain, diag5.t_domain)
     assert builds == [direct]
-    assert instance_index(direct).act_table == instance_index(diag5).act_table
+    assert instance_index(direct).act_table is diag5.group._point_rows
     assert len(builds) == 1
     with pytest.raises(TriplePassError, match="indexing requires finite group"):
         instance_index(rational_demo_instance())
+
+
+def test_a_group_built_directly_gives_an_instance_and_an_exact_leakage_report():
+    # The scalar group of F3, from the constructor alone: its index reads
+    # the group's own tables, and it leaks what the named kind does.
+    inst = _instance_on(FiniteGroup(PrimeField(3), ((1, 0, 0, 1), (2, 0, 0, 2))), "custom")
+    idx = instance_index(inst)
+    assert idx.act_table is inst.group._point_rows
+    assert idx.inverse is inst.group.inverse_indices
+    report = analysis.exact_mutual_information(inst)
+    named = analysis.exact_mutual_information(build_instance("scalar", 3))
+    assert report.mutual_information_bits == named.mutual_information_bits == 1.0
+    assert report.transcripts_examined == named.transcripts_examined
 
 
 @pytest.mark.parametrize("changes, message", [
@@ -379,12 +394,16 @@ def test_an_instance_over_one_field_refuses_parts_over_another(diag5, changes, m
     analysis.uniform_prior,
     secret_square_points,
     lambda inst: recheck_counterexample(inst, ConditionReport(
+        inst.name, "comm-fixed-set", False,
+        {"point": "[1,1]@Q", "element": "[[1,1],[0,1]]@Q"}, 0)),
+    lambda inst: recheck_counterexample(inst, ConditionReport(
         inst.name, "masking-coverage", False,
         {"s": "1", "t": "1", "g": "[[1,0],[0,1]]@Q", "s_prime": "2"}, 0)),
     lambda inst: recheck_counterexample(inst, ConditionReport(
         inst.name, "transcript-equivalence", False,
         {"s": "1", "t": "1", "A": "[[1,0],[0,1]]@Q", "B": "[[1,0],[0,1]]@Q", "s_prime": "2"}, 0)),
-], ids=["uniform-prior", "secret-square", "recheck-masking", "recheck-transcript"])
+], ids=["uniform-prior", "secret-square", "recheck-comm-fixed", "recheck-masking",
+        "recheck-transcript"])
 def test_the_rational_instance_is_refused_where_a_finite_one_is_needed(refuse):
     with pytest.raises(TriplePassError) as refused:
         refuse(rational_demo_instance())
@@ -514,7 +533,7 @@ def test_comm_fixed_scans_match_brute_force(p, elems):
     # oracle commutator subgroup in sorted order, counting each element
     # tried until the first one that moves a point.
     fp = PrimeField(p)
-    group = FiniteGroup.from_residues(fp, elems)
+    group = FiniteGroup(fp, elems)
     sub = sorted(oracles.comm_subgroup(p, elems))
     carrier = [(x, y) for x in range(p) for y in range(p)]
     fixed, work, counterexample = [], 0, None
@@ -646,17 +665,28 @@ def test_failure_work_counts_each_repeated_transcript_once():
     assert recheck_counterexample(inst, report)
 
 
-@pytest.mark.parametrize("condition, counterexample", [
-    ("comm-fixed-set", {"point": "[3,0]@F5", "element": "[[1,0],[0,4]]@F5"}),
-    ("masking-coverage", {"s": "1", "t": "1", "g": "[[2,0],[0,3]]@F5", "s_prime": "2"}),
-    ("transcript-equivalence",
+SWAP_F5 = "[[0,1],[1,0]]@F5"
+
+
+@pytest.mark.parametrize("fixture, condition, counterexample", [
+    ("gl2f2", "comm-fixed-set", {"point": "[0,0]@F2", "element": "[[0,1],[1,1]]@F2"}),
+    ("diag5", "comm-fixed-set", {"point": "[1,1]@F5", "element": "[[2,0],[0,1]]@F5"}),
+    ("diag5", "masking-coverage", {"s": "1", "t": "1", "g": "[[2,0],[0,3]]@F5", "s_prime": "2"}),
+    ("diag5", "masking-coverage", {"s": "0", "t": "1", "g": "[[1,0],[0,1]]@F5", "s_prime": "2"}),
+    ("diag5", "transcript-equivalence",
      {"s": "1", "t": "2", "A": "[[2,0],[0,3]]@F5", "B": "[[1,0],[0,4]]@F5", "s_prime": "1"}),
-], ids=["element-fixes-the-point", "masking-s-prime-explains", "transcript-s-prime-is-s"])
-def test_a_forged_counterexample_is_not_confirmed(diag5, condition, counterexample):
-    # Every real counterexample re-checks True; these name no violation,
-    # so a re-check that confirmed whatever it was given would pass them.
-    report = ConditionReport(diag5.name, condition, False, counterexample, 0)
-    assert recheck_counterexample(diag5, report) is False
+    ("diag5", "transcript-equivalence",
+     {"s": "1", "t": "1", "A": SWAP_F5, "B": SWAP_F5, "s_prime": "2"}),
+], ids=["element-fixes-the-point", "element-outside-the-commutator-subgroup",
+        "masking-s-prime-explains", "masking-s-outside-the-secret-domain",
+        "transcript-s-prime-is-s", "transcript-masks-outside-the-group"])
+def test_a_forged_counterexample_is_not_confirmed(request, fixture, condition, counterexample):
+    # Every real counterexample re-checks True; these name no violation
+    # the checker could report, so a re-check that confirmed whatever it
+    # was given would pass them.
+    inst = request.getfixturevalue(fixture)
+    report = ConditionReport(inst.name, condition, False, counterexample, 0)
+    assert recheck_counterexample(inst, report) is False
 
 
 class TestDescriptors:

@@ -28,7 +28,7 @@ def residue_set(group):
 
 
 def from_elements(mats):
-    """A ``FiniteGroup`` of ``Mat2`` elements, validated by ``from_residues``."""
+    """A ``FiniteGroup`` of ``Mat2`` elements, validated by its constructor."""
     unique = list({m: None for m in mats})
     if not unique:
         raise ValueError("a group needs at least one element")
@@ -38,7 +38,7 @@ def from_elements(mats):
     domain = domains.pop()
     if not isinstance(domain, PrimeField):
         raise ValueError("finite groups are supported over prime fields only")
-    return FiniteGroup.from_residues(domain, (m.residues() for m in unique))
+    return FiniteGroup(domain, (m.residues() for m in unique))
 
 
 class TestEnumerateGl2:
@@ -204,9 +204,10 @@ class TestCommutatorSubgroup:
 
     def test_every_p3_census_subgroup_matches_the_oracle(self):
         # Each subgroup three ways: as the census builds it from GL2(F3),
-        # sharing the ambient rows and inverses; closed from its census
-        # generators; and as a bare element set, whose generating set is
-        # found greedily.
+        # sharing the ambient rows; closed from its census generators; and
+        # as a bare element set, whose generating set is found greedily.
+        # The census group is the one the constructor builds from the same
+        # residues and generators.
         from triplepass.census import _census_subgroups
 
         ambient = enumerate_gl2(3)
@@ -216,9 +217,12 @@ class TestCommutatorSubgroup:
             gens = tuple(ambient.elements[i] for i in combo)
             census = ambient._subgroup(sorted(key), gens)
             closed = subgroup_closure(gens)
-            bare = FiniteGroup.from_residues(F3, census.residues)
+            bare = FiniteGroup(F3, census.residues)
+            direct = FiniteGroup(F3, census.residues, gens)
+            assert census == direct and hash(census) == hash(direct)
+            assert census.inverse_indices == direct.inverse_indices == bare.inverse_indices
+            assert census._generating_set == direct._generating_set == [g.residues() for g in gens]
             assert closed.residues == bare.residues == census.residues
-            assert census.inverse_indices == bare.inverse_indices
             assert census._point_rows == bare._point_rows
             expected = oracles.comm_subgroup(3, census.residues)
             for group in (census, closed, bare):
@@ -238,6 +242,24 @@ class TestFiniteGroupValidation:
         ident = Mat2.identity(F5)
         with pytest.raises(ValueError, match="not closed under inversion"):
             from_elements([ident, Mat2.from_values(F5, 2, 0, 0, 1)])
+
+    @pytest.mark.parametrize("residues, generators, error, message", [
+        ((), (), ValueError, "a group needs at least one element"),
+        (((1, 1, 0, 1),), (), ValueError, "group must contain the identity matrix"),
+        (((1, 0, 0, 1), (1, 1, 1, 1)), (), SingularMatrixError,
+         "group element [[1,1],[1,1]]@F5 is singular"),
+        (((1, 0, 0, 1), (2, 0, 0, 1)), (), ValueError,
+         "group is not closed under inversion at [[2,0],[0,1]]@F5"),
+        (((1, 0, 0, 1), (4, 0, 0, 4)), (Mat2.from_values(F5, 2, 0, 0, 1),), ValueError,
+         "generator [[2,0],[0,1]]@F5 is not a group element"),
+        (((1, 0, 0, 1),), (Mat2.identity(PrimeField(7)),), ValueError,
+         "generator [[1,0],[0,1]]@F7 is not a group element"),
+    ], ids=["empty", "no-identity", "singular", "inverse-unclosed", "foreign-generator",
+            "generator-over-another-field"])
+    def test_the_constructor_refuses_what_is_not_a_group(self, residues, generators, error, message):
+        with pytest.raises(error) as refused:
+            FiniteGroup(F5, residues, generators)
+        assert str(refused.value) == message
 
     def test_rational_elements_rejected(self):
         with pytest.raises(ValueError, match="prime fields"):
@@ -310,10 +332,10 @@ class TestResidueKernelAgainstOracles:
         [(2, oracles.gl2(2)), (3, oracles.gl2(3)), (5, oracles.upper_triangular_elements(5))],
         ids=["gl2-f2", "gl2-f3", "borel-f5"],
     )
-    def test_from_elements_and_from_residues_agree(self, p, raw):
+    def test_from_elements_and_the_constructor_agree(self, p, raw):
         # Shuffled, with repeats: both constructors dedup and sort.
         shuffled = raw[::-1] + raw[::3]
-        by_residues = FiniteGroup.from_residues(PrimeField(p), shuffled)
+        by_residues = FiniteGroup(PrimeField(p), shuffled)
         by_elements = from_elements(
             Mat2.from_values(PrimeField(p), *m) for m in shuffled
         )
@@ -327,9 +349,9 @@ class TestResidueKernelAgainstOracles:
             assert group.identity == Mat2.identity(PrimeField(p))
             assert group.residues[group.identity_index] == (1, 0, 0, 1)
 
-    def test_from_residues_rejects_out_of_range_residues(self):
+    def test_the_constructor_rejects_out_of_range_residues(self):
         with pytest.raises(ValueError, match=r"\[0, 5\)"):
-            FiniteGroup.from_residues(F5, [(1, 0, 0, 1), (6, 0, 0, 1)])
+            FiniteGroup(F5, [(1, 0, 0, 1), (6, 0, 0, 1)])
 
 
 def assert_tables_match_the_oracle(group):
@@ -349,7 +371,7 @@ def assert_tables_match_the_oracle(group):
 
 class TestTablesAgainstOracles:
     """``_point_rows`` is built from per-column tables and
-    ``inverse_indices`` by the validation in ``from_residues``; both
+    ``inverse_indices`` by the constructor's validation; both
     against the oracles."""
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
