@@ -162,6 +162,9 @@ class ActionInstance(Frozen):
                 raise ValueError("0 cannot be a secret in a multiplicative-style instance")
             if not t_domain:
                 raise ValueError("blinding domain must be nonempty")
+            for what, values in (("secret", secret_domain), ("blinding value", t_domain)):
+                if len(set(values)) != len(values):
+                    raise ValueError(f"a {what} is listed twice")
             if embedding is not None:
                 pairs = {(s.value, t.value) for s in secret_domain for t in secret_domain}
                 keys = {(s.value, t.value) for s, t in embedding}
@@ -169,9 +172,6 @@ class ActionInstance(Frozen):
                     raise ValueError("embedding must be defined on exactly the secret pairs")
                 if {t.value for t in t_domain} != {s.value for s in secret_domain}:
                     raise ValueError("embedded instances draw both coordinates from the secret domain")
-                images = list(embedding.values())
-                if len({(p.x.value, p.y.value) for p in images}) != len(images):
-                    raise ValueError("embedding is not injective")
             setfield(self, "_index", InstanceIndex(self))
         elif group != RATIONAL_GL2:
             raise ValueError(f"unknown symbolic group tag {group!r}")
@@ -217,6 +217,7 @@ class InstanceIndex:
     also verifies that every group element permutes the carrier. The
     index keeps the instance's field and name, never the instance, so a
     dropped instance is freed with its tables by reference counting.
+    An embedding is read once, here, and refused unless it is injective.
     """
 
     def __init__(self, instance: ActionInstance):
@@ -240,21 +241,21 @@ class InstanceIndex:
         self.s_res = sorted(s.value for s in instance.secret_domain)
         self.t_res = sorted(t.value for t in instance.t_domain)
 
-        def point_index(s: int, t: int) -> int:
-            if instance.embedding is None:
-                return s * p + t
-            pt = instance.secret_pair_point(fp.scalar(s), fp.scalar(t))
-            return pt.x.value * p + pt.y.value
-
-        # (s, t) residue pair -> carrier point index, over S x T.
-        self.point_of_pair = {(s, t): point_index(s, t) for s in self.s_res for t in self.t_res}
-        if len(set(self.point_of_pair.values())) != len(self.point_of_pair):
-            raise TriplePassError("secret pairs do not map to distinct carrier points")
+        # point_of_pair maps each (s, t) residue pair of S x T to its carrier
+        # point index. square is the secret square S x S in lexicographic
+        # pair order: the start points of the condition checkers, whose
+        # candidate blinding values range over the secret domain itself.
+        if instance.embedding is None:
+            self.point_of_pair = {(s, t): s * p + t for s in self.s_res for t in self.t_res}
+            self.square = {(s, t): s * p + t for s in self.s_res for t in self.s_res}
+        else:
+            # An embedding is defined on exactly S x S, and T is S.
+            self.point_of_pair = self.square = dict(sorted(
+                ((s.value, t.value), pt.x.value * p + pt.y.value)
+                for (s, t), pt in instance.embedding.items()))
+            if len(set(self.square.values())) != len(self.square):
+                raise ValueError("embedding is not injective")
         self.pair_of_point = {v: k for k, v in self.point_of_pair.items()}
-        # The secret square S x S in lexicographic pair order: the start
-        # points of the condition checkers, whose candidate blinding
-        # values range over the secret domain itself.
-        self.square = {(s, t): point_index(s, t) for s in self.s_res for t in self.s_res}
         self.secret_pair_of_point = {v: k for k, v in self.square.items()}
         # Point -> its fibre table, filled lazily by ``fibres``; the
         # tables share one int object per group index.
@@ -317,19 +318,21 @@ class WireTranscript:
         self.session_id, self.index = session_id, index
 
 
+def _residue(fp: PrimeField, v, what: str) -> int:
+    """The canonical residue of ``v``, an int in [0, p) or a scalar of
+    ``fp``; anything else would alias a value."""
+    if isinstance(v, Scalar):
+        if v.domain != fp:
+            raise ValueError(f"{what} {v} is over {v.domain.label}, not {fp.label}")
+        return v.value
+    if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < fp.p:
+        raise ValueError(f"{what} {v!r} is not a residue in [0, {fp.p})")
+    return v
+
+
 def _sorted_scalars(fp: PrimeField, values) -> tuple[Scalar, ...]:
-    """Deduplicated, sorted scalars of ``fp`` from canonical residues or
-    scalars of ``fp``; anything else would alias a value."""
-    res = set()
-    for v in values:
-        if isinstance(v, Scalar):
-            if v.domain != fp:
-                raise ValueError(f"scalar {v} is not over {fp.label}")
-            v = v.value
-        if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < fp.p:
-            raise ValueError(f"domain value {v!r} is not a residue in [0, {fp.p})")
-        res.add(v)
-    return tuple(fp.scalar(r) for r in sorted(res))
+    """Deduplicated, sorted scalars of ``fp`` from residues (``_residue``)."""
+    return tuple(fp.scalar(r) for r in sorted({_residue(fp, v, "domain value") for v in values}))
 
 
 def _named_group_order(kind: str, p: int) -> int:
@@ -451,7 +454,11 @@ def _instance_on(
     pairs = None
     if embedding is not None:
         pairs = {}
-        for (s, t), (x, y) in embedding:
+        for entry in embedding:
+            if not (isinstance(entry, (tuple, list)) and len(entry) == 2 and all(
+                    isinstance(pair, (tuple, list)) and len(pair) == 2 for pair in entry)):
+                raise ValueError(f"embedding entries must be [[s, t], [x, y]], got {entry!r}")
+            s, t, x, y = (_residue(fp, r, "embedding residue") for pair in entry for r in pair)
             if (scalars[s], scalars[t]) in pairs:
                 raise ValueError(f"embedding lists the pair ({s}, {t}) twice")
             pairs[scalars[s], scalars[t]] = Point(scalars[x], scalars[y])
@@ -503,12 +510,7 @@ def rational_demo_instance(name: str = "rational-gl2") -> ActionInstance:
 def _embedding_json(instance: ActionInstance) -> Optional[list]:
     if instance.embedding is None:
         return None
-    return [
-        [[s.value, t.value], [pt.x.value, pt.y.value]]
-        for (s, t), pt in sorted(
-            instance.embedding.items(), key=lambda kv: (kv[0][0].value, kv[0][1].value)
-        )
-    ]
+    return [[[s, t], list(divmod(v, instance.field.p))] for (s, t), v in instance._index.square.items()]
 
 
 def instance_to_descriptor(instance: ActionInstance) -> dict:
@@ -542,26 +544,6 @@ def _descriptor_list(desc: dict, key: str, item_type: type, what: str) -> Option
     return value
 
 
-def _descriptor_embedding(desc: dict, p: int) -> Optional[list]:
-    """The embedding as a list of [[s, t], [x, y]] residue pairs, or None."""
-    value = desc.get("embedding")
-    if value is None:
-        return None
-    if not isinstance(value, list):
-        raise ValueError(f"descriptor embedding must be a list, got {value!r}")
-    for entry in value:
-        if not (
-            isinstance(entry, list)
-            and len(entry) == 2
-            and all(isinstance(pair, list) and len(pair) == 2 for pair in entry)
-        ):
-            raise ValueError(f"embedding entries must be [[s, t], [x, y]], got {entry!r}")
-        for r in entry[0] + entry[1]:
-            if isinstance(r, bool) or not isinstance(r, int) or not 0 <= r < p:
-                raise ValueError(f"embedding residue {r!r} is not an integer in [0, {p})")
-    return value
-
-
 def instance_from_descriptor(desc: dict, *, work_cap: Optional[int] = None) -> ActionInstance:
     """Rebuild a finite instance from its descriptor.
 
@@ -585,7 +567,7 @@ def instance_from_descriptor(desc: dict, *, work_cap: Optional[int] = None) -> A
     if multiplicative is not None and not isinstance(multiplicative, bool):
         raise ValueError(f"descriptor multiplicative must be true or false, got {multiplicative!r}")
     generators = _descriptor_list(desc, "generators", str, "matrix literals")
-    embedding = _descriptor_embedding(desc, p)
+    embedding = _descriptor_list(desc, "embedding", list, "[[s, t], [x, y]] entries")
     fields = dict(
         secret_domain=_descriptor_list(desc, "secret_domain", int, "residues"),
         t_domain=_descriptor_list(desc, "t_domain", int, "residues"),

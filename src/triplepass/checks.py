@@ -9,7 +9,8 @@ from .actions import (ActionInstance, Point, _require_finite, _within_cap, act, 
                       parse_point)
 from .errors import TriplePassError
 from .fields import parse_scalar
-from .groups import FiniteGroup, Residues, commutator, commutator_subgroup, distinct_commutators
+from .groups import (FiniteGroup, Residues, commutator_subgroup, distinct_commutators,
+                     residue_closure)
 from .matrices import Mat2, format_residues, parse_matrix
 from .records import Frozen
 
@@ -253,14 +254,9 @@ def check_transcript_equivalence(
 
 def _in_derived_subgroup(group: FiniteGroup, elem: Mat2) -> bool:
     """Whether ``elem`` lies in [G, G], built from its definition: the
-    ``Mat2`` commutators of all element pairs, closed under products."""
-    members = {commutator(g, h) for g in group for h in group}
-    frontier = list(members)
-    while elem not in members and frontier:
-        grown = {x @ c for x in frontier for c in members} - members
-        members |= grown
-        frontier = list(grown)
-    return elem in members
+    commutators of all element pairs, closed under products."""
+    comms = [c.residues() for c in distinct_commutators(group)]
+    return elem.residues() in residue_closure(group.p, comms)
 
 
 def recheck_counterexample(instance: ActionInstance, report: ConditionReport) -> bool:

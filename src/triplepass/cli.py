@@ -15,6 +15,7 @@ import gc
 import math
 import os
 import random
+import re
 import sys
 from fractions import Fraction
 try:  # json.encoder's own C escaper, without loading the json package
@@ -224,8 +225,10 @@ def _load_prior(path: Optional[str], instance: ActionInstance):
     if not isinstance(raw, dict):
         raise UsageError("a prior file must hold a JSON object mapping secrets to masses")
     for mass in raw.values():
-        if isinstance(mass, bool) or not isinstance(mass, (str, int)):
-            raise UsageError(f"prior mass {mass!r} is not an integer or a fraction string")
+        # Fraction would also read an exponent, and "1e10000000" takes seconds to expand.
+        if isinstance(mass, bool) or not (isinstance(mass, int) or isinstance(mass, str)
+                                          and re.fullmatch(r"[0-9]+(?:[./][0-9]+)?", mass)):
+            raise UsageError(f"prior mass {mass!r} is not an integer or a string n, n/d or d.d")
     field = instance.field
     if not isinstance(field, PrimeField):
         raise UsageError("a prior needs an instance over a prime field")

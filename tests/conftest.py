@@ -40,6 +40,11 @@ def gl2f3():
 
 
 @pytest.fixture(scope="session")
+def gl2f5():
+    return build_instance("general-linear", 5)
+
+
+@pytest.fixture(scope="session")
 def identity3():
     return build_instance(
         "custom", 3, generators=[Mat2.identity(PrimeField(3))], name="identity-f3"

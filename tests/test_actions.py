@@ -1,6 +1,7 @@
 import gc
 import json
 import random
+import time
 import weakref
 from collections import Counter
 
@@ -13,6 +14,7 @@ from triplepass.actions import (
     InstanceIndex,
     Point,
     WireTranscript,
+    _embedding_json,
     _instance_on,
     act,
     build_instance,
@@ -24,6 +26,7 @@ from triplepass.actions import (
     rational_demo_instance,
     trivial_instance,
 )
+from triplepass.census import search_instances
 from triplepass.checks import (
     ConditionReport,
     check_masking_coverage,
@@ -175,6 +178,35 @@ def test_non_injective_embedding_rejected():
             },
             multiplicative=True,
         )
+
+
+@pytest.mark.parametrize("entry, message", [
+    (((-1, -1), (0, 1)), "embedding residue -1 is not a residue in [0, 5)"),
+    (((4, 4), (True, 1)), "embedding residue True is not a residue in [0, 5)"),
+    (((4, 4), (0, 7)), "embedding residue 7 is not a residue in [0, 5)"),
+    (((4, 4), (F5.zero, PrimeField(7).one)), "embedding residue 1 is over F7, not F5"),
+    (((1, 1),), "embedding entries must be [[s, t], [x, y]], got ((1, 1),)"),
+    (5, "embedding entries must be [[s, t], [x, y]], got 5"),
+], ids=["negative", "bool", "above-p", "foreign-scalar", "one-pair", "not-a-pair"])
+def test_malformed_embedding_entry_rejected(entry, message):
+    # -1 would alias 4, True would alias 1, and 7 indexes past the field.
+    with pytest.raises(ValueError) as refused:
+        build_instance("custom", 5, generators=["[[1,0],[0,1]]@F5"], secret_domain=[4],
+                       t_domain=[4], embedding=[entry])
+    assert str(refused.value) == message
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"secret_domain": (F5.scalar(1), F5.scalar(1), F5.scalar(2))}, "a secret is listed twice"),
+    ({"t_domain": (F5.zero, F5.one, F5.zero)}, "a blinding value is listed twice"),
+], ids=["secret", "blinding-value"])
+def test_a_value_listed_twice_rejected(diag5, changes, message):
+    # Listed twice, a secret would carry twice the prior mass of the others.
+    fields = {"name": "dup", "field": F5, "group": diag5.group,
+              "secret_domain": diag5.secret_domain, "t_domain": diag5.t_domain, **changes}
+    with pytest.raises(ValueError) as refused:
+        ActionInstance(**fields)
+    assert str(refused.value) == message
 
 
 def test_embedding_that_repeats_a_pair_rejected():
@@ -502,6 +534,15 @@ class TestCommutatorFixed:
         assert report.counterexample is not None
         assert recheck_counterexample(gl2f2, report)
 
+    def test_general_linear_f5_report_rechecks_without_pair_products(self, gl2f5):
+        # [G, G] = SL2(F5) has 120 elements; closing the residue
+        # commutators finds the element without |G|^2 matrix products.
+        report = is_commutator_fixed_set(secret_square_points(gl2f5), gl2f5.group, gl2f5.name)
+        assert report.counterexample == {"point": "[1,1]@F5", "element": "[[0,1],[4,0]]@F5"}
+        start = time.perf_counter()
+        assert recheck_counterexample(gl2f5, report) is True
+        assert time.perf_counter() - start < 5.0
+
     def test_requires_finite_group(self):
         with pytest.raises(TriplePassError, match="finite group"):
             is_commutator_fixed_point(pt(F5, 1, 1), "rational-gl2")
@@ -671,6 +712,7 @@ SWAP_F5 = "[[0,1],[1,0]]@F5"
 @pytest.mark.parametrize("fixture, condition, counterexample", [
     ("gl2f2", "comm-fixed-set", {"point": "[0,0]@F2", "element": "[[0,1],[1,1]]@F2"}),
     ("diag5", "comm-fixed-set", {"point": "[1,1]@F5", "element": "[[2,0],[0,1]]@F5"}),
+    ("gl2f5", "comm-fixed-set", {"point": "[1,1]@F5", "element": "[[2,0],[0,1]]@F5"}),
     ("diag5", "masking-coverage", {"s": "1", "t": "1", "g": "[[2,0],[0,3]]@F5", "s_prime": "2"}),
     ("diag5", "masking-coverage", {"s": "0", "t": "1", "g": "[[1,0],[0,1]]@F5", "s_prime": "2"}),
     ("diag5", "transcript-equivalence",
@@ -678,7 +720,7 @@ SWAP_F5 = "[[0,1],[1,0]]@F5"
     ("diag5", "transcript-equivalence",
      {"s": "1", "t": "1", "A": SWAP_F5, "B": SWAP_F5, "s_prime": "2"}),
 ], ids=["element-fixes-the-point", "element-outside-the-commutator-subgroup",
-        "masking-s-prime-explains", "masking-s-outside-the-secret-domain",
+        "element-outside-sl2-f5", "masking-s-prime-explains", "masking-s-outside-the-secret-domain",
         "transcript-s-prime-is-s", "transcript-masks-outside-the-group"])
 def test_a_forged_counterexample_is_not_confirmed(request, fixture, condition, counterexample):
     # Every real counterexample re-checks True; these name no violation
@@ -730,6 +772,22 @@ class TestDescriptors:
         desc["secret_domain"] = desc["t_domain"] = [1, 2]
         with pytest.raises(ValueError, match="embedding"):
             instance_from_descriptor(desc)
+
+    def test_embedded_round_trip(self, borel5_embedded):
+        # A census entry, rebuilt through the API from the descriptor the
+        # census wrote, and borel-embedded-f5 both survive a round trip.
+        entry = next(e for e in search_instances(5, with_leakage=False).entries
+                     if e.descriptor["name"].endswith("-embedded"))
+        desc = entry.descriptor
+        census = build_instance(
+            "custom", 5, generators=desc["generators"], secret_domain=desc["secret_domain"],
+            t_domain=desc["t_domain"], name=desc["name"],
+            embedding=[tuple(map(tuple, e)) for e in desc["embedding"]])
+        assert _embedding_json(census) == desc["embedding"]
+        for inst in (borel5_embedded, census):
+            rebuilt = instance_from_descriptor(json.loads(json.dumps(instance_to_descriptor(inst))))
+            assert rebuilt == inst
+            assert _embedding_json(rebuilt) == _embedding_json(inst)
 
     def test_custom_round_trip(self, borel3_plane):
         desc = instance_to_descriptor(borel3_plane)

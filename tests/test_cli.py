@@ -499,6 +499,7 @@ CUSTOM_F5 = {
         (None, {"1": [1]}, None),
         (None, {"1": 0.5, "2": 0.5}, None),
         (None, {"1": "1/0", "2": "1"}, None),
+        (None, {"1": "1e10000000", "2": "0"}, None),
         (None, {"1": "1/2", "7": "1/2"}, None),
         (None, {"1": "1/2", "-3": "1/2"}, None),
         (None, {" 1": "1/2", "2": "1/2"}, None),
@@ -534,7 +535,7 @@ CUSTOM_F5 = {
     ],
     ids=["no-p", "embedding-out-of-range", "embedding-shape", "generators-not-a-list",
          "string-domain", "string-p", "string-multiplicative", "no-kind", "list-descriptor",
-         "list-prior", "list-mass", "float-mass", "zero-denominator-mass",
+         "list-prior", "list-mass", "float-mass", "zero-denominator-mass", "exponent-mass",
          "key-above-p", "negative-key", "padded-key", "descriptor-domain-above-p",
          "secret-domain-above-p", "negative-secret-domain", "t-domain-above-p",
          "secret-above-p", "zero-max-generators", "negative-max-generators",
@@ -564,6 +565,33 @@ def test_malformed_descriptor_or_prior_exits_two_without_traceback(
     assert code == 2
     assert "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_prior_mass_with_an_exponent_is_refused_before_it_is_expanded(tmp_path):
+    # Fraction("1e100000000") would build a 100-million-digit integer.
+    prior = tmp_path / "prior.json"
+    prior.write_text(json.dumps({"1": "1e100000000", "2": "0"}))
+    src = str(Path(triplepass.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "triplepass", "analyze", "--instance", "diagonal", "--p", "3",
+         "--prior", str(prior)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=10,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == ("error: prior mass '1e100000000' is not an integer"
+                           " or a string n, n/d or d.d\n")
+
+
+def test_prior_masses_as_integers_fractions_and_decimals_agree(capsys, tmp_path):
+    reports = []
+    for prior in ({"1": 1, "2": "0"}, {"1": "1", "2": "0/3"}, {"1": "1.0", "2": "0.0"}):
+        path = tmp_path / "prior.json"
+        path.write_text(json.dumps(prior))
+        code, out, _ = run_cli(capsys, "analyze", "--instance", "diagonal", "--p", "3",
+                               "--prior", str(path))
+        assert code == 0
+        reports.append(json.loads(out)["report"])
+    assert reports[0] == reports[1] == reports[2]
 
 
 @pytest.mark.parametrize("text", ["[" * 200_000 + "]" * 200_000,
